@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -59,8 +59,8 @@ from .geometry import (
     discretize,
     poly_sin_curve,
 )
-from .imaging import band_kernel_maps, etd_single, normalized_combination
-from .maps import ImageMap, from_point_values, make_lattice, save_map_csv, save_map_pgm
+from .imaging import band_kernel_maps, etd_multi, etd_single, normalized_combination
+from .maps import ImageMap, make_lattice, save_map_csv, save_map_pgm
 from .postprocess import (
     chebyshev_fit,
     clustered_ridges,
@@ -442,29 +442,12 @@ def validate(config: ExperimentConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # pipeline
 
+@contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, ThinImageError):
-                raise type(exc)(f"stage {name}: {exc}") from exc
-            return False
-
-    return _Ctx()
-
-
-def _etd_multi_parallel(data: BoundaryDataset, lattice, workers: int) -> ImageMap:
-    # same accumulation order as the sequential mean, so results are
-    # bit-identical for any worker count
-    n_k = data.incident.n_frequencies
-    acc = np.zeros(lattice.points.shape[0])
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(etd_single, data, lattice, k) for k in range(n_k)]
-        for fut in futures:
-            acc += fut.result().inside_values
-    return from_point_values(lattice, acc / float(n_k))
+    try:
+        yield
+    except ThinImageError as exc:
+        raise type(exc)(f"stage {name}: {exc}") from exc
 
 
 def _check_k_values(config: ExperimentConfig) -> None:
@@ -485,7 +468,7 @@ def _compute_maps(
 ) -> dict[str, ImageMap]:
     maps: dict[str, ImageMap] = {}
     if config.functional == "etd_multi":
-        maps["map_etd_multi"] = _etd_multi_parallel(data, lattice, workers)
+        maps["map_etd_multi"] = etd_multi(data, lattice, workers=workers)
     elif config.functional == "etd_single":
         for k in config.k_values:
             maps[f"map_etd_single_k{k:02d}"] = etd_single(data, lattice, k)

@@ -15,7 +15,8 @@ correction collapses, via the Wronskian, to the separable real kernel
     N(x, y)|_{|y|=1} = (1/2 pi w) * sum_n [J_n(w|x|)/J_n'(w)] e^{in(ax-ay)},
 
 which is what makes synthesis (and the adjoint evaluations downstream)
-factorizable into dense matrix products over a truncated mode range.
+factorizable into dense matrix products over a truncated mode range;
+``DiskModes`` holds that mode series for both.
 """
 
 from __future__ import annotations
@@ -171,17 +172,19 @@ def bessel_j_table(nmax: int, x) -> np.ndarray:
 
     Miller's downward recurrence normalized by J0 + 2*sum J_{2k} = 1; this is
     orders of magnitude faster than per-order library calls when every order
-    is needed, which is the access pattern of all mode sums here.
+    is needed, which is the access pattern of all mode sums here. The
+    recurrence starts well above both nmax and the largest argument: below
+    the turning order n = x it no longer converges to J_n.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0):
         raise ValueError("bessel_j_table requires x >= 0")
     out = np.zeros((nmax + 1, x.size))
     zero = x == 0.0
-    xs = np.where(zero, 1.0, x)
-    inv_x = 1.0 / xs
+    inv_x = 1.0 / np.where(zero, 1.0, x)
 
-    start = nmax + 15 + int(math.sqrt(40.0 * max(nmax, 1)))
+    top = max(nmax, int(math.ceil(float(np.max(x, initial=0.0)))))
+    start = top + 15 + int(math.sqrt(40.0 * max(top, 1)))
     jp = np.zeros(x.size)
     jc = np.full(x.size, 1e-30)
     even_sum = np.zeros(x.size)
@@ -219,6 +222,11 @@ def mode_count(omega: float, rho: float, tol: float) -> int:
     return int(math.ceil(omega)) + 10 + tail
 
 
+def _series_order(omega: float, rho: float, tol: float) -> int:
+    """Truncation order of a kernel series: mode_count with a floor."""
+    return max(30, int(math.ceil(2 * omega)) + 20, mode_count(omega, rho, tol))
+
+
 def jnp_values(omega: float, nmax: int) -> tuple[np.ndarray, int]:
     """J_n'(omega) for n = 0..nmax and the usable cutoff before underflow."""
     orders = np.arange(nmax + 1)
@@ -228,38 +236,25 @@ def jnp_values(omega: float, nmax: int) -> tuple[np.ndarray, int]:
     return vals, max(cut, 0)
 
 
-def _radius_binned_table(nmax: int, omega: float, radii: np.ndarray) -> np.ndarray:
-    """J_n(omega * r) for n = 0..nmax over points, binned by radius.
+def _radial_modes(omega: float, radii: np.ndarray, nmax: int):
+    """J_n(w r), w J_n'(w r) and n J_n(w r)/r for n = 0..nmax, one column per radius.
 
-    Small radii need (and numerically tolerate) far fewer orders; rows above
-    each bin's own cutoff stay zero, which matches their true magnitude to
-    well below the series tolerances used here.
+    The derivative follows 2 J_n' = J_{n-1} - J_{n+1} (J_0' = -J_1). At r = 0
+    the last table takes its limit: w/2 at n = 1 and 0 at every other order.
     """
-    out = np.zeros((nmax + 1, radii.size))
-    edges = _RADIUS_BIN_EDGES
-    idx = np.digitize(radii, edges) - 1
-    for b in range(len(edges) - 1):
-        mask = idx == b
-        if not np.any(mask):
-            continue
-        r_hi = min(float(edges[b + 1]), 0.999)
-        n_b = min(nmax, mode_count(omega, r_hi, 1e-12))
-        tab = bessel_j_table(n_b, omega * radii[mask])
-        out[: n_b + 1, mask] = tab
-    return out
+    tab = bessel_j_table(nmax + 1, omega * radii)
+    jr = tab[: nmax + 1]
+    djr = np.empty_like(jr)
+    djr[0] = -tab[1]
+    djr[1:] = 0.5 * (tab[:nmax] - tab[2 : nmax + 2])
+    centre = radii == 0.0
+    angular = np.arange(nmax + 1)[:, None] * jr / np.where(centre, 1.0, radii)
+    angular[1:2, centre] = 0.5 * omega
+    return jr, omega * djr, angular
 
 
 # ---------------------------------------------------------------------------
 # Neumann function of the disk
-
-
-def _pair_mode_count(omega: float, rx: float, ry: float, tol: float) -> int:
-    rho = rx * ry
-    if rx >= 0.98:
-        rho = max(rho, ry)
-    if ry >= 0.98:
-        rho = max(rho, rx)
-    return mode_count(omega, rho, tol)
 
 
 def neumann_function(
@@ -308,18 +303,18 @@ def neumann_function(
     if dist < 1e-12:
         raise SingularityError("Neumann function evaluated on its diagonal")
 
-    nmax = trunc if trunc is not None else max(
-        30, int(math.ceil(2 * omega)) + 20, _pair_mode_count(omega, rx, ry, series_tol)
-    )
-    jnp, cut = jnp_values(omega, nmax)
-    nmax = min(nmax, cut)
+    if trunc is None:
+        # with one point on the rim, only the other radius makes the series decay
+        rho = max(rx * ry, ry if rx >= 0.98 else 0.0, rx if ry >= 0.98 else 0.0)
+        trunc = _series_order(omega, rho, series_tol)
+    jnp, cut = jnp_values(omega, trunc)
+    nmax = min(trunc, cut)
     orders = np.arange(nmax + 1)
     jnp = jnp[: nmax + 1]
     ynp = sp.yvp(orders, omega)
 
-    # J tables at both radii; one extra order for the x-derivative.
-    jx = bessel_j_table(nmax + 1, np.array([omega * rx]))[:, 0]
-    jy = bessel_j_table(nmax + 1, np.array([omega * ry]))[:, 0]
+    jx_n, djx, jx_angular = (t[:, 0] for t in _radial_modes(omega, np.array([rx]), nmax))
+    jy_n = bessel_j_table(nmax + 1, np.array([omega * ry]))[: nmax + 1, 0]
 
     tx = math.atan2(xp[1], xp[0]) if rx > 0 else 0.0
     ty = math.atan2(yp[1], yp[0]) if ry > 0 else 0.0
@@ -328,16 +323,14 @@ def neumann_function(
     eps_n[0] = 1.0
     cosd = np.cos(orders * dtheta)
 
-    # Stable ordering: pair the huge Y_n' with the larger J factor first.
-    jx_n = jx[: nmax + 1]
-    jy_n = jy[: nmax + 1]
-    big_is_x = np.abs(jx_n) >= np.abs(jy_n)
-    prod_y = np.where(big_is_x, (ynp * jx_n) * jy_n, (ynp * jy_n) * jx_n)
-    ratio = prod_y / jnp
+    def y_ratio(jx):
+        # Y_n'(w) J_n(x) J_n(y) / J_n'(w), the huge Y_n' times the larger J first
+        big_is_x = np.abs(jx) >= np.abs(jy_n)
+        return np.where(big_is_x, (ynp * jx) * jy_n, (ynp * jy_n) * jx) / jnp
 
     j0d = sp.jv(0, omega * dist)
     y0d = sp.yv(0, omega * dist)
-    re_val = -0.25 * y0d + 0.25 * float(np.sum(eps_n * ratio * cosd))
+    re_val = -0.25 * y0d + 0.25 * float(np.sum(eps_n * y_ratio(jx_n) * cosd))
     im_val = 0.25 * j0d - 0.25 * float(np.sum(eps_n * jx_n * jy_n * cosd))
     value = complex(re_val, im_val)
     if not gradient:
@@ -348,37 +341,88 @@ def neumann_function(
     unit = dvec / dist
     grad_free = (-0.25j * omega) * (j1d + 1j * y1d) * unit
 
-    jpx = np.empty(nmax + 1)
-    jpx[0] = -jx[1]
-    if nmax >= 1:
-        jpx[1:] = 0.5 * (jx[:nmax] - jx[2 : nmax + 2])
+    sind = np.sin(orders * dtheta)
+    # radial and (1/r) angular derivatives
+    coef_r = 0.25 * y_ratio(djx) - 0.25j * djx * jy_n
+    coef_t = 0.25 * y_ratio(jx_angular) - 0.25j * jx_angular * jy_n
+    dr = float(np.sum(eps_n * np.real(coef_r) * cosd)) + 1j * float(
+        np.sum(eps_n * np.imag(coef_r) * cosd)
+    )
+    dt = -float(np.sum(eps_n * np.real(coef_t) * sind)) - 1j * float(
+        np.sum(eps_n * np.imag(coef_t) * sind)
+    )
+    c, s = math.cos(tx), math.sin(tx)
+    return value, grad_free + (dr * np.array([c, s]) + dt * np.array([-s, c]))
 
-    if rx < 1e-12:
-        # Only the n=1 mode contributes to the correction gradient at the
-        # center; take its analytic limit.
-        ey = np.array([math.cos(ty), math.sin(ty)])
-        if nmax >= 1:
-            coef = (0.25 * (ynp[1] * jy_n[1]) / jnp[1] - 0.25j * jy_n[1]) * omega
-            grad_corr = coef * ey
-        else:
-            grad_corr = np.zeros(2, dtype=complex)
-    else:
-        sind = np.sin(orders * dtheta)
-        big_x = np.abs(omega * jpx) >= np.abs(jy_n)
-        prod_dr = np.where(big_x, (ynp * (omega * jpx)) * jy_n, (ynp * jy_n) * (omega * jpx))
-        coef_r = 0.25 * (prod_dr / jnp) - 0.25j * (omega * jpx) * jy_n
-        coef_t = 0.25 * ratio - 0.25j * jx_n * jy_n
-        dr = float(np.sum(eps_n * np.real(coef_r) * cosd)) + 1j * float(
-            np.sum(eps_n * np.imag(coef_r) * cosd)
-        )
-        dt = -float(np.sum(eps_n * orders * np.real(coef_t) * sind)) - 1j * float(
-            np.sum(eps_n * orders * np.imag(coef_t) * sind)
-        )
-        e_r = xp / rx
-        e_t = np.array([-e_r[1], e_r[0]])
-        grad_corr = dr * e_r + (dt / rx) * e_t
 
-    return value, grad_free + grad_corr
+# ---------------------------------------------------------------------------
+# boundary-source kernel
+
+
+def _mode_sum(table, cos, sin, re, im):
+    """Re sum_n table_n(x) e^{in theta_x} (re_n + i im_n): (P, n) tables, (n, C) coefficients."""
+    return (table * cos) @ re - (table * sin) @ im
+
+
+class DiskModes:
+    """The disk's Neumann kernel for boundary sources, as a mode series.
+
+    For |y| = 1 the kernel is N(x, y) = Re sum_{n>=0} eps_n K_n(x) e^{-in phi_y}
+    with eps_0 = 1, eps_n = 2 and K_n(x) = J_n(w|x|)/J_n'(w) e^{in theta_x}/(2 pi w).
+    Construction rejects rim points and near-resonant frequencies, and fixes
+    ``nmax`` from the series tolerance at the largest radius, cut where J_n'(w)
+    underflows. Each geometric radius bin stops at its own lower order: the
+    rows past it sit below the tolerance.
+    """
+
+    def __init__(self, omega: float, points, series_tol: float):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        radii = np.hypot(pts[:, 0], pts[:, 1])
+        rmax = float(np.max(radii))
+        if rmax > 0.999:
+            raise GeometryError(f"interior points must satisfy |x| < 1 (max {rmax:.4f})")
+        ensure_not_resonant(omega)
+        nmax = _series_order(omega, rmax, series_tol)
+        jnp, cut = jnp_values(omega, nmax + 1)
+        self.omega = float(omega)
+        self.nmax = min(nmax, cut - 1)
+        eps_n = np.where(np.arange(self.nmax + 1) == 0, 1.0, 2.0)
+        self._weights = eps_n / (2.0 * math.pi * omega * jnp[: self.nmax + 1])
+        self._radii = radii
+        self._thetas = np.arctan2(pts[:, 1], pts[:, 0])
+        # (points, order) per bin, the order set by the bin's outer radius
+        bin_of = np.digitize(radii, _RADIUS_BIN_EDGES)
+        self._bins = [
+            (np.flatnonzero(bin_of == b), min(self.nmax, mode_count(omega, r_hi, series_tol)))
+            for b, r_hi in enumerate(np.minimum(_RADIUS_BIN_EDGES[1:], 0.999), start=1)
+            if np.any(bin_of == b)
+        ]
+
+    def apply(self, c: np.ndarray, gradient: bool = False):
+        """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (nmax+1, C).
+
+        Returns the (P, C) real values, followed by their x and y gradients
+        when ``gradient`` is set. Bins are summed one at a time, so the mode
+        tables never hold more than one bin's points.
+        """
+        fields = np.zeros((3 if gradient else 1, self._radii.size, c.shape[1]))
+        for members, n_b in self._bins:
+            thetas = self._thetas[members]
+            angles = np.outer(thetas, np.arange(n_b + 1))
+            cos, sin = np.cos(angles), np.sin(angles)
+            re, im = c.real[: n_b + 1], c.imag[: n_b + 1]
+            weights = self._weights[: n_b + 1, None]
+            jr, djr, angular = _radial_modes(self.omega, self._radii[members], n_b)
+            fields[0, members] = _mode_sum((weights * jr).T, cos, sin, re, im)
+            if not gradient:
+                continue
+            d_r = _mode_sum((weights * djr).T, cos, sin, re, im)
+            # (1/r) d/dtheta turns c_n into i c_n and J_n(w r) into n J_n(w r)/r
+            d_t = _mode_sum((weights * angular).T, cos, sin, -im, re)
+            ct, st = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+            fields[1, members] = ct * d_r - st * d_t
+            fields[2, members] = st * d_r + ct * d_t
+        return tuple(fields) if gradient else fields[0]
 
 
 def boundary_kernel_tables(
@@ -390,47 +434,12 @@ def boundary_kernel_tables(
 ):
     """Neumann kernel N(x, y_b) for interior points against boundary points.
 
-    Uses the separable boundary form, assembled as dense products over the
-    truncated mode range. Returns the (P, NB) kernel matrix, plus radial and
-    angular derivative matrices when ``gradient`` is set (the angular one not
-    yet divided by r).
+    Returns the (P, NB) kernel matrix, plus its x and y gradient matrices
+    when ``gradient`` is set.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    thetas = np.arctan2(pts[:, 1], pts[:, 0])
-    rmax = float(np.max(radii))
-    if rmax > 0.999:
-        raise GeometryError(f"interior points must satisfy |x| < 1 (max {rmax:.4f})")
-    ensure_not_resonant(omega)
-
-    nmax = max(30, int(math.ceil(2 * omega)) + 20, mode_count(omega, rmax, series_tol))
-    jnp, cut = jnp_values(omega, nmax + 1)
-    nmax = min(nmax, cut - 1)
-    orders = np.arange(nmax + 1)
-
-    jr = _radius_binned_table(nmax + 1, omega, radii)
-    ratios = jr[: nmax + 1] / jnp[: nmax + 1, None]
-
-    eps_n = np.full(nmax + 1, 2.0)
-    eps_n[0] = 1.0
-    phase = np.exp(1j * thetas[:, None] * orders[None, :])
-    q = np.exp(-1j * orders[:, None] * boundary_angles[None, :])
-    scale = 1.0 / (2.0 * math.pi * omega)
-
-    p_val = (eps_n[None, :] * ratios.T) * phase
-    kernel = scale * np.real(p_val @ q)
-    if not gradient:
-        return kernel
-
-    jpr = np.empty_like(jr[: nmax + 1])
-    jpr[0] = -jr[1]
-    jpr[1:] = 0.5 * (jr[:nmax] - jr[2 : nmax + 2])
-    dr_ratios = omega * jpr / jnp[: nmax + 1, None]
-    p_dr = (eps_n[None, :] * dr_ratios.T) * phase
-    d_radial = scale * np.real(p_dr @ q)
-    p_dt = p_val * (1j * orders[None, :])
-    d_angular = scale * np.real(p_dt @ q)
-    return kernel, d_radial, d_angular
+    modes = DiskModes(omega, points, series_tol)
+    phases = np.exp(-1j * np.outer(np.arange(modes.nmax + 1), boundary_angles))
+    return modes.apply(phases, gradient)
 
 
 def boundary_kernel_gradients(
@@ -440,26 +449,7 @@ def boundary_kernel_gradients(
     series_tol: float = _DEFAULT_SERIES_TOL,
 ):
     """Kernel matrix and cartesian gradient matrices (P, NB) each."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    kernel, d_r, d_t = boundary_kernel_tables(
-        omega, pts, boundary_angles, series_tol, gradient=True
-    )
-    gx = np.empty_like(kernel)
-    gy = np.empty_like(kernel)
-    interior = radii >= 1e-12
-    rr = np.where(interior, radii, 1.0)
-    ct = pts[:, 0] / rr
-    st = pts[:, 1] / rr
-    gx[interior] = ct[interior, None] * d_r[interior] - (st / rr)[interior, None] * d_t[interior]
-    gy[interior] = st[interior, None] * d_r[interior] + (ct / rr)[interior, None] * d_t[interior]
-    if np.any(~interior):
-        # Analytic center limit: only the n = 1 mode moves the kernel.
-        jnp1 = float(sp.jvp(1, omega))
-        scale = 1.0 / (2.0 * math.pi * omega) * omega / jnp1
-        gx[~interior] = scale * np.cos(boundary_angles)[None, :]
-        gy[~interior] = scale * np.sin(boundary_angles)[None, :]
-    return kernel, gx, gy
+    return boundary_kernel_tables(omega, points, boundary_angles, series_tol, gradient=True)
 
 
 # ---------------------------------------------------------------------------

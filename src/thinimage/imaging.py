@@ -21,18 +21,12 @@ images, with no boundary data and no disk kernel involved.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ConfigError, FlatMapError, GeometryError
-from .forward import (
-    _RADIUS_BIN_EDGES,
-    BoundaryDataset,
-    ensure_not_resonant,
-    bessel_j_table,
-    jnp_values,
-    mode_count,
-)
+from .errors import ConfigError, FlatMapError
+from .forward import BoundaryDataset, DiskModes
 from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion
 from .maps import ImageMap, Lattice, from_point_values
 
@@ -42,15 +36,6 @@ _DEFAULT_MAP_TOL = 1e-8
 
 # ---------------------------------------------------------------------------
 # adjoint fields
-
-
-def _modal_trace_coefficients(traces: np.ndarray, grid: BoundaryGrid, nmax: int):
-    """Fourier coefficients of the boundary traces, orders 0..nmax and -1..-nmax."""
-    orders = np.arange(nmax + 1)
-    phase = np.exp(-1j * orders[:, None] * grid.angles[None, :])
-    c_plus = grid.weight * (phase @ traces)
-    c_minus = grid.weight * (phase.conj() @ traces)
-    return c_plus, c_minus
 
 
 def adjoint_field_batch(
@@ -84,81 +69,22 @@ def adjoint_field_batch(
 
     Notes
     -----
-    Uses the separable boundary form of the disk kernel: the traces collapse
-    to Fourier coefficients once per call, and each point costs one row of a
-    mode-space product. Points are processed in radius bins so small radii
-    use only the few mode orders that reach them.
+    v(z) = w sum_b N(z, y_b) tr_b with the real disk kernel: the traces' real
+    and imaginary parts are projected onto e^{-in phi} once, then summed
+    against the kernel's modes by ``DiskModes``.
     """
     traces = np.asarray(traces, dtype=complex)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if traces.ndim != 2 or traces.shape[0] != grid.n_points:
         raise ValueError(f"traces must have shape (N={grid.n_points}, L)")
-    ensure_not_resonant(omega)
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    thetas = np.arctan2(pts[:, 1], pts[:, 0])
-    rmax = float(np.max(radii))
-    if rmax > 0.999:
-        raise GeometryError(f"adjoint evaluation needs |z| < 1 (max {rmax:.4f})")
-
-    nmax = max(30, int(math.ceil(2 * omega)) + 20, mode_count(omega, rmax, series_tol))
-    jnp, cut = jnp_values(omega, nmax + 1)
-    nmax = min(nmax, cut - 1)
-    c_plus, c_minus = _modal_trace_coefficients(traces, grid, nmax)
-
+    modes = DiskModes(omega, points, series_tol)
     n_l = traces.shape[1]
-    scale = 1.0 / (2.0 * math.pi * omega)
-    v = np.zeros((pts.shape[0], n_l), dtype=complex)
-    gv = np.zeros((pts.shape[0], n_l, 2), dtype=complex) if gradient else None
-
-    bin_idx = np.digitize(radii, _RADIUS_BIN_EDGES) - 1
-    for b in range(_RADIUS_BIN_EDGES.size - 1):
-        mask = bin_idx == b
-        if not np.any(mask):
-            continue
-        r_hi = min(float(_RADIUS_BIN_EDGES[b + 1]), 0.999)
-        n_b = min(nmax, mode_count(omega, r_hi, series_tol))
-        orders = np.arange(n_b + 1)
-        tab = bessel_j_table(n_b + 1, omega * radii[mask])
-        ratio = tab[: n_b + 1] / jnp[: n_b + 1, None]
-        ph = np.exp(1j * thetas[mask][:, None] * orders[None, :])
-        a_plus = ratio.T * ph
-        a_minus = ratio.T * ph.conj()
-        a_minus[:, 0] = 0.0
-        v[mask] = scale * (a_plus @ c_plus[: n_b + 1] + a_minus @ c_minus[: n_b + 1])
-        if not gradient:
-            continue
-        jpr = np.empty_like(ratio)
-        jpr[0] = -tab[1]
-        jpr[1:] = 0.5 * (tab[:n_b] - tab[2 : n_b + 2])
-        dr_ratio = omega * jpr / jnp[: n_b + 1, None]
-        b_plus = dr_ratio.T * ph
-        b_minus = dr_ratio.T * ph.conj()
-        b_minus[:, 0] = 0.0
-        dv_r = scale * (b_plus @ c_plus[: n_b + 1] + b_minus @ c_minus[: n_b + 1])
-        t_plus = a_plus * (1j * orders[None, :])
-        t_minus = a_minus * (-1j * orders[None, :])
-        dv_t = scale * (t_plus @ c_plus[: n_b + 1] + t_minus @ c_minus[: n_b + 1])
-        rr = radii[mask]
-        interior = rr >= 1e-12
-        ct = np.where(interior, np.cos(thetas[mask]), 1.0)
-        st = np.where(interior, np.sin(thetas[mask]), 0.0)
-        inv_r = np.where(interior, 1.0 / np.where(interior, rr, 1.0), 0.0)
-        gx = ct[:, None] * dv_r - (st * inv_r)[:, None] * dv_t
-        gy = st[:, None] * dv_r + (ct * inv_r)[:, None] * dv_t
-        gv[mask, :, 0] = gx
-        gv[mask, :, 1] = gy
-
-    if gradient:
-        centers = radii < 1e-12
-        if np.any(centers) and nmax >= 1:
-            # Analytic limit at the center: only the first angular modes move.
-            coef = scale * omega / (2.0 * jnp[1])
-            gx0 = coef * (c_plus[1] + c_minus[1])
-            gy0 = coef * (1j * c_plus[1] - 1j * c_minus[1])
-            gv[centers, :, 0] = gx0[None, :]
-            gv[centers, :, 1] = gy0[None, :]
-        return v, gv
-    return v
+    phases = np.exp(-1j * np.outer(np.arange(modes.nmax + 1), grid.angles))
+    coefficients = grid.weight * (phases @ np.hstack([traces.real, traces.imag]))
+    fields = modes.apply(coefficients, gradient)
+    if not gradient:
+        return fields[:, :n_l] + 1j * fields[:, n_l:]
+    v, gx, gy = (f[:, :n_l] + 1j * f[:, n_l:] for f in fields)
+    return v, np.stack([gx, gy], axis=-1)
 
 
 def adjoint_field(
@@ -171,10 +97,8 @@ def adjoint_field(
 ):
     """Adjoint field (and optionally gradient) at a single interior point."""
     z = np.asarray(z, dtype=float).reshape(1, 2)
-    if gradient:
-        v, gv = adjoint_field_batch(traces, grid, omega, z, series_tol, gradient=True)
-        return v[0], gv[0]
-    return adjoint_field_batch(traces, grid, omega, z, series_tol)[0]
+    fields = adjoint_field_batch(traces, grid, omega, z, series_tol, gradient)
+    return tuple(f[0] for f in fields) if gradient else fields[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +163,31 @@ def etd_single(
 
 
 def etd_multi(
-    data: BoundaryDataset, lattice: Lattice, series_tol: float = _DEFAULT_MAP_TOL
+    data: BoundaryDataset,
+    lattice: Lattice,
+    series_tol: float = _DEFAULT_MAP_TOL,
+    workers: int = 1,
 ) -> ImageMap:
     """Multi-frequency map: the mean of the per-frequency normalized maps.
 
-    With a single frequency this reduces bitwise to the single-frequency map.
+    With ``workers`` > 1 the frequencies are imaged on a thread pool. The maps
+    are summed in frequency order either way, so the result is bit-identical
+    for any worker count. With a single frequency this reduces bitwise to the
+    single-frequency map.
     """
     n_k = data.incident.n_frequencies
+
+    def frequency_map(k: int) -> np.ndarray:
+        return etd_single(data, lattice, k, series_tol).inside_values
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            maps = list(pool.map(frequency_map, range(n_k)))
+    else:
+        maps = map(frequency_map, range(n_k))
     acc = np.zeros(lattice.points.shape[0])
-    for k in range(n_k):
-        acc += etd_single(data, lattice, k, series_tol).inside_values
+    for values in maps:
+        acc += values
     return from_point_values(lattice, acc / float(n_k))
 
 

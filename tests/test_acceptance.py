@@ -325,22 +325,34 @@ def test_model_map_cross_consistency():
 
 
 def test_sensitivity_maps_against_curve_kernels():
+    # Besides 4 pi, the default band's most nearly resonant frequency
+    # (min |J_n'| = 9.6e-4 at n = 11): only there does a reference with one
+    # 1/J_n'(w) dropped fall apart (eps corr 0.08, mu corr 0.13, against 0.95
+    # and 0.96 at 4 pi), so the pair pins the boundary factor's 1/J_n'(w)^2.
     t0 = time.perf_counter()
     curve = builtin_curve("sigma1")
     directions = standard_directions(16)
-    incident = IncidentSet(directions, np.array([OMEGA_LO]))
     grid = boundary_grid(128)
-    data = synthesize([ThinInclusion(curve)], incident, grid, m_nodes=400)
     lattice = make_lattice(128)
-    eps_map, mu_map = td_component_maps(data, lattice, 0)
-    model_eps, model_mu = _closed_disk_first_order_maps(
-        lattice, discretize(curve, 200), ThinInclusion(curve), directions, OMEGA_LO
-    )
-    corr_eps = masked_correlation(eps_map, model_eps)
-    corr_mu = masked_correlation(mu_map, model_mu)
+
+    def correlations(omega):
+        incident = IncidentSet(directions, np.array([omega]))
+        data = synthesize([ThinInclusion(curve)], incident, grid, m_nodes=400)
+        eps_map, mu_map = td_component_maps(data, lattice, 0)
+        model_eps, model_mu = _closed_disk_first_order_maps(
+            lattice, discretize(curve, 200), ThinInclusion(curve), directions, omega
+        )
+        return (
+            data.traces[:, :, 0],
+            masked_correlation(eps_map, model_eps),
+            masked_correlation(mu_map, model_mu),
+        )
+
+    traces, corr_eps, corr_mu = correlations(OMEGA_LO)
+    near_omega = float(frequency_band(16)[4])
+    _, near_eps, near_mu = correlations(near_omega)
 
     rng = np.random.default_rng(11)
-    traces = data.traces[:, :, 0]
     step = 1e-5
     grad_err = 0.0
     for _ in range(20):
@@ -358,11 +370,17 @@ def test_sensitivity_maps_against_curve_kernels():
         )
 
     dt = time.perf_counter() - t0
-    ok = corr_eps >= 0.95 and corr_mu >= 0.9 and grad_err <= 1e-5 and dt < 120.0
+    ok = (
+        min(corr_eps, near_eps) >= 0.95
+        and min(corr_mu, near_mu) >= 0.9
+        and grad_err <= 1e-5
+        and dt < 120.0
+    )
     text = _line(
         "sensitivity maps against curve kernels",
         ok,
         f"eps corr {corr_eps:.4f} vs 0.95; mu corr {corr_mu:.4f} vs 0.9; "
+        f"at omega={near_omega:.3f}: eps corr {near_eps:.4f}, mu corr {near_mu:.4f}; "
         f"adjoint gradient rel err {grad_err:.2e} vs 1e-5; runtime {dt:.1f}s < 120s",
     )
     assert ok, text

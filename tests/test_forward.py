@@ -133,6 +133,14 @@ class TestBesselTable:
         rel = np.abs(tab[keep, 0] - ref[keep]) / np.abs(ref[keep])
         assert np.max(rel) < 1e-11
 
+    def test_arguments_beyond_the_top_order(self):
+        # Miller's recurrence must start above the argument as well as above
+        # nmax; starting above nmax alone gave errors of 0.38 and 0.99 here.
+        for nmax, x in ((10, 50.0), (5, 200.0)):
+            tab = bessel_j_table(nmax, np.array([x]))
+            ref = sp.jv(np.arange(nmax + 1), x)
+            assert np.max(np.abs(tab[:, 0] - ref)) < 1e-13
+
     def test_zero_argument(self):
         tab = bessel_j_table(5, np.array([0.0]))
         assert tab[0, 0] == 1.0

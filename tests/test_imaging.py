@@ -85,6 +85,26 @@ class TestAdjointField:
             ref = (2.0 * math.pi / grid.n_points) * (kern @ random_traces)
             assert np.max(np.abs(v[i] - ref)) / np.max(np.abs(ref)) < 1e-8
 
+    def test_value_and_gradient_match_quadrature_in_every_radius_bin(
+        self, grid, random_traces
+    ):
+        # The centre and one radius inside each mode-table radius bin, out to
+        # the lattice clip radius 0.95. At 0.95 both series are cut where
+        # J_n'(w) reaches its underflow floor (order 229 at 4 pi), short of
+        # the tail tolerance; that sets the error there: 4e-8 for values and
+        # 2e-6 for gradients.
+        radii = (0.0, 0.1, 0.25, 0.4, 0.55, 0.68, 0.78, 0.87, 0.95)
+        for i, r in enumerate(radii):
+            z = r * np.array([math.cos(0.7 + 1.3 * i), math.sin(0.7 + 1.3 * i)])
+            v, gv = adjoint_field(random_traces, grid, OMEGA, z, gradient=True)
+            pairs = [neumann_function(z, y, OMEGA, gradient=True) for y in grid.points]
+            kern = np.array([val for val, _ in pairs])
+            kern_grad = np.array([g for _, g in pairs])
+            ref = grid.weight * (kern @ random_traces)
+            ref_grad = grid.weight * (random_traces.T @ kern_grad)
+            assert np.max(np.abs(v - ref)) / np.max(np.abs(ref)) < 1e-7, r
+            assert np.max(np.abs(gv - ref_grad)) / np.max(np.abs(ref_grad)) < 1e-5, r
+
     def test_gradient_matches_finite_differences(self, grid, random_traces):
         rng = np.random.default_rng(11)
         step = 1e-5
