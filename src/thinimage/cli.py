@@ -423,6 +423,13 @@ def validate(config: ExperimentConfig) -> list[str]:
         boundary_grid(config.boundary_points)
     except ThinImageError as exc:
         issues.append(f"grid: {exc}")
+    else:
+        if omegas.size and config.boundary_points < 2.0 * float(omegas[-1]):
+            issues.append(
+                f"grid: {config.boundary_points} boundary points give fewer than two per "
+                f"wavelength at omega_max={float(omegas[-1]):.6f}; need at least "
+                f"2*omega_max={2.0 * float(omegas[-1]):.2f}"
+            )
     if config.lattice_size < 8:
         issues.append(f"grid: lattice needs at least 8 nodes per side, got {config.lattice_size}")
 

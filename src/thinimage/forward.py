@@ -38,6 +38,7 @@ _RADIUS_BIN_EDGES = np.array([0.0, 0.15, 0.3, 0.45, 0.6, 0.72, 0.82, 0.9, 1.01])
 _JNP_FLOOR = 1e-260
 _DEFAULT_SERIES_TOL = 1e-10
 _DEFAULT_SYNTH_NODES = 400
+_ANGLE_ANCHOR = 32
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +188,25 @@ def bessel_j_table(nmax: int, x) -> np.ndarray:
     start = top + 15 + int(math.sqrt(40.0 * max(top, 1)))
     jp = np.zeros(x.size)
     jc = np.full(x.size, 1e-30)
+    scratch = np.empty(x.size)
     even_sum = np.zeros(x.size)
     if start % 2 == 0:
         even_sum += jc
     for n in range(start, 0, -1):
-        jm = (2.0 * n) * inv_x * jc - jp
-        jp, jc = jc, jm
+        # J_{n-1} = (2n/x) J_n - J_{n+1}, written over the J_{n+1} buffer
+        np.multiply(np.multiply(2.0 * n, inv_x, out=scratch), jc, out=scratch)
+        np.subtract(scratch, jp, out=jp)
+        jp, jc = jc, jp
         if n - 1 <= nmax:
             out[n - 1] = jc
         if (n - 1) % 2 == 0 and n - 1 > 0:
             even_sum += jc
-        big = np.abs(jc) > 1e250
-        if np.any(big):
+        np.abs(jc, out=scratch)
+        if scratch.max(initial=0.0) > 1e250:
             # Rescale only the offending points; growth rates differ wildly
             # across arguments and a global rescale would flush slow-growing
             # columns to zero.
+            big = scratch > 1e250
             jc[big] *= 1e-250
             jp[big] *= 1e-250
             even_sum[big] *= 1e-250
@@ -234,23 +239,6 @@ def jnp_values(omega: float, nmax: int) -> tuple[np.ndarray, int]:
     small = np.abs(vals) < _JNP_FLOOR
     cut = int(np.argmax(small)) - 1 if np.any(small) else nmax
     return vals, max(cut, 0)
-
-
-def _radial_modes(omega: float, radii: np.ndarray, nmax: int):
-    """J_n(w r), w J_n'(w r) and n J_n(w r)/r for n = 0..nmax, one column per radius.
-
-    The derivative follows 2 J_n' = J_{n-1} - J_{n+1} (J_0' = -J_1). At r = 0
-    the last table takes its limit: w/2 at n = 1 and 0 at every other order.
-    """
-    tab = bessel_j_table(nmax + 1, omega * radii)
-    jr = tab[: nmax + 1]
-    djr = np.empty_like(jr)
-    djr[0] = -tab[1]
-    djr[1:] = 0.5 * (tab[:nmax] - tab[2 : nmax + 2])
-    centre = radii == 0.0
-    angular = np.arange(nmax + 1)[:, None] * jr / np.where(centre, 1.0, radii)
-    angular[1:2, centre] = 0.5 * omega
-    return jr, omega * djr, angular
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +301,8 @@ def neumann_function(
     jnp = jnp[: nmax + 1]
     ynp = sp.yvp(orders, omega)
 
-    jx_n, djx, jx_angular = (t[:, 0] for t in _radial_modes(omega, np.array([rx]), nmax))
-    jy_n = bessel_j_table(nmax + 1, np.array([omega * ry]))[: nmax + 1, 0]
+    tab = bessel_j_table(nmax + 1, omega * np.array([rx, ry]))
+    jx_n, jy_n = tab[: nmax + 1, 0], tab[: nmax + 1, 1]
 
     tx = math.atan2(xp[1], xp[0]) if rx > 0 else 0.0
     ty = math.atan2(yp[1], yp[0]) if ry > 0 else 0.0
@@ -342,15 +330,14 @@ def neumann_function(
     grad_free = (-0.25j * omega) * (j1d + 1j * y1d) * unit
 
     sind = np.sin(orders * dtheta)
+    # w J_n'(w r) by 2 J_n' = J_{n-1} - J_{n+1}; n J_n(w r)/r tends to w/2 [n = 1] at r = 0
+    djx = omega * np.append(-tab[1, 0], 0.5 * (tab[:nmax, 0] - tab[2:, 0]))
+    jx_angular = orders * jx_n / rx if rx > 0 else np.where(orders == 1, 0.5 * omega, 0.0)
     # radial and (1/r) angular derivatives
     coef_r = 0.25 * y_ratio(djx) - 0.25j * djx * jy_n
     coef_t = 0.25 * y_ratio(jx_angular) - 0.25j * jx_angular * jy_n
-    dr = float(np.sum(eps_n * np.real(coef_r) * cosd)) + 1j * float(
-        np.sum(eps_n * np.imag(coef_r) * cosd)
-    )
-    dt = -float(np.sum(eps_n * np.real(coef_t) * sind)) - 1j * float(
-        np.sum(eps_n * np.imag(coef_t) * sind)
-    )
+    dr = complex(np.sum(eps_n * coef_r.real * cosd), np.sum(eps_n * coef_r.imag * cosd))
+    dt = -complex(np.sum(eps_n * coef_t.real * sind), np.sum(eps_n * coef_t.imag * sind))
     c, s = math.cos(tx), math.sin(tx)
     return value, grad_free + (dr * np.array([c, s]) + dt * np.array([-s, c]))
 
@@ -359,16 +346,27 @@ def neumann_function(
 # boundary-source kernel
 
 
-def _mode_sum(table, cos, sin, re, im):
-    """Re sum_n table_n(x) e^{in theta_x} (re_n + i im_n): (P, n) tables, (n, C) coefficients."""
-    return (table * cos) @ re - (table * sin) @ im
+def angular_table(thetas: np.ndarray, nmax: int) -> np.ndarray:
+    """e^{in theta} for n = 0..nmax, one column per angle.
+
+    Rows follow e^{i(n+1)theta} = e^{in theta} e^{i theta}; every
+    _ANGLE_ANCHOR-th row is an exact exp(i n theta), so rounding builds up
+    over at most that many steps.
+    """
+    table, step = np.empty((nmax + 1, thetas.size), dtype=complex), np.exp(1j * thetas)
+    for n in range(nmax + 1):
+        if n % _ANGLE_ANCHOR == 0:
+            table[n] = np.exp(1j * n * thetas)
+        else:
+            np.multiply(table[n - 1], step, out=table[n])
+    return table
 
 
 class DiskModes:
     """The disk's Neumann kernel for boundary sources, as a mode series.
 
     For |y| = 1 the kernel is N(x, y) = Re sum_{n>=0} eps_n K_n(x) e^{-in phi_y}
-    with eps_0 = 1, eps_n = 2 and K_n(x) = J_n(w|x|)/J_n'(w) e^{in theta_x}/(2 pi w).
+    with eps_0 = 1, eps_n = 2, K_n = Phi_n/(2 pi w J_n'(w)), Phi_n(x) = J_n(w|x|) e^{in theta_x}.
     Construction rejects rim points and near-resonant frequencies, and fixes
     ``nmax`` from the series tolerance at the largest radius, cut where J_n'(w)
     underflows. Each geometric radius bin stops at its own lower order: the
@@ -402,27 +400,29 @@ class DiskModes:
         """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (nmax+1, C).
 
         Returns the (P, C) real values, followed by their x and y gradients
-        when ``gradient`` is set. Bins are summed one at a time, so the mode
-        tables never hold more than one bin's points.
+        when ``gradient`` is set. With a_n = eps_n c_n/(2 pi w J_n'(w)), the
+        gradients shift the coefficients by one order, d_x Phi_n = (w/2)(Phi_{n-1}
+        - Phi_{n+1}) and d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so each radius
+        bin takes one table Phi_0..Phi_{n_b+1} and one real matmul
+        [Re Phi; Im Phi]^T [Re b; -Im b] for all 3C columns.
         """
-        fields = np.zeros((3 if gradient else 1, self._radii.size, c.shape[1]))
+        fields = np.zeros((self._radii.size, (3 if gradient else 1) * c.shape[1]))
         for members, n_b in self._bins:
-            thetas = self._thetas[members]
-            angles = np.outer(thetas, np.arange(n_b + 1))
-            cos, sin = np.cos(angles), np.sin(angles)
-            re, im = c.real[: n_b + 1], c.imag[: n_b + 1]
-            weights = self._weights[: n_b + 1, None]
-            jr, djr, angular = _radial_modes(self.omega, self._radii[members], n_b)
-            fields[0, members] = _mode_sum((weights * jr).T, cos, sin, re, im)
-            if not gradient:
-                continue
-            d_r = _mode_sum((weights * djr).T, cos, sin, re, im)
-            # (1/r) d/dtheta turns c_n into i c_n and J_n(w r) into n J_n(w r)/r
-            d_t = _mode_sum((weights * angular).T, cos, sin, -im, re)
-            ct, st = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
-            fields[1, members] = ct * d_r - st * d_t
-            fields[2, members] = st * d_r + ct * d_t
-        return tuple(fields) if gradient else fields[0]
+            a = np.zeros((n_b + 4, c.shape[1]), dtype=complex)  # a_{-1}..a_{n_b+2}
+            a[1 : n_b + 2] = self._weights[: n_b + 1, None] * c[: n_b + 1]
+            coef, above, below = a[1:-1], a[2:], a[:-2].copy()
+            if gradient:
+                # Phi_{-1} = -conj(Phi_1), so Re(k a_0 Phi_{-1}) = -Re(conj(k a_0) Phi_1)
+                below[1] += below[1].conj()
+                half = 0.5 * self.omega
+                coef = np.hstack([coef, half * (above - below), (1j * half) * (above + below)])
+            jr = bessel_j_table(n_b + 1, self.omega * self._radii[members])
+            phases = angular_table(self._thetas[members], n_b + 1)
+            table = np.empty((2 * (n_b + 2), members.size))
+            np.multiply(jr, phases.real, out=table[: n_b + 2])
+            np.multiply(jr, phases.imag, out=table[n_b + 2 :])
+            fields[members] = table.T @ np.vstack([coef.real, -coef.imag])
+        return tuple(np.hsplit(fields, 3)) if gradient else fields
 
 
 def boundary_kernel_tables(

@@ -69,9 +69,9 @@ def adjoint_field_batch(
 
     Notes
     -----
-    v(z) = w sum_b N(z, y_b) tr_b with the real disk kernel: the traces' real
-    and imaginary parts are projected onto e^{-in phi} once, then summed
-    against the kernel's modes by ``DiskModes``.
+    v(z) = w sum_b N(z, y_b) tr_b with the real disk kernel: ``DiskModes`` sums
+    the traces' e^{-in phi} projections against J_n(w|z|) e^{in theta_z}, and
+    takes the gradient from the same table with coefficients shifted by one order.
     """
     traces = np.asarray(traces, dtype=complex)
     if traces.ndim != 2 or traces.shape[0] != grid.n_points:

@@ -169,6 +169,12 @@ class TestValidate:
         config = ExperimentConfig(k_values=(0, 99))
         assert any("k_values" in s for s in validate(config))
 
+    def test_boundary_grid_resolves_top_frequency(self):
+        # the default band tops out at omega = 10 pi: 2*omega_max = 62.83
+        coarse = [s for s in validate(ExperimentConfig(boundary_points=62)) if "wavelength" in s]
+        assert coarse and coarse[0].startswith("grid:") and "omega_max=31.415927" in coarse[0]
+        assert validate(ExperimentConfig(boundary_points=63)) == ["ok"]
+
     def test_small_lattice(self):
         config = ExperimentConfig(lattice_size=4)
         assert any("lattice" in s for s in validate(config))

@@ -15,8 +15,10 @@ from thinimage.errors import (
 )
 from thinimage.forward import (
     BoundaryDataset,
+    DiskModes,
     IncidentSet,
     add_awgn,
+    angular_table,
     bessel_j_table,
     boundary_kernel_gradients,
     boundary_kernel_tables,
@@ -275,6 +277,46 @@ class TestBoundaryKernel:
     def test_points_near_rim_rejected(self):
         with pytest.raises(GeometryError):
             boundary_kernel_tables(OMEGA_LO, np.array([[1.0, 0.0]]), np.array([0.0]))
+
+
+class TestDiskModes:
+    def test_apply_matches_library_series_in_every_radius_bin(self):
+        # Re sum_n a_n J_n(w r) e^{in theta}, a_n = eps_n c_n/(2 pi w J_n'(w)),
+        # and its gradient from jv/jvp in radial and (1/r) angular parts, each
+        # point cut at its radius bin's order; the centre uses the limit of
+        # n J_n(w r)/r (w/2 at n = 1).
+        rng = np.random.default_rng(23)
+        radii = np.array([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.87, 0.95])
+        thetas = rng.uniform(-math.pi, math.pi, radii.size)
+        pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
+        modes = DiskModes(OMEGA_HI, pts, 1e-10)
+        c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
+        fields = modes.apply(c, gradient=True)
+        order_of = {int(i): n_b for members, n_b in modes._bins for i in members}
+        assert len(order_of) == radii.size == len(modes._bins) + 1
+        refs = np.zeros((3, radii.size, 3))
+        for i, (r, t) in enumerate(zip(radii, thetas)):
+            n = np.arange(order_of[i] + 1)
+            eps = np.where(n == 0, 1.0, 2.0)
+            terms = (eps / (2.0 * math.pi * OMEGA_HI * sp.jvp(n, OMEGA_HI)))[:, None] * c[n]
+            terms *= np.exp(1j * n * t)[:, None]
+            angular = n * sp.jv(n, OMEGA_HI * r) / r if r > 0 else np.where(n == 1, OMEGA_HI / 2, 0)
+            d_r = np.real(OMEGA_HI * sp.jvp(n, OMEGA_HI * r) @ terms)
+            d_t = np.real(1j * angular @ terms)
+            refs[:, i] = [
+                np.real(sp.jv(n, OMEGA_HI * r) @ terms),
+                math.cos(t) * d_r - math.sin(t) * d_t,
+                math.sin(t) * d_r + math.cos(t) * d_t,
+            ]
+        for got, ref in zip(fields, refs):
+            assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_angular_table_matches_exponentials(self):
+        # across several restarts of the recurrence; exp(1j n theta) itself
+        # carries about 2e-13 of argument rounding at order 600
+        thetas = np.random.default_rng(29).uniform(-math.pi, math.pi, 200)
+        ref = np.exp(1j * np.arange(601)[:, None] * thetas)
+        assert np.max(np.abs(angular_table(thetas, 600) - ref)) < 1e-12
 
 
 def small_inclusion(**kw):
