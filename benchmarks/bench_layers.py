@@ -5,24 +5,25 @@ Run from the root of a source checkout:
     python3 benchmarks/bench_layers.py --out BENCH.json --label change
     python3 benchmarks/bench_layers.py --src /path/to/other/src --out BENCH.json --label parent
 
-Each layer is timed on its own, as the median of ``--repeats`` calls (at
-least 5), on three scenes: the default preset (sigma1, L4/K16, 128² lattice),
-L16/K16 on the same lattice, and L4/K16 on a 256² lattice. All use a
-128-point boundary grid and 15 dB noise at a fixed seed. The layers:
+Each layer is timed on its own, as the median of ``REPEATS`` calls, on two
+scenes that ``perfbench/run.py`` does not run: L16/K16 on a 128² lattice
+with one fixed noise seed (the noise sweep's scene, untraced), and L4/K16 on
+a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
+15 dB noise. The layers:
 
-- ``bessel_j_table``: the per-bin tables one ``DiskModes`` builds over the
-  lattice at the top frequency;
-- ``DiskModes.apply`` and ``adjoint_field_batch``: value and gradient over
-  the lattice at the top frequency, 2L coefficient columns;
+- ``DiskModes.apply`` over the lattice at the top frequency, 2L coefficient
+  columns, value alone (the Bessel and angular tables and one product per
+  radius bin) and with the gradient;
+- ``adjoint_field_batch``: value and gradient at the top frequency;
 - ``etd_multi``: the whole multi-frequency map with one worker;
-- ``synthesize``: the clean traces of the scene;
-- ``run`` (default preset only): ``thinimage run`` end to end, in-process,
-  with the default worker count.
+- ``synthesize``: the clean traces of the scene.
 
+Each median is scaled to a nominal host speed with the fixed kernel of
+``perfbench/run.py`` (``HostSpeed``), run before and after each layer:
+``scaled_median_s`` = ``median_s`` * ``REF_NOMINAL_S`` / ``ref_s``.
 ``--src`` imports thinimage from another source tree, so one copy of this
 script times two commits. Each call appends one run (label, host, numpy and
-scipy versions, nproc, medians in seconds) to ``--out``. A shared host's
-speed drifts by minutes, so only runs taken back to back compare.
+scipy versions, nproc, medians in seconds) to ``--out``.
 """
 
 from __future__ import annotations
@@ -33,31 +34,32 @@ import os
 import platform
 import statistics
 import sys
-import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import REF_NOMINAL_S, HostSpeed  # noqa: E402
+
 # scene: (incident directions, lattice nodes per side)
-SCENES = {"L4K16_128": (4, 128), "L16K16_128": (16, 128), "L4K16_256": (4, 256)}
+SCENES = {"L16K16_128": (16, 128), "L4K16_256": (4, 256)}
 N_FREQUENCIES = 16
 SNR_DB = 15.0
 NOISE_SEED = 7
 ADJOINT_TOL = 1e-8  # the adjoint's default mode-series tolerance
-MIN_REPEATS = 5
+REPEATS = 5
 
 
-def median_seconds(call, repeats: int) -> float:
+def median_seconds(call) -> float:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
 
-def scene_medians(n_directions: int, size: int, repeats: int) -> dict[str, float]:
+def scene_layers(n_directions: int, size: int) -> dict:
     import numpy as np
 
     from thinimage import forward, imaging
@@ -77,26 +79,15 @@ def scene_medians(n_directions: int, size: int, repeats: int) -> dict[str, float
     rng = np.random.default_rng(NOISE_SEED)
     shape = (modes.nmax + 1, 2 * n_directions)
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # the bins are DiskModes internals: the tables its apply builds, one per bin
-    bins = [(omega * modes._radii[members], n_b + 1) for members, n_b in modes._bins]
-    layers = {
-        "bessel_j_table": lambda: [forward.bessel_j_table(n, x) for x, n in bins],
-        "DiskModes.apply": lambda: modes.apply(coefficients, gradient=True),
+    return {
+        "DiskModes.apply": lambda: modes.apply(coefficients),
+        "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True),
         "adjoint_field_batch": lambda: imaging.adjoint_field_batch(
             traces, grid, omega, lattice.points, ADJOINT_TOL, gradient=True
         ),
         "etd_multi": lambda: imaging.etd_multi(noisy, lattice),
         "synthesize": lambda: forward.synthesize(inclusions, incident, grid),
     }
-    return {name: median_seconds(call, repeats) for name, call in layers.items()}
-
-
-def run_median(repeats: int) -> float:
-    from thinimage import cli
-
-    with tempfile.TemporaryDirectory() as tmp:
-        config = replace(cli.ExperimentConfig(), out_dir=str(Path(tmp) / "out"))
-        return median_seconds(lambda: cli.run(config), repeats)
 
 
 def main(argv=None) -> int:
@@ -104,19 +95,22 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file the run is appended to")
     parser.add_argument("--label", required=True, help="name of the measured tree")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to import")
-    parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
     args = parser.parse_args(argv)
-    if args.repeats < MIN_REPEATS:
-        parser.error(f"--repeats must be at least {MIN_REPEATS}")
     sys.path.insert(0, str(Path(args.src).resolve()))
     import numpy
     import scipy
 
-    scenes = {
-        name: scene_medians(n_directions, size, args.repeats)
-        for name, (n_directions, size) in SCENES.items()
+    host = HostSpeed()
+    medians, refs = {}, {}
+    for scene, (n_directions, size) in SCENES.items():
+        medians[scene], refs[scene] = {}, {}
+        for layer, call in scene_layers(n_directions, size).items():
+            medians[scene][layer] = median_seconds(call)
+            refs[scene][layer] = host.scale()
+    scaled = {
+        scene: {layer: t * REF_NOMINAL_S / refs[scene][layer] for layer, t in layers.items()}
+        for scene, layers in medians.items()
     }
-    scenes["L4K16_128"]["run"] = run_median(args.repeats)
     record = {
         "label": args.label,
         "time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -127,8 +121,10 @@ def main(argv=None) -> int:
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
-        "repeats": args.repeats,
-        "median_s": scenes,
+        "repeats": REPEATS,
+        "scaled_median_s": scaled,
+        "median_s": medians,
+        "ref_s": refs,
     }
     out = Path(args.out)
     runs = json.loads(out.read_text())["runs"] if out.exists() else []
