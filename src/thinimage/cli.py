@@ -6,18 +6,11 @@ per requested map, a fit report for the topological-derivative functionals,
 and a manifest with the echoed configuration and SHA-256 content hashes.
 Identical configuration and seed give byte-identical artifacts.
 
-Configs are INI files with the sections
-
-    [inclusion]   curve (sigma1|sigma2|sigma3|custom), h, eps, mu, eps0, mu0;
-                  custom curves add s_min, s_max, x_shift, y_poly (comma
-                  separated), y_sin_amp, y_sin_freq, y_sin_phase. Additional
-                  inclusions live in [inclusion.2], [inclusion.3], ...
-    [incident]    directions, frequencies, lambda_min, lambda_max
-    [grid]        lattice, boundary
-    [noise]       clean (true/false) or snr_db; seed
-    [imaging]     functional (etd_multi|etd_single|music|kirchhoff|mkm|
-                  oracles), k_values (comma separated), fit_degree
-    [output]      directory
+Configs are INI files whose schema is the fields of `InclusionSpec` (one
+section per inclusion: [inclusion], [inclusion.2], ...) and of
+`ExperimentConfig` (placed in sections by `_LAYOUT`): each key takes its
+field's name, type and default. `ExperimentConfig.items` walks the keys in
+file order for `write_config` and for the manifest's config echo.
 
 Every stage derives its random seed from the master seed through a stated
 hash chain (SHA-256 of "seed:stage", first 8 bytes big endian), so stages
@@ -34,7 +27,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +76,10 @@ _SCAN_RESONANCE_TOL = 1e-4
 _THICKNESS_FRACTION = 0.1
 
 
+# marks the InclusionSpec fields that only a custom curve reads and carries
+_CUSTOM = {"custom": True}
+
+
 @dataclass(frozen=True)
 class InclusionSpec:
     """Declarative description of one thin inclusion."""
@@ -93,13 +90,13 @@ class InclusionSpec:
     mu: float = 5.0
     eps0: float = 1.0
     mu0: float = 1.0
-    s_min: float = -0.5
-    s_max: float = 0.5
-    x_shift: float = 0.0
-    y_poly: tuple[float, ...] = (0.0,)
-    y_sin_amp: float = 0.0
-    y_sin_freq: float = 0.0
-    y_sin_phase: float = 0.0
+    s_min: float = field(default=-0.5, metadata=_CUSTOM)
+    s_max: float = field(default=0.5, metadata=_CUSTOM)
+    x_shift: float = field(default=0.0, metadata=_CUSTOM)
+    y_poly: tuple[float, ...] = field(default=(0.0,), metadata=_CUSTOM)
+    y_sin_amp: float = field(default=0.0, metadata=_CUSTOM)
+    y_sin_freq: float = field(default=0.0, metadata=_CUSTOM)
+    y_sin_phase: float = field(default=0.0, metadata=_CUSTOM)
 
     def build(self) -> ThinInclusion:
         if self.curve in _BUILTIN_CURVES:
@@ -124,6 +121,27 @@ class InclusionSpec:
         )
 
 
+# [noise] clean = true stands for snr_db = +inf: the file carries clean = true
+# or snr_db, the config echo carries clean and, for noisy data, snr_db
+_CLEAN = ("noise", "clean", "snr_db")
+# INI section and key of every ExperimentConfig field in file order; a row
+# names its field last, so a two-entry row's key is its field's name
+_LAYOUT = (
+    ("incident", "directions", "n_directions"),
+    ("incident", "frequencies", "n_frequencies"),
+    ("incident", "lambda_min"),
+    ("incident", "lambda_max"),
+    ("grid", "lattice", "lattice_size"),
+    ("grid", "boundary", "boundary_points"),
+    ("noise", "seed"),
+    _CLEAN,
+    ("imaging", "functional"),
+    ("imaging", "k_values"),
+    ("imaging", "fit_degree"),
+    ("output", "directory", "out_dir"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment."""
@@ -144,42 +162,29 @@ class ExperimentConfig:
 
     @property
     def clean(self) -> bool:
-        return math.isinf(self.snr_db)
+        return self.snr_db == math.inf
+
+    def items(self):
+        """(section, key, value) of every INI key in file order; [inclusion] is inclusion.1."""
+        for i, inc in enumerate(self.inclusions, start=1):
+            for f in fields(inc):
+                if inc.curve == "custom" or not f.metadata:
+                    yield f"inclusion.{i}", f.name, getattr(inc, f.name)
+        for row in _LAYOUT:
+            section, key, name = row[0], row[1], row[-1]
+            if row is _CLEAN:
+                yield section, key, self.clean
+                if self.clean:
+                    continue
+                key = name
+            yield section, key, getattr(self, name)
 
     def flat_items(self) -> dict:
         """Config echo as a flat JSON-ready mapping."""
-        out = {}
-        for i, inc in enumerate(self.inclusions, start=1):
-            prefix = f"inclusion.{i}"
-            out[f"{prefix}.curve"] = inc.curve
-            out[f"{prefix}.h"] = inc.h
-            out[f"{prefix}.eps"] = inc.eps
-            out[f"{prefix}.mu"] = inc.mu
-            out[f"{prefix}.eps0"] = inc.eps0
-            out[f"{prefix}.mu0"] = inc.mu0
-            if inc.curve == "custom":
-                out[f"{prefix}.s_min"] = inc.s_min
-                out[f"{prefix}.s_max"] = inc.s_max
-                out[f"{prefix}.x_shift"] = inc.x_shift
-                out[f"{prefix}.y_poly"] = list(inc.y_poly)
-                out[f"{prefix}.y_sin_amp"] = inc.y_sin_amp
-                out[f"{prefix}.y_sin_freq"] = inc.y_sin_freq
-                out[f"{prefix}.y_sin_phase"] = inc.y_sin_phase
-        out["incident.directions"] = self.n_directions
-        out["incident.frequencies"] = self.n_frequencies
-        out["incident.lambda_min"] = self.lambda_min
-        out["incident.lambda_max"] = self.lambda_max
-        out["grid.lattice"] = self.lattice_size
-        out["grid.boundary"] = self.boundary_points
-        out["noise.clean"] = self.clean
-        if not self.clean:
-            out["noise.snr_db"] = self.snr_db
-        out["noise.seed"] = self.seed
-        out["imaging.functional"] = self.functional
-        out["imaging.k_values"] = list(self.k_values)
-        out["imaging.fit_degree"] = self.fit_degree
-        out["output.directory"] = self.out_dir
-        return out
+        return {
+            f"{section}.{key}": list(value) if isinstance(value, tuple) else value
+            for section, key, value in self.items()
+        }
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -191,30 +196,26 @@ def derive_seed(master: int, stage: str) -> int:
 # ---------------------------------------------------------------------------
 # config file handling
 
-_INCLUSION_KEYS = {
-    "curve", "h", "eps", "mu", "eps0", "mu0",
-    "s_min", "s_max", "x_shift", "y_poly", "y_sin_amp", "y_sin_freq", "y_sin_phase",
-}
-_SECTION_KEYS = {
-    "incident": {"directions", "frequencies", "lambda_min", "lambda_max"},
-    "grid": {"lattice", "boundary"},
-    "noise": {"clean", "snr_db", "seed"},
-    "imaging": {"functional", "k_values", "fit_degree"},
-    "output": {"directory"},
-}
+# what a raw value must spell, by its field's type: one value, several
+_EXPECTED = {bool: ("a boolean",), int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
-def _check_keys(section: str, present, allowed) -> None:
-    unknown = set(present) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _take(section: dict, key: str, default):
+    """Remove key from a section's raw strings; convert it like its default."""
+    raw = section.pop(key, None)
+    if raw is None:
+        return default
+    kind = type(default)
+    item = type(default[0]) if kind is tuple else kind
     try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        if kind is tuple:
+            return tuple(item(tok) for tok in raw.split(","))
+        return kind(raw)
+    except (KeyError, ValueError):
+        expected = f"comma-separated {_EXPECTED[item][1]}" if kind is tuple else _EXPECTED[item][0]
+        raise ConfigError(f"{key} must be {expected}, got {raw!r}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -228,161 +229,75 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    base = ExperimentConfig()
-    try:
-        inclusions = []
-        inclusion_sections = [
-            s for s in parser.sections() if s == "inclusion" or s.startswith("inclusion.")
-        ]
-        known = {"inclusion", "incident", "grid", "noise", "imaging", "output"}
-        for s in parser.sections():
-            if s not in known and not s.startswith("inclusion."):
-                raise ConfigError(f"unknown section [{s}]")
-        for s in sorted(inclusion_sections):
-            sec = parser[s]
-            _check_keys(s, sec.keys(), _INCLUSION_KEYS)
-            spec = InclusionSpec(
-                curve=sec.get("curve", "sigma1"),
-                h=sec.getfloat("h", 0.02),
-                eps=sec.getfloat("eps", 5.0),
-                mu=sec.getfloat("mu", 5.0),
-                eps0=sec.getfloat("eps0", 1.0),
-                mu0=sec.getfloat("mu0", 1.0),
-                s_min=sec.getfloat("s_min", -0.5),
-                s_max=sec.getfloat("s_max", 0.5),
-                x_shift=sec.getfloat("x_shift", 0.0),
-                y_poly=_parse_floats(sec.get("y_poly", "0.0")),
-                y_sin_amp=sec.getfloat("y_sin_amp", 0.0),
-                y_sin_freq=sec.getfloat("y_sin_freq", 0.0),
-                y_sin_phase=sec.getfloat("y_sin_phase", 0.0),
-            )
-            inclusions.append(spec)
-        if not inclusions:
-            inclusions = list(base.inclusions)
-
-        for name, allowed in _SECTION_KEYS.items():
-            if parser.has_section(name):
-                _check_keys(name, parser[name].keys(), allowed)
-
-        inc = parser["incident"] if parser.has_section("incident") else {}
-        grid = parser["grid"] if parser.has_section("grid") else {}
-        noise = parser["noise"] if parser.has_section("noise") else {}
-        imaging = parser["imaging"] if parser.has_section("imaging") else {}
-        output = parser["output"] if parser.has_section("output") else {}
-
-        def geti(sec, key, default):
-            raw = sec.get(key) if hasattr(sec, "get") else None
-            if raw is None:
-                return default
-            try:
-                return int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-
-        def getf(sec, key, default):
-            raw = sec.get(key) if hasattr(sec, "get") else None
-            if raw is None:
-                return default
-            try:
-                return float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
-
-        clean = False
-        if hasattr(noise, "getboolean"):
-            try:
-                clean = noise.getboolean("clean", False)
-            except ValueError as exc:
-                raise ConfigError(f"clean must be a boolean: {exc}") from exc
-        snr_db = math.inf if clean else getf(noise, "snr_db", base.snr_db)
-
-        functional = imaging.get("functional", base.functional) if imaging else base.functional
-        if functional not in _FUNCTIONALS:
-            raise ConfigError(
-                f"unknown functional {functional!r}; pick one of {_FUNCTIONALS}"
-            )
-        k_raw = imaging.get("k_values", None) if imaging else None
-        if k_raw is None:
-            k_values = base.k_values
-        else:
-            try:
-                k_values = tuple(int(tok) for tok in k_raw.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"k_values must be comma-separated integers, got {k_raw!r}") from exc
-
-        return ExperimentConfig(
-            inclusions=tuple(inclusions),
-            n_directions=geti(inc, "directions", base.n_directions),
-            n_frequencies=geti(inc, "frequencies", base.n_frequencies),
-            lambda_min=getf(inc, "lambda_min", base.lambda_min),
-            lambda_max=getf(inc, "lambda_max", base.lambda_max),
-            lattice_size=geti(grid, "lattice", base.lattice_size),
-            boundary_points=geti(grid, "boundary", base.boundary_points),
-            snr_db=snr_db,
-            seed=geti(noise, "seed", base.seed),
-            functional=functional,
-            k_values=k_values,
-            fit_degree=geti(imaging, "fit_degree", base.fit_degree),
-            out_dir=output.get("directory", base.out_dir) if output else base.out_dir,
+    raw = {name: dict(parser[name]) for name in parser.sections()}
+    layout_sections = {row[0] for row in _LAYOUT}
+    inclusions: dict[int, InclusionSpec] = {}
+    for name, section in raw.items():
+        if name in layout_sections:
+            continue
+        head, dot, suffix = name.partition(".")
+        if head != "inclusion" or dot and not (suffix.isdecimal() and int(suffix) >= 1):
+            raise ConfigError(f"unknown section [{name}]")
+        number = int(suffix) if dot else 1
+        if number in inclusions:
+            raise ConfigError(f"section [{name}] repeats inclusion {number}")
+        inclusions[number] = InclusionSpec(
+            **{f.name: _take(section, f.name, f.default) for f in fields(InclusionSpec)}
         )
-    except ConfigError:
-        raise
-    except ThinImageError as exc:
-        raise ConfigError(f"invalid config {path}: {exc}") from exc
+
+    base = ExperimentConfig()
+    values = {}
+    for row in _LAYOUT:
+        section, key, name = raw.get(row[0], {}), row[1], row[-1]
+        value = _take(section, name if row is _CLEAN else key, getattr(base, name))
+        if row is _CLEAN and _take(section, key, base.clean):
+            value = math.inf
+        values[name] = value
+    for name, section in raw.items():
+        if section:
+            raise ConfigError(f"unknown keys in [{name}]: {sorted(section)}")
+
+    config = ExperimentConfig(
+        inclusions=tuple(inclusions[n] for n in sorted(inclusions)) or base.inclusions,
+        **values,
+    )
+    if config.functional not in _FUNCTIONALS:
+        raise ConfigError(
+            f"unknown functional {config.functional!r}; pick one of {_FUNCTIONALS}"
+        )
+    return config
+
+
+def _ini_text(value) -> str:
+    """INI spelling of a config value: floats by repr, tuples comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(_ini_text(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_config(config: ExperimentConfig, path) -> None:
     """Serialize a config to the INI format parse_config reads."""
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, value in config.items():
+        if value is not False:  # clean = false is implied by the snr_db that follows
+            section = "inclusion" if section == "inclusion.1" else section
+            sections.setdefault(section, {})[key] = _ini_text(value)
     parser = configparser.ConfigParser(interpolation=None)
-    for i, inc in enumerate(config.inclusions, start=1):
-        name = "inclusion" if i == 1 else f"inclusion.{i}"
-        sec = {
-            "curve": inc.curve,
-            "h": repr(inc.h),
-            "eps": repr(inc.eps),
-            "mu": repr(inc.mu),
-            "eps0": repr(inc.eps0),
-            "mu0": repr(inc.mu0),
-        }
-        if inc.curve == "custom":
-            sec.update(
-                s_min=repr(inc.s_min),
-                s_max=repr(inc.s_max),
-                x_shift=repr(inc.x_shift),
-                y_poly=",".join(repr(c) for c in inc.y_poly),
-                y_sin_amp=repr(inc.y_sin_amp),
-                y_sin_freq=repr(inc.y_sin_freq),
-                y_sin_phase=repr(inc.y_sin_phase),
-            )
-        parser[name] = sec
-    parser["incident"] = {
-        "directions": str(config.n_directions),
-        "frequencies": str(config.n_frequencies),
-        "lambda_min": repr(config.lambda_min),
-        "lambda_max": repr(config.lambda_max),
-    }
-    parser["grid"] = {
-        "lattice": str(config.lattice_size),
-        "boundary": str(config.boundary_points),
-    }
-    noise = {"seed": str(config.seed)}
-    if config.clean:
-        noise["clean"] = "true"
-    else:
-        noise["snr_db"] = repr(config.snr_db)
-    parser["noise"] = noise
-    parser["imaging"] = {
-        "functional": config.functional,
-        "k_values": ",".join(str(k) for k in config.k_values),
-        "fit_degree": str(config.fit_degree),
-    }
-    parser["output"] = {"directory": config.out_dir}
+    parser.read_dict(sections)
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
 # ---------------------------------------------------------------------------
 # validation
+
+def _k_values_issue(config: ExperimentConfig) -> str | None:
+    if bad := [k for k in config.k_values if not 0 <= k < config.n_frequencies]:
+        return f"k_values {bad} outside the frequency range 0..{config.n_frequencies - 1}"
+    return None
+
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Dry-run diagnostics; returns ["ok"] when nothing is flagged."""
@@ -433,11 +348,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.lattice_size < 8:
         issues.append(f"grid: lattice needs at least 8 nodes per side, got {config.lattice_size}")
 
-    bad_k = [k for k in config.k_values if not 0 <= k < config.n_frequencies]
-    if bad_k:
-        issues.append(
-            f"imaging: k_values {bad_k} outside the frequency range 0..{config.n_frequencies - 1}"
-        )
+    if k_issue := _k_values_issue(config):
+        issues.append(f"imaging: {k_issue}")
     if config.fit_degree < 1:
         issues.append(f"imaging: fit_degree must be at least 1, got {config.fit_degree}")
     if not config.clean and config.snr_db <= 0.0:
@@ -455,14 +367,6 @@ def _stage(name: str):
         yield
     except ThinImageError as exc:
         raise type(exc)(f"stage {name}: {exc}") from exc
-
-
-def _check_k_values(config: ExperimentConfig) -> None:
-    bad = [k for k in config.k_values if not 0 <= k < config.n_frequencies]
-    if bad:
-        raise ConfigError(
-            f"k_values {bad} outside the frequency range 0..{config.n_frequencies - 1}"
-        )
 
 
 def _compute_maps(
@@ -525,7 +429,8 @@ def run(config: ExperimentConfig, workers: int | None = None):
     notes: dict = {"functional": config.functional}
 
     with _stage("config"):
-        _check_k_values(config)
+        if k_issue := _k_values_issue(config):
+            raise ConfigError(k_issue)
         inclusions = [spec.build() for spec in config.inclusions]
         incident = IncidentSet(
             standard_directions(config.n_directions),

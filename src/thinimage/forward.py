@@ -563,7 +563,7 @@ def add_awgn(data: BoundaryDataset, snr_db: float, seed: int) -> BoundaryDataset
     """
     if not data.is_clean:
         raise DataStateError("dataset already carries noise; synthesize a fresh one")
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         return data
     if not math.isfinite(snr_db):
         raise ConfigError(f"snr_db must be finite or +inf, got {snr_db!r}")

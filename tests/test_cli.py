@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,74 @@ def small_config(**kwargs) -> ExperimentConfig:
 
 def artifact_bytes(out_dir) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+# a builtin and a custom inclusion on clean data, and the INI text that pins
+# write_config's section order, key order and float spelling for it
+TWO_INCLUSIONS = ExperimentConfig(
+    inclusions=(
+        InclusionSpec(curve="sigma2", h=0.03, eps=7.0),
+        InclusionSpec(
+            curve="custom",
+            s_min=-0.4,
+            s_max=0.4,
+            x_shift=0.1,
+            y_poly=(0.2, -0.1, 0.5),
+            y_sin_amp=0.05,
+            y_sin_freq=3.0,
+            y_sin_phase=0.5,
+        ),
+    ),
+    snr_db=math.inf,
+    k_values=(0, 2),
+)
+TWO_INCLUSIONS_INI = """\
+[inclusion]
+curve = sigma2
+h = 0.03
+eps = 7.0
+mu = 5.0
+eps0 = 1.0
+mu0 = 1.0
+
+[inclusion.2]
+curve = custom
+h = 0.02
+eps = 5.0
+mu = 5.0
+eps0 = 1.0
+mu0 = 1.0
+s_min = -0.4
+s_max = 0.4
+x_shift = 0.1
+y_poly = 0.2,-0.1,0.5
+y_sin_amp = 0.05
+y_sin_freq = 3.0
+y_sin_phase = 0.5
+
+[incident]
+directions = 4
+frequencies = 16
+lambda_min = 0.2
+lambda_max = 0.5
+
+[grid]
+lattice = 128
+boundary = 128
+
+[noise]
+seed = 1
+clean = true
+
+[imaging]
+functional = etd_multi
+k_values = 0,2
+fit_degree = 5
+
+[output]
+directory = out
+
+"""
 
 
 class TestSeeds:
@@ -139,6 +209,58 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="malformed"):
             parse_config(path)
 
+    def test_malformed_inclusion_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text("[inclusion]\nh = thin\n")
+        with pytest.raises(ConfigError, match="must be a number"):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_many_inclusions_keep_their_order(self, tmp_path):
+        # [inclusion.10] sorts before [inclusion.2] as text, not as a number
+        specs = tuple(InclusionSpec(h=0.001 * i) for i in range(1, 12))
+        config = ExperimentConfig(inclusions=specs)
+        path = tmp_path / "many.ini"
+        write_config(config, path)
+        assert parse_config(path) == config
+
+    def test_non_integer_inclusion_suffix(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[inclusion.x]\nh = 0.01\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[inclusion.x\]"):
+            parse_config(path)
+
+    def test_first_inclusion_given_twice(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[inclusion]\nh = 0.01\n\n[inclusion.1]\nh = 0.03\n")
+        with pytest.raises(ConfigError, match="repeats inclusion 1"):
+            parse_config(path)
+
+    def test_negative_infinite_snr_is_not_clean(self, tmp_path):
+        config = ExperimentConfig(snr_db=-math.inf)
+        assert not config.clean
+        assert config.flat_items()["noise.snr_db"] == -math.inf
+        assert any(s.startswith("noise: snr_db should be positive") for s in validate(config))
+        path = tmp_path / "neg.ini"
+        write_config(config, path)
+        assert parse_config(path) == config
+
+    def test_readme_example_is_the_default_config(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert parse_config(path) == ExperimentConfig()
+
+
+class TestWriteConfig:
+    def test_file_format_is_pinned(self, tmp_path):
+        path = tmp_path / "two.ini"
+        write_config(TWO_INCLUSIONS, path)
+        assert path.read_text(encoding="utf-8") == TWO_INCLUSIONS_INI
+        assert parse_config(path) == TWO_INCLUSIONS
+
 
 class TestValidate:
     def test_default_ok(self):
@@ -168,6 +290,13 @@ class TestValidate:
     def test_k_values_out_of_range(self):
         config = ExperimentConfig(k_values=(0, 99))
         assert any("k_values" in s for s in validate(config))
+
+    def test_k_values_message_shared_with_run(self, tmp_path):
+        config = small_config(k_values=(0, 5), out_dir=str(tmp_path / "out"))
+        message = "k_values [5] outside the frequency range 0..2"
+        assert f"imaging: {message}" in validate(config)
+        with pytest.raises(ConfigError, match=re.escape(f"stage config: {message}")):
+            run(config, workers=1)
 
     def test_boundary_grid_resolves_top_frequency(self):
         # the default band tops out at omega = 10 pi: 2*omega_max = 62.83

@@ -438,6 +438,10 @@ class TestNoise:
         with pytest.raises(ConfigError):
             add_awgn(clean, math.nan, seed=1)
 
+    def test_negative_infinite_snr_rejected(self, clean):
+        with pytest.raises(ConfigError, match=r"finite or \+inf"):
+            add_awgn(clean, -math.inf, seed=1)
+
 
 class TestDatasetIO:
     def test_round_trip_bit_exact_noisy(self, tmp_path):
