@@ -98,6 +98,13 @@ class InclusionSpec:
     y_sin_freq: float = field(default=0.0, metadata=_CUSTOM)
     y_sin_phase: float = field(default=0.0, metadata=_CUSTOM)
 
+    def __post_init__(self) -> None:
+        # build ignores and write_config drops a custom-curve key on any other
+        # curve, so such a spec would not survive the round trip
+        keys = [f.name for f in fields(self) if f.metadata and getattr(self, f.name) != f.default]
+        if keys and self.curve != "custom":
+            raise ConfigError(f"custom-curve keys {keys} need curve = custom, not {self.curve!r}")
+
     def build(self) -> ThinInclusion:
         if self.curve in _BUILTIN_CURVES:
             curve = builtin_curve(self.curve)
@@ -220,7 +227,8 @@ def _take(section: dict, key: str, default):
 
 def parse_config(path) -> ExperimentConfig:
     """Read an experiment config from an INI file."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] header is refused as an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

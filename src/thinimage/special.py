@@ -1,52 +1,21 @@
 """Real special functions used by the band-limited imaging kernels.
 
-Everything here is dependency-free (numpy only) and vectorized: scalars in,
-scalar out; arrays in, arrays out. Two evaluation regimes are used throughout,
-an ascending power series where it is cancellation-safe and a fixed-order
-Gauss-Legendre quadrature of an integral representation beyond that. The
-crossover points are chosen so float64 cancellation stays below the accuracy
-targets (about 1e-10 relative for the Bessel functions on |x| <= 200, 1e-8
-absolute for the Struve functions on [0, 200]).
+Vectorized: scalars in, scalar out; arrays in, arrays out. The running
+integral of J0 is a sum of odd-order Bessel functions, taken from the same
+Miller table (`forward.bessel_j_table`) that the disk's mode sums use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-# Ascending series are safe up to these arguments; beyond, cancellation grows
-# like (x/2)^(2k)/k!^2 at the peak term and the integral forms take over.
-_BESSEL_SERIES_CUTOFF = 12.0
-_STRUVE_SERIES_CUTOFF = 16.0
+from .forward import bessel_j_table
 
-
-@dataclass(frozen=True)
-class SpecialFnConfig:
-    """Truncation controls for the series evaluations.
-
-    series_tol is the relative truncation tolerance (must lie in (0, 1e-6]),
-    max_terms caps the series length (at least 50).
-    """
-
-    series_tol: float = 1e-15
-    max_terms: int = 300
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.series_tol <= 1e-6):
-            raise ValueError(f"series_tol must lie in (0, 1e-6], got {self.series_tol}")
-        if self.max_terms < 50:
-            raise ValueError(f"max_terms must be at least 50, got {self.max_terms}")
-
-
-_DEFAULT_CONFIG = SpecialFnConfig()
-
-
-@lru_cache(maxsize=64)
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(m)
+# arguments per Bessel table in j0_band_integral: a table holds about
+# x_max + 2 sqrt(40 x_max) rows of this many floats
+_CHUNK = 4096
 
 
 def _as_array(x, name: str) -> tuple[np.ndarray, bool]:
@@ -58,74 +27,6 @@ def _as_array(x, name: str) -> tuple[np.ndarray, bool]:
 
 def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[()]) if scalar else values
-
-
-def _bessel_j_series(n: int, x: np.ndarray, config: SpecialFnConfig) -> np.ndarray:
-    # J_n(x) = sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!)
-    half = 0.5 * x
-    term = half**n / math.factorial(n)
-    total = term.copy()
-    hsq = -(half * half)
-    for k in range(1, config.max_terms):
-        term = term * hsq / (k * (n + k))
-        total += term
-        if np.max(np.abs(term)) <= config.series_tol * max(np.max(np.abs(total)), 1e-300):
-            break
-    return total
-
-
-def _bessel_j_integral(n: int, x: np.ndarray) -> np.ndarray:
-    # J_n(x) = (1/pi) \int_0^pi cos(n t - x sin t) dt, entire integrand, so
-    # Gauss-Legendre converges spectrally once the order resolves the phase.
-    out = np.empty_like(x)
-    xmax = float(np.max(x))
-    m = 60 + int(0.75 * (xmax + n))
-    nodes, weights = _gauss_legendre(m)
-    t = 0.5 * math.pi * (nodes + 1.0)
-    w = 0.5 * math.pi * weights
-    sin_t = np.sin(t)
-    # Chunk the outer product so huge argument arrays stay in modest memory.
-    step = max(1, 4_000_000 // m)
-    flat = x.reshape(-1)
-    res = out.reshape(-1)
-    for lo in range(0, flat.size, step):
-        xs = flat[lo : lo + step, None]
-        res[lo : lo + step] = (np.cos(n * t - xs * sin_t) @ w) / math.pi
-    return out
-
-
-def bessel_j(n: int, x, config: SpecialFnConfig | None = None):
-    """Bessel function of the first kind J_n at real argument.
-
-    Parameters
-    ----------
-    n : int
-        Nonnegative integer order.
-    x : float or ndarray
-        Real argument(s); accuracy is characterized for |x| <= 200
-        (about 1e-10 relative away from zeros, absolute near them).
-    config : SpecialFnConfig, optional
-        Series truncation controls.
-
-    Returns
-    -------
-    float or ndarray
-        J_n(x), matching the shape of ``x``.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    cfg = config or _DEFAULT_CONFIG
-    arr, scalar = _as_array(x, "x")
-    ax = np.abs(arr)
-    out = np.empty_like(ax)
-    small = ax <= _BESSEL_SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _bessel_j_series(int(n), ax[small], cfg)
-    if np.any(~small):
-        out[~small] = _bessel_j_integral(int(n), ax[~small])
-    if n % 2 == 1:
-        out = np.where(arr < 0.0, -out, out)
-    return _maybe_scalar(out, scalar)
 
 
 def spherical_j0(x):
@@ -140,76 +41,13 @@ def spherical_j0(x):
     return _maybe_scalar(out, scalar)
 
 
-def _struve_series(order: int, x: np.ndarray, config: SpecialFnConfig) -> np.ndarray:
-    # H_v(x) = sum_k (-1)^k (x/2)^(2k+v+1) / (Gamma(k+3/2) Gamma(k+v+3/2))
-    if order == 0:
-        term = 2.0 * x / math.pi
-    else:
-        term = 2.0 * x * x / (3.0 * math.pi)
-    total = term.copy()
-    hsq = -(0.5 * x) ** 2
-    for k in range(config.max_terms):
-        term = term * hsq / ((k + 1.5) * (k + order + 1.5))
-        total += term
-        if np.max(np.abs(term)) <= config.series_tol * max(np.max(np.abs(total)), 1e-300):
-            break
-    return total
-
-
-def _struve_integral(order: int, x: np.ndarray) -> np.ndarray:
-    # H_0(x) = (2/pi) \int_0^{pi/2} sin(x cos t) dt
-    # H_1(x) = (2x/pi) \int_0^{pi/2} sin(x cos t) sin^2 t dt
-    out = np.empty_like(x)
-    m = 60 + int(0.75 * float(np.max(x)))
-    nodes, weights = _gauss_legendre(m)
-    t = 0.25 * math.pi * (nodes + 1.0)
-    w = 0.25 * math.pi * weights
-    cos_t = np.cos(t)
-    wfac = w if order == 0 else w * np.sin(t) ** 2
-    step = max(1, 4_000_000 // m)
-    flat = x.reshape(-1)
-    res = out.reshape(-1)
-    for lo in range(0, flat.size, step):
-        xs = flat[lo : lo + step, None]
-        vals = np.sin(xs * cos_t) @ wfac
-        res[lo : lo + step] = vals
-    out *= 2.0 / math.pi
-    if order == 1:
-        out *= x
-    return out
-
-
-def struve_h(order: int, x, config: SpecialFnConfig | None = None):
-    """Struve function H_0 or H_1 at nonnegative real argument.
-
-    Absolute accuracy is about 1e-8 on [0, 200]; the ascending series is used
-    for x <= 16 and the sine integral representation with Gauss-Legendre
-    quadrature beyond, which avoids the series' cancellation blowup.
-    """
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order!r}")
-    cfg = config or _DEFAULT_CONFIG
-    arr, scalar = _as_array(x, "x")
-    if np.any(arr < 0.0):
-        raise ValueError("struve_h requires x >= 0")
-    out = np.empty_like(arr)
-    small = arr <= _STRUVE_SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _struve_series(order, arr[small], cfg)
-    if np.any(~small):
-        out[~small] = _struve_integral(order, arr[~small])
-    return _maybe_scalar(out, scalar)
-
-
-def j0_band_integral(t, omega, config: SpecialFnConfig | None = None):
+def j0_band_integral(t, omega):
     """Scaled running integral of J0: (1/t) * \\int_0^{omega t} J0(u) du.
 
-    Evaluated in closed form through Bessel and Struve functions,
-
-        omega*J0(omega t)
-        + (omega*pi/2) * (J1(omega t) H0(omega t) - J0(omega t) H1(omega t)),
-
-    with the continuous limit omega at t = 0. The omega-derivative of this
+    Evaluated as (2/t) * sum_k J_{2k+1}(omega t) (Abramowitz & Stegun
+    11.1.2), summed up to the order ceil(x) + 15 + sqrt(40 x) at the largest
+    argument x = omega t of each chunk, past which the terms vanish; the
+    continuous limit omega is taken at t = 0. The omega-derivative of this
     quantity is J0(omega t), which is what makes it the radial kernel of
     frequency-band-summed imaging functions.
 
@@ -224,18 +62,19 @@ def j0_band_integral(t, omega, config: SpecialFnConfig | None = None):
     -------
     float or ndarray
     """
-    cfg = config or _DEFAULT_CONFIG
     arr, scalar = _as_array(t, "t")
     if np.any(arr < 0.0):
         raise ValueError("t must be nonnegative")
     w = float(omega)
     if not (math.isfinite(w) and w > 0.0):
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    x = w * arr
-    j0 = bessel_j(0, x, cfg)
-    j1 = bessel_j(1, x, cfg)
-    h0 = struve_h(0, x, cfg)
-    h1 = struve_h(1, x, cfg)
-    out = w * np.asarray(j0 * (1.0 - 0.5 * math.pi * h1) + 0.5 * math.pi * j1 * h0)
-    out = np.where(arr == 0.0, w, out)
+    x = w * arr.reshape(-1)
+    odd_sum = np.empty_like(x)
+    for lo in range(0, x.size, _CHUNK):
+        chunk = x[lo : lo + _CHUNK]
+        top = float(chunk.max())
+        nmax = math.ceil(top) + 15 + int(math.sqrt(40.0 * top))
+        odd_sum[lo : lo + _CHUNK] = bessel_j_table(nmax, chunk)[1::2].sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(arr == 0.0, w, 2.0 * odd_sum.reshape(arr.shape) / arr)
     return _maybe_scalar(out, scalar)

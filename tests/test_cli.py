@@ -237,6 +237,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="repeats inclusion 1"):
             parse_config(path)
 
+    def test_default_section_is_refused(self, tmp_path):
+        # configparser would hand [DEFAULT] keys to every other section
+        path = tmp_path / "bad.ini"
+        for text in ("[DEFAULT]\nh = 0.03\n", "[DEFAULT]\nh = 0.03\n\n[inclusion]\ncurve = sigma2\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+                parse_config(path)
+
+    def test_custom_curve_key_on_builtin_curve_is_refused(self, tmp_path):
+        # write_config would drop the key, so the round trip would not hold
+        with pytest.raises(ConfigError, match=r"\['s_min'\] need curve = custom"):
+            InclusionSpec(curve="sigma1", s_min=-0.3)
+        path = tmp_path / "bad.ini"
+        path.write_text("[inclusion]\ncurve = sigma1\ns_min = -0.3\n")
+        with pytest.raises(ConfigError, match=r"\['s_min'\] need curve = custom"):
+            parse_config(path)
+
     def test_negative_infinite_snr_is_not_clean(self, tmp_path):
         config = ExperimentConfig(snr_db=-math.inf)
         assert not config.clean

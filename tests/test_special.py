@@ -5,69 +5,7 @@ import pytest
 from scipy import integrate
 from scipy import special as sp
 
-from thinimage.special import (
-    SpecialFnConfig,
-    bessel_j,
-    j0_band_integral,
-    spherical_j0,
-    struve_h,
-)
-
-
-def bisect_root(f, lo, hi, tol=1e-13):
-    flo = f(lo)
-    assert flo * f(hi) < 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = f(lo)
-    return 0.5 * (lo + hi)
-
-
-class TestBesselJ:
-    def test_known_values(self):
-        assert bessel_j(0, 0.0) == pytest.approx(1.0, abs=1e-14)
-        assert bessel_j(1, 0.0) == 0.0
-        assert bessel_j(2, 0.0) == 0.0
-
-    def test_first_j0_root_via_bisection(self):
-        # Locate the first positive zero independently, then evaluate there.
-        root = bisect_root(lambda x: bessel_j(0, x), 2.0, 3.0)
-        assert root == pytest.approx(2.4048255577, abs=1e-9)
-        assert abs(bessel_j(0, root)) <= 1e-8
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
-    def test_against_library_over_range(self, n):
-        rng = np.random.default_rng(42)
-        x = np.concatenate([rng.uniform(-200, 200, 1500), np.linspace(0.0, 200.0, 800)])
-        mine = bessel_j(n, x)
-        ref = sp.jv(n, x)
-        # Relative away from zeros, absolute near them.
-        err = np.abs(mine - ref) / np.maximum(np.abs(ref), 1.0)
-        assert np.max(err) <= 1e-10
-
-    def test_series_and_quadrature_branches_agree(self):
-        # Straddle the internal crossover from both sides.
-        for n in (0, 1, 4):
-            lo = bessel_j(n, 11.999999)
-            hi = bessel_j(n, 12.000001)
-            assert abs(hi - lo) < 1e-5
-
-    def test_oscillation_bound(self):
-        x = np.linspace(0.0, 200.0, 5000)
-        assert np.max(np.abs(bessel_j(0, x))) <= 1.0 + 1e-12
-        assert np.max(np.abs(bessel_j(1, x))) <= 1.0
-
-    def test_rejects_bad_order_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            bessel_j(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0, np.nan)
-        with pytest.raises(ValueError):
-            bessel_j(0, np.inf)
+from thinimage.special import _CHUNK, j0_band_integral, spherical_j0
 
 
 class TestSphericalJ0:
@@ -84,49 +22,6 @@ class TestSphericalJ0:
         vals = spherical_j0(x)
         assert np.allclose(vals, spherical_j0(-x), rtol=0, atol=1e-15)
         assert np.all(np.abs(vals[np.abs(x) > 1e-8]) < 1.0)
-
-
-class TestStruveH:
-    @pytest.mark.parametrize("order", [0, 1])
-    def test_against_quadrature_oracle(self, order):
-        # Independent oracle: adaptive quadrature of the sine integral form.
-        rng = np.random.default_rng(7)
-        xs = np.concatenate([rng.uniform(0.0, 200.0, 40), [0.5, 5.0, 16.0, 16.5, 199.0]])
-        for x in xs:
-            if order == 0:
-                ref = (2 / math.pi) * integrate.quad(
-                    lambda t: math.sin(x * math.cos(t)), 0, math.pi / 2, limit=400
-                )[0]
-            else:
-                ref = (2 * x / math.pi) * integrate.quad(
-                    lambda t: math.sin(x * math.cos(t)) * math.sin(t) ** 2,
-                    0,
-                    math.pi / 2,
-                    limit=400,
-                )[0]
-            assert struve_h(order, x) == pytest.approx(ref, abs=2e-8)
-
-    def test_struve_at_five_matches_quadrature(self):
-        ref = (2 / math.pi) * integrate.quad(
-            lambda t: math.sin(5.0 * math.cos(t)), 0, math.pi / 2
-        )[0]
-        assert struve_h(0, 5.0) == pytest.approx(ref, abs=1e-8)
-
-    @pytest.mark.parametrize("order", [0, 1])
-    def test_against_library(self, order):
-        x = np.linspace(0.0, 200.0, 3000)
-        assert np.max(np.abs(struve_h(order, x) - sp.struve(order, x))) <= 1e-8
-
-    def test_small_argument_behavior(self):
-        # Leading terms 2x/pi and 2x^2/(3 pi).
-        assert struve_h(0, 1e-4) == pytest.approx(2e-4 / math.pi, rel=1e-6)
-        assert struve_h(1, 1e-4) == pytest.approx(2e-8 / (3 * math.pi), rel=1e-6)
-
-    def test_rejects_negative_and_bad_order(self):
-        with pytest.raises(ValueError):
-            struve_h(0, -1.0)
-        with pytest.raises(ValueError):
-            struve_h(2, 1.0)
 
 
 class TestJ0BandIntegral:
@@ -146,6 +41,19 @@ class TestJ0BandIntegral:
             quad = integrate.quad(lambda w: sp.jv(0, w * t), w1, w2, limit=400)[0]
             scaled = (t * j0_band_integral(t, w2) - t * j0_band_integral(t, w1)) / t
             assert scaled == pytest.approx(quad, rel=1e-7, abs=1e-12)
+
+    def test_running_integral_to_600_against_quadrature(self):
+        # More arguments than one Bessel table takes; the reference sums
+        # adaptive quadratures between consecutive sorted arguments.
+        rng = np.random.default_rng(13)
+        x = np.sort(np.concatenate([np.linspace(0.0, 600.0, 4001), rng.uniform(0, 600, 1000)]))
+        assert x.size > _CHUNK
+        steps = [
+            integrate.quad(sp.j0, a, b, epsabs=1e-14, epsrel=1e-14)[0]
+            for a, b in zip(x[:-1], x[1:])
+        ]
+        ref = np.concatenate([[0.0], np.cumsum(steps)])
+        assert np.max(np.abs(x * j0_band_integral(x, 1.0) - ref)) <= 1e-12
 
     def test_omega_derivative_is_j0(self):
         t, omega = 0.7, 2 * math.pi / 0.5
@@ -180,18 +88,6 @@ class TestModulatedKernelShape:
         assert y[np.argmax(np.abs(x) < 1e-12)] == 1.0
         assert np.max(y) == 1.0
         assert np.argmax(y) == 6000
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpecialFnConfig(series_tol=1e-5)
-        with pytest.raises(ValueError):
-            SpecialFnConfig(series_tol=0.0)
-        with pytest.raises(ValueError):
-            SpecialFnConfig(max_terms=10)
-        cfg = SpecialFnConfig(series_tol=1e-12, max_terms=120)
-        assert bessel_j(0, 1.0, cfg) == pytest.approx(sp.jv(0, 1.0), abs=1e-11)
 
 
 class TestBesselTailIntegral:
