@@ -5,7 +5,22 @@ import pytest
 from scipy import integrate
 from scipy import special as sp
 
+from thinimage.forward import bessel_j_table
 from thinimage.special import _CHUNK, j0_band_integral, spherical_j0
+
+
+class TestBesselJ:
+    # j0_band_integral sums odd orders of forward.bessel_j_table, the one J_n
+    # in the package; check its low orders far past their turning points.
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
+    def test_against_library_over_range(self, n):
+        rng = np.random.default_rng(42)
+        x = np.concatenate([rng.uniform(0.0, 200.0, 1500), np.linspace(0.0, 200.0, 800)])
+        mine = bessel_j_table(12, x)[n]
+        ref = sp.jv(n, x)
+        # Relative away from zeros, absolute near them.
+        err = np.abs(mine - ref) / np.maximum(np.abs(ref), 1.0)
+        assert np.max(err) <= 1e-10
 
 
 class TestSphericalJ0:
