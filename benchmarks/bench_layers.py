@@ -15,7 +15,7 @@ a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
   columns, value alone (the Bessel and angular tables and one product per
   radius bin) and with the gradient;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
-- ``etd_multi``: the whole multi-frequency map with one worker;
+- ``etd_multi``: the whole multi-frequency map;
 - ``synthesize``: the clean traces of the scene.
 
 Each median is scaled to a nominal host speed with the fixed kernel of

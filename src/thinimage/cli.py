@@ -24,7 +24,6 @@ import configparser
 import hashlib
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -167,6 +166,10 @@ class ExperimentConfig:
     fit_degree: int = 5
     out_dir: str = "out"
 
+    def __post_init__(self) -> None:
+        if self.functional not in _FUNCTIONALS:
+            raise ConfigError(f"unknown functional {self.functional!r}; pick one of {_FUNCTIONALS}")
+
     @property
     def clean(self) -> bool:
         return self.snr_db == math.inf
@@ -265,15 +268,10 @@ def parse_config(path) -> ExperimentConfig:
         if section:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(section)}")
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         inclusions=tuple(inclusions[n] for n in sorted(inclusions)) or base.inclusions,
         **values,
     )
-    if config.functional not in _FUNCTIONALS:
-        raise ConfigError(
-            f"unknown functional {config.functional!r}; pick one of {_FUNCTIONALS}"
-        )
-    return config
 
 
 def _ini_text(value) -> str:
@@ -301,21 +299,59 @@ def write_config(config: ExperimentConfig, path) -> None:
 # ---------------------------------------------------------------------------
 # validation
 
-def _k_values_issue(config: ExperimentConfig) -> str | None:
+def _config_stage(config: ExperimentConfig):
+    """Build what run's config stage needs and collect every fault it refuses.
+
+    Returns (inclusions, incident, grid, lattice), where a part that could not
+    be built is None, and the faults as (section, error) pairs in file order.
+    """
+    faults: list[tuple[str, ThinImageError]] = []
+
+    def build(section: str, make, *args):
+        try:
+            return make(*args)
+        except ThinImageError as exc:
+            faults.append((section, exc))
+            return None
+
+    def refuse(section: str, message: str) -> None:
+        faults.append((section, ConfigError(message)))
+
+    if not config.inclusions:
+        refuse("inclusion", "need at least one inclusion")
+    inclusions = [
+        build(f"inclusion {i}", spec.build) for i, spec in enumerate(config.inclusions, start=1)
+    ]
+    directions = build("incident", standard_directions, config.n_directions)
+    omegas = build(
+        "incident", frequency_band, config.n_frequencies, config.lambda_min, config.lambda_max
+    )
+    incident = None
+    if directions is not None and omegas is not None:
+        incident = build("incident", IncidentSet, directions, omegas)
+    grid = build("grid", boundary_grid, config.boundary_points)
+    lattice = build("grid", make_lattice, config.lattice_size)
+    if not (config.clean or math.isfinite(config.snr_db)):
+        refuse("noise", f"snr_db must be finite or +inf, got {config.snr_db!r}")
     if bad := [k for k in config.k_values if not 0 <= k < config.n_frequencies]:
-        return f"k_values {bad} outside the frequency range 0..{config.n_frequencies - 1}"
-    return None
+        top = config.n_frequencies - 1
+        refuse("imaging", f"k_values {bad} outside the frequency range 0..{top}")
+    if config.fit_degree < 1:
+        refuse("imaging", f"fit_degree must be at least 1, got {config.fit_degree}")
+    return (inclusions, incident, grid, lattice), faults
 
 
 def validate(config: ExperimentConfig) -> list[str]:
-    """Dry-run diagnostics; returns ["ok"] when nothing is flagged."""
-    issues: list[str] = []
+    """Dry-run diagnostics; returns ["ok"] when nothing is flagged.
 
-    for i, spec in enumerate(config.inclusions, start=1):
-        try:
-            incl = spec.build()
-        except ThinImageError as exc:
-            issues.append(f"inclusion {i}: {exc}")
+    Every fault run's config stage refuses, as "section: message" in run's
+    words, then the warnings that run does not act on.
+    """
+    (inclusions, incident, grid, _), faults = _config_stage(config)
+    issues = [f"{section}: {exc}" for section, exc in faults]
+
+    for i, incl in enumerate(inclusions, start=1):
+        if incl is None:
             continue
         if incl.eps == incl.eps0 and incl.mu == incl.mu0:
             issues.append(
@@ -329,37 +365,22 @@ def validate(config: ExperimentConfig) -> list[str]:
                 f"model degrades"
             )
 
-    try:
-        omegas = frequency_band(config.n_frequencies, config.lambda_min, config.lambda_max)
-    except ThinImageError as exc:
-        issues.append(f"incident: {exc}")
-        omegas = np.empty(0)
-    for omega in omegas:
-        for n, v in resonance_orders(float(omega), _SCAN_RESONANCE_TOL):
+    if incident is not None:
+        for omega in incident.omegas:
+            for n, v in resonance_orders(float(omega), _SCAN_RESONANCE_TOL):
+                issues.append(
+                    f"resonance warning: omega={float(omega):.6f} lies near an "
+                    f"interior eigenvalue of order n={n} (|J_n'(omega)|={v:.2e}); "
+                    f"the measurement operator is nearly singular there"
+                )
+        omega_max = float(incident.omegas[-1])
+        if grid is not None and grid.n_points < 2.0 * omega_max:
             issues.append(
-                f"resonance warning: omega={float(omega):.6f} lies near an "
-                f"interior eigenvalue of order n={n} (|J_n'(omega)|={v:.2e}); "
-                f"the measurement operator is nearly singular there"
+                f"grid: {grid.n_points} boundary points give fewer than two per "
+                f"wavelength at omega_max={omega_max:.6f}; need at least "
+                f"2*omega_max={2.0 * omega_max:.2f}"
             )
 
-    try:
-        boundary_grid(config.boundary_points)
-    except ThinImageError as exc:
-        issues.append(f"grid: {exc}")
-    else:
-        if omegas.size and config.boundary_points < 2.0 * float(omegas[-1]):
-            issues.append(
-                f"grid: {config.boundary_points} boundary points give fewer than two per "
-                f"wavelength at omega_max={float(omegas[-1]):.6f}; need at least "
-                f"2*omega_max={2.0 * float(omegas[-1]):.2f}"
-            )
-    if config.lattice_size < 8:
-        issues.append(f"grid: lattice needs at least 8 nodes per side, got {config.lattice_size}")
-
-    if k_issue := _k_values_issue(config):
-        issues.append(f"imaging: {k_issue}")
-    if config.fit_degree < 1:
-        issues.append(f"imaging: fit_degree must be at least 1, got {config.fit_degree}")
     if not config.clean and config.snr_db <= 0.0:
         issues.append(f"noise: snr_db should be positive, got {config.snr_db:g}")
 
@@ -382,12 +403,11 @@ def _compute_maps(
     data: BoundaryDataset,
     lattice,
     inclusions: list[ThinInclusion],
-    workers: int,
     notes: dict,
 ) -> dict[str, ImageMap]:
     maps: dict[str, ImageMap] = {}
     if config.functional == "etd_multi":
-        maps["map_etd_multi"] = etd_multi(data, lattice, workers=workers)
+        maps["map_etd_multi"] = etd_multi(data, lattice)
     elif config.functional == "etd_single":
         for k in config.k_values:
             maps[f"map_etd_single_k{k:02d}"] = etd_single(data, lattice, k)
@@ -407,7 +427,7 @@ def _compute_maps(
     elif config.functional == "mkm":
         msrs = [assemble_multistatic(data, k) for k in range(data.incident.n_frequencies)]
         maps["map_kirchhoff_multi"] = multi_kirchhoff_map(lattice, msrs)
-    elif config.functional == "oracles":
+    else:  # oracles
         omega_lo = float(data.incident.omegas[0])
         omega_hi = float(data.incident.omegas[-1])
         if omega_hi <= omega_lo:
@@ -425,27 +445,17 @@ def _compute_maps(
         maps["map_model_eps"] = eps_total
         maps["map_model_mu"] = mu_total
         maps["map_model_combined"] = normalized_combination(eps_total, mu_total)
-    else:
-        raise ConfigError(f"unknown functional {config.functional!r}")
     return maps
 
 
-def run(config: ExperimentConfig, workers: int | None = None):
+def run(config: ExperimentConfig):
     """Execute an experiment; returns (output path, manifest dict)."""
-    if workers is None:
-        workers = os.cpu_count() or 1
     notes: dict = {"functional": config.functional}
 
     with _stage("config"):
-        if k_issue := _k_values_issue(config):
-            raise ConfigError(k_issue)
-        inclusions = [spec.build() for spec in config.inclusions]
-        incident = IncidentSet(
-            standard_directions(config.n_directions),
-            frequency_band(config.n_frequencies, config.lambda_min, config.lambda_max),
-        )
-        grid = boundary_grid(config.boundary_points)
-        lattice = make_lattice(config.lattice_size)
+        (inclusions, incident, grid, lattice), faults = _config_stage(config)
+        if faults:
+            raise faults[0][1]
 
     with _stage("synthesize"):
         data = synthesize(inclusions, incident, grid, m_nodes=_SYNTH_NODES)
@@ -456,7 +466,7 @@ def run(config: ExperimentConfig, workers: int | None = None):
             data = add_awgn(data, config.snr_db, noise_seed)
 
     with _stage("imaging"):
-        maps = _compute_maps(config, data, lattice, inclusions, workers, notes)
+        maps = _compute_maps(config, data, lattice, inclusions, notes)
 
     fit_rows = []
     with _stage("postprocess"):
@@ -613,7 +623,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", type=Path, default=None, help="INI config path")
     run_p.add_argument("--seed", type=int, default=None, help="override the master seed")
     run_p.add_argument("--out", type=Path, default=None, help="override the output directory")
-    run_p.add_argument("--workers", type=int, default=None, help="parallel worker cap")
+    run_p.add_argument("--workers", type=int, help="has no effect; imaging is serial")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("--config", type=Path, default=None, help="INI config path")
@@ -627,7 +637,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = _load_config(args)
-            out_dir, manifest = run(config, workers=args.workers)
+            out_dir, manifest = run(config)
             print(f"wrote {len(manifest['artifacts']) + 1} artifacts to {out_dir}")
             return 0
         if args.command == "validate":

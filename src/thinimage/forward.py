@@ -177,8 +177,8 @@ def bessel_j_table(nmax: int, x) -> np.ndarray:
     the turning order n = x it no longer converges to J_n.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
-        raise ValueError("bessel_j_table requires x >= 0")
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError("bessel_j_table requires finite x >= 0")
     out = np.zeros((nmax + 1, x.size))
     zero = x == 0.0
     inv_x = 1.0 / np.where(zero, 1.0, x)

@@ -21,7 +21,6 @@ images, with no boundary data and no disk kernel involved.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -166,28 +165,17 @@ def etd_multi(
     data: BoundaryDataset,
     lattice: Lattice,
     series_tol: float = _DEFAULT_MAP_TOL,
-    workers: int = 1,
 ) -> ImageMap:
     """Multi-frequency map: the mean of the per-frequency normalized maps.
 
-    With ``workers`` > 1 the frequencies are imaged on a thread pool. The maps
-    are summed in frequency order either way, so the result is bit-identical
-    for any worker count. With a single frequency this reduces bitwise to the
-    single-frequency map.
+    The frequencies are imaged one after another and summed in frequency
+    order; BLAS already spreads each frequency's matmuls over the cores. With
+    a single frequency this reduces bitwise to the single-frequency map.
     """
     n_k = data.incident.n_frequencies
-
-    def frequency_map(k: int) -> np.ndarray:
-        return etd_single(data, lattice, k, series_tol).inside_values
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            maps = list(pool.map(frequency_map, range(n_k)))
-    else:
-        maps = map(frequency_map, range(n_k))
     acc = np.zeros(lattice.points.shape[0])
-    for values in maps:
-        acc += values
+    for k in range(n_k):
+        acc += etd_single(data, lattice, k, series_tol).inside_values
     return from_point_values(lattice, acc / float(n_k))
 
 

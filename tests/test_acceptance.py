@@ -534,9 +534,9 @@ def test_byte_identical_runs_and_round_trip(tmp_path):
     config = ExperimentConfig(
         n_directions=4, n_frequencies=2, seed=3, out_dir=str(tmp_path / "out")
     )
-    out_dir, _ = run(config, workers=2)
+    out_dir, _ = run(config)
     first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-    out_dir, _ = run(config, workers=2)
+    out_dir, _ = run(config)
     second = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     identical = first == second
 

@@ -20,7 +20,7 @@ from thinimage.cli import (
     validate,
     write_config,
 )
-from thinimage.errors import ConfigError, FlatMapError
+from thinimage.errors import ConfigError, FlatMapError, ThinImageError
 
 
 def small_config(**kwargs) -> ExperimentConfig:
@@ -185,6 +185,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown functional"):
             parse_config(path)
 
+    def test_unknown_functional_refused_without_a_file(self):
+        with pytest.raises(ConfigError, match="unknown functional 'magic'"):
+            ExperimentConfig(functional="magic")
+
     def test_malformed_integer(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[incident]\ndirections = many\n")
@@ -313,7 +317,37 @@ class TestValidate:
         message = "k_values [5] outside the frequency range 0..2"
         assert f"imaging: {message}" in validate(config)
         with pytest.raises(ConfigError, match=re.escape(f"stage config: {message}")):
-            run(config, workers=1)
+            run(config)
+
+    @pytest.mark.parametrize(
+        "kwargs, fault",
+        [
+            (dict(inclusions=()), "inclusion: need at least one inclusion"),
+            (
+                dict(inclusions=(InclusionSpec(h=-0.01),)),
+                "inclusion 1: half-thickness must be positive, got -0.01",
+            ),
+            (dict(n_directions=0), "incident: need at least one direction, got 0"),
+            (
+                dict(lambda_min=0.6),
+                "incident: wavelength band must satisfy 0 < lambda_min <= lambda_max",
+            ),
+            (dict(lambda_max=math.inf), "incident: omegas must be positive and finite"),
+            (dict(boundary_points=8), "grid: boundary grid needs at least 16 points, got 8"),
+            (dict(lattice_size=4), "grid: lattice needs at least 8 nodes per side, got 4"),
+            (dict(snr_db=math.nan), "noise: snr_db must be finite or +inf, got nan"),
+            (dict(snr_db=-math.inf), "noise: snr_db must be finite or +inf, got -inf"),
+            (dict(k_values=(0, 5)), "imaging: k_values [5] outside the frequency range 0..2"),
+            (dict(fit_degree=0), "imaging: fit_degree must be at least 1, got 0"),
+        ],
+    )
+    def test_each_fault_is_refused_by_run_in_the_same_words(self, tmp_path, kwargs, fault):
+        config = small_config(out_dir=str(tmp_path / "out"), **kwargs)
+        assert validate(config)[0] == fault
+        with pytest.raises(ThinImageError) as info:
+            run(config)
+        assert str(info.value) == "stage config: " + fault.split(": ", 1)[1]
+        assert not (tmp_path / "out").exists()
 
     def test_boundary_grid_resolves_top_frequency(self):
         # the default band tops out at omega = 10 pi: 2*omega_max = 62.83
@@ -337,7 +371,7 @@ class TestValidate:
 class TestRun:
     def test_artifacts_and_manifest(self, tmp_path):
         config = small_config(out_dir=str(tmp_path / "out"))
-        out_dir, manifest = run(config, workers=2)
+        out_dir, manifest = run(config)
         names = {p.name for p in out_dir.iterdir()}
         assert names == {
             "dataset.txt",
@@ -354,23 +388,26 @@ class TestRun:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = small_config(out_dir=str(tmp_path / "out"))
-        out_dir, _ = run(config, workers=2)
+        out_dir, _ = run(config)
         first = artifact_bytes(out_dir)
-        out_dir, _ = run(config, workers=2)
+        out_dir, _ = run(config)
         assert artifact_bytes(out_dir) == first
 
     def test_worker_count_does_not_change_results(self, tmp_path):
-        config = small_config(out_dir=str(tmp_path / "out"))
-        out_dir, _ = run(config, workers=1)
-        first = artifact_bytes(out_dir)
-        out_dir, _ = run(config, workers=4)
-        assert artifact_bytes(out_dir) == first
+        # --workers is still accepted, and has no effect on the artifacts
+        path = tmp_path / "exp.ini"
+        write_config(small_config(), path)
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--workers"]
+        assert main(argv + ["1"]) == 0
+        first = artifact_bytes(tmp_path / "out")
+        assert main(argv + ["4"]) == 0
+        assert artifact_bytes(tmp_path / "out") == first
 
     def test_seed_changes_dataset(self, tmp_path):
         config = small_config(out_dir=str(tmp_path / "a"))
-        out_a, _ = run(config, workers=2)
+        out_a, _ = run(config)
         config_b = replace(config, seed=8, out_dir=str(tmp_path / "b"))
-        out_b, _ = run(config_b, workers=2)
+        out_b, _ = run(config_b)
         assert (out_a / "dataset.txt").read_bytes() != (out_b / "dataset.txt").read_bytes()
 
     def test_zero_contrast_fails_in_imaging_stage(self, tmp_path):
@@ -379,20 +416,20 @@ class TestRun:
             out_dir=str(tmp_path / "out"),
         )
         with pytest.raises(FlatMapError, match="stage imaging"):
-            run(config, workers=2)
+            run(config)
 
     def test_bad_k_values_fail_in_config_stage(self, tmp_path):
         config = small_config(
             functional="etd_single", k_values=(5,), out_dir=str(tmp_path / "out")
         )
         with pytest.raises(ConfigError, match="stage config"):
-            run(config, workers=2)
+            run(config)
 
     def test_music_functional(self, tmp_path):
         config = small_config(
             functional="music", k_values=(0, 2), out_dir=str(tmp_path / "out")
         )
-        out_dir, manifest = run(config, workers=2)
+        out_dir, manifest = run(config)
         names = {p.name for p in out_dir.iterdir()}
         assert {"map_music_k00.csv", "map_music_k02.csv"} <= names
         assert "fit_report.txt" not in names
@@ -403,15 +440,15 @@ class TestRun:
         config = small_config(
             functional="kirchhoff", k_values=(1,), out_dir=str(tmp_path / "a")
         )
-        out_dir, _ = run(config, workers=2)
+        out_dir, _ = run(config)
         assert (out_dir / "map_kirchhoff_k01.csv").exists()
         config = small_config(functional="mkm", out_dir=str(tmp_path / "b"))
-        out_dir, _ = run(config, workers=2)
+        out_dir, _ = run(config)
         assert (out_dir / "map_kirchhoff_multi.csv").exists()
 
     def test_model_maps_functional(self, tmp_path):
         config = small_config(functional="oracles", out_dir=str(tmp_path / "out"))
-        out_dir, _ = run(config, workers=2)
+        out_dir, _ = run(config)
         names = {p.name for p in out_dir.iterdir()}
         assert {"map_model_eps.csv", "map_model_mu.csv", "map_model_combined.csv"} <= names
 

@@ -152,6 +152,13 @@ class TestBesselTable:
         with pytest.raises(ValueError):
             bessel_j_table(10, np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_argument_rejected(self, bad):
+        # the check must come before the recurrence's start order, which
+        # math.ceil cannot take from a NaN or an infinite argument
+        with pytest.raises(ValueError, match="finite x >= 0"):
+            bessel_j_table(3, np.array([1.0, bad]))
+
 
 def random_disk_points(rng, count, radius):
     pts = []
