@@ -331,8 +331,17 @@ def _config_stage(config: ExperimentConfig):
         incident = build("incident", IncidentSet, directions, omegas)
     grid = build("grid", boundary_grid, config.boundary_points)
     lattice = build("grid", make_lattice, config.lattice_size)
+    # the adjoint resolves trace modes up to the grid's Nyquist order N/2
+    if grid is not None and omegas is not None and grid.n_points < 2.0 * omegas[-1]:
+        refuse(
+            "grid",
+            f"{grid.n_points} boundary points give fewer than two per wavelength at "
+            f"omega_max={omegas[-1]:.6f}; need at least 2*omega_max={2.0 * omegas[-1]:.2f}",
+        )
     if not (config.clean or math.isfinite(config.snr_db)):
         refuse("noise", f"snr_db must be finite or +inf, got {config.snr_db!r}")
+    if config.functional in ("etd_single", "music", "kirchhoff") and not config.k_values:
+        refuse("imaging", f"functional {config.functional} needs at least one k_value")
     if bad := [k for k in config.k_values if not 0 <= k < config.n_frequencies]:
         top = config.n_frequencies - 1
         refuse("imaging", f"k_values {bad} outside the frequency range 0..{top}")
@@ -347,7 +356,7 @@ def validate(config: ExperimentConfig) -> list[str]:
     Every fault run's config stage refuses, as "section: message" in run's
     words, then the warnings that run does not act on.
     """
-    (inclusions, incident, grid, _), faults = _config_stage(config)
+    (inclusions, incident, _, _), faults = _config_stage(config)
     issues = [f"{section}: {exc}" for section, exc in faults]
 
     for i, incl in enumerate(inclusions, start=1):
@@ -373,13 +382,6 @@ def validate(config: ExperimentConfig) -> list[str]:
                     f"interior eigenvalue of order n={n} (|J_n'(omega)|={v:.2e}); "
                     f"the measurement operator is nearly singular there"
                 )
-        omega_max = float(incident.omegas[-1])
-        if grid is not None and grid.n_points < 2.0 * omega_max:
-            issues.append(
-                f"grid: {grid.n_points} boundary points give fewer than two per "
-                f"wavelength at omega_max={omega_max:.6f}; need at least "
-                f"2*omega_max={2.0 * omega_max:.2f}"
-            )
 
     if not config.clean and config.snr_db <= 0.0:
         issues.append(f"noise: snr_db should be positive, got {config.snr_db:g}")

@@ -396,7 +396,11 @@ class DiskModes:
         ]
 
     def apply(self, c: np.ndarray, gradient: bool = False):
-        """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (nmax+1, C).
+        """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax.
+
+        The rows of ``c`` set the order: each radius bin sums to min(n_b, m)
+        and builds its tables no further, so c[:m+1] gives what c with its
+        rows past m set to zero gives.
 
         Returns the (P, C) real values, followed by their x and y gradients
         when ``gradient`` is set. With a_n = eps_n c_n/(2 pi w J_n'(w)), the
@@ -407,6 +411,7 @@ class DiskModes:
         """
         fields = np.zeros((self._radii.size, (3 if gradient else 1) * c.shape[1]))
         for members, n_b in self._bins:
+            n_b = min(n_b, c.shape[0] - 1)
             a = np.zeros((n_b + 4, c.shape[1]), dtype=complex)  # a_{-1}..a_{n_b+2}
             a[1 : n_b + 2] = self._weights[: n_b + 1, None] * c[: n_b + 1]
             coef, above, below = a[1:-1], a[2:], a[:-2].copy()

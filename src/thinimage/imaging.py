@@ -68,17 +68,25 @@ def adjoint_field_batch(
 
     Notes
     -----
-    v(z) = w sum_b N(z, y_b) tr_b with the real disk kernel: ``DiskModes`` sums
-    the traces' e^{-in phi} projections against J_n(w|z|) e^{in theta_z}, and
-    takes the gradient from the same table with coefficients shifted by one order.
+    v(z) is the boundary integral of the real disk kernel N(z, y) against the
+    traces' trigonometric interpolant: the N samples fix its Fourier modes up
+    to the Nyquist order N/2 and no further, so ``DiskModes`` sums the
+    projections (2 pi/N) sum_b tr_b e^{-in phi_b}, n = 0..min(nmax, N/2),
+    against J_n(w|z|) e^{in theta_z}. For even N the Nyquist mode splits evenly between
+    orders +N/2 and -N/2, so its row is halved. Orders past N/2 would only
+    repeat lower ones (on the grid e^{-i(N-n)phi_b} = e^{in phi_b}). The
+    gradient comes from the same table with coefficients shifted by one order.
     """
     traces = np.asarray(traces, dtype=complex)
     if traces.ndim != 2 or traces.shape[0] != grid.n_points:
         raise ValueError(f"traces must have shape (N={grid.n_points}, L)")
     modes = DiskModes(omega, points, series_tol)
     n_l = traces.shape[1]
-    phases = np.exp(-1j * np.outer(np.arange(modes.nmax + 1), grid.angles))
+    top = min(modes.nmax, grid.n_points // 2)
+    phases = np.exp(-1j * np.outer(np.arange(top + 1), grid.angles))
     coefficients = grid.weight * (phases @ np.hstack([traces.real, traces.imag]))
+    if 2 * top == grid.n_points:
+        coefficients[top] *= 0.5
     fields = modes.apply(coefficients, gradient)
     if not gradient:
         return fields[:, :n_l] + 1j * fields[:, n_l:]
@@ -114,18 +122,24 @@ def td_component_maps(
 
     The permittivity component is Re sum_l v_l conj(u_l); the permeability
     component is Re sum_l grad v_l . conj(grad u_l), with u_l the incident
-    wave and v_l the adjoint field of direction l.
+    wave and v_l the adjoint field of direction l. The incident waves
+    separate by axis, e^{iw d.z} = e^{iw d_x x} e^{iw d_y y}, so they are
+    gathered from one phase table per lattice axis.
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
     omega = float(data.incident.omegas[k_index])
     traces = data.traces[:, :, k_index]
-    pts = lattice.points
-    v, gv = adjoint_field_batch(traces, data.grid, omega, pts, series_tol, gradient=True)
-    u = np.exp(1j * omega * (pts @ data.incident.directions.T))
+    directions = data.incident.directions
+    v, gv = adjoint_field_batch(
+        traces, data.grid, omega, lattice.points, series_tol, gradient=True
+    )
+    iy, ix = np.nonzero(lattice.mask)
+    u = np.exp(1j * omega * np.outer(lattice.ys, directions[:, 1]))[iy]
+    u *= np.exp(1j * omega * np.outer(lattice.xs, directions[:, 0]))[ix]
     eps_vals = np.sum(np.real(v * u.conj()), axis=1)
-    gu_x = (1j * omega) * u * data.incident.directions[None, :, 0]
-    gu_y = (1j * omega) * u * data.incident.directions[None, :, 1]
+    gu_x = (1j * omega) * u * directions[None, :, 0]
+    gu_y = (1j * omega) * u * directions[None, :, 1]
     mu_vals = np.sum(
         np.real(gv[:, :, 0] * gu_x.conj() + gv[:, :, 1] * gu_y.conj()), axis=1
     )

@@ -339,6 +339,18 @@ class TestValidate:
             (dict(snr_db=-math.inf), "noise: snr_db must be finite or +inf, got -inf"),
             (dict(k_values=(0, 5)), "imaging: k_values [5] outside the frequency range 0..2"),
             (dict(fit_degree=0), "imaging: fit_degree must be at least 1, got 0"),
+            (
+                dict(boundary_points=62),
+                "grid: 62 boundary points give fewer than two per wavelength at "
+                "omega_max=31.415927; need at least 2*omega_max=62.83",
+            ),
+            *(
+                (
+                    dict(functional=name, k_values=()),
+                    f"imaging: functional {name} needs at least one k_value",
+                )
+                for name in ("etd_single", "music", "kirchhoff")
+            ),
         ],
     )
     def test_each_fault_is_refused_by_run_in_the_same_words(self, tmp_path, kwargs, fault):

@@ -318,6 +318,25 @@ class TestDiskModes:
         for got, ref in zip(fields, refs):
             assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
+    def test_rows_of_c_set_the_order(self):
+        # apply(c[:m+1]) is apply of c with its rows past m set to zero, for m
+        # below every bin's own order and for m between the bins' orders
+        rng = np.random.default_rng(31)
+        radii = np.array([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.87, 0.95])
+        thetas = rng.uniform(-math.pi, math.pi, radii.size)
+        pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
+        modes = DiskModes(OMEGA_HI, pts, 1e-10)
+        c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
+        orders = [n_b for _, n_b in modes._bins]
+        assert 20 < min(orders) < 64 < max(orders)
+        for m in (20, 64):
+            zeroed = c.copy()
+            zeroed[m + 1 :] = 0.0
+            for gradient in (False, True):
+                got = np.atleast_3d(modes.apply(c[: m + 1], gradient))
+                ref = np.atleast_3d(modes.apply(zeroed, gradient))
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (m, gradient)
+
     def test_angular_table_matches_exponentials(self):
         # exp(1j n theta) itself carries about 1e-13 of argument rounding at order 600
         thetas = np.random.default_rng(29).uniform(-math.pi, math.pi, 200)

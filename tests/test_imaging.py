@@ -88,20 +88,34 @@ class TestAdjointField:
     def test_value_and_gradient_match_quadrature_in_every_radius_bin(
         self, grid, random_traces
     ):
-        # The centre and one radius inside each mode-table radius bin, out to
-        # the lattice clip radius 0.95. At 0.95 both series are cut where
-        # J_n'(w) reaches its underflow floor (order 229 at 4 pi), short of
-        # the tail tolerance; that sets the error there: 4e-8 for values and
-        # 2e-6 for gradients.
+        # The adjoint integrates the kernel against the traces' trigonometric
+        # interpolant (orders up to N/2, the Nyquist order split evenly
+        # between +N/2 and -N/2). The reference samples that interpolant on
+        # M = 4N points by FFT zero-padding and takes the point quadrature of
+        # neumann_function with weight 2 pi/M. That series stops at order 229
+        # at 4 pi, below M - N/2 = 448, so no kernel order aliases onto one of
+        # the interpolant's and the quadrature is the interpolant's integral:
+        # the two agree to 1e-14 out to 0.87 and to 1e-12 (values) and 1e-10
+        # (gradients) at 0.95. Radii: the centre and one radius inside each
+        # mode-table radius bin, out to the lattice clip radius 0.95.
+        n, m = grid.n_points, 4 * grid.n_points
+        spectrum = np.fft.fft(random_traces, axis=0)
+        padded = np.zeros((m, random_traces.shape[1]), dtype=complex)
+        padded[: n // 2] = spectrum[: n // 2]
+        padded[m - n // 2 + 1 :] = spectrum[n // 2 + 1 :]
+        padded[n // 2] = padded[m - n // 2] = 0.5 * spectrum[n // 2]
+        interpolant = (m / n) * np.fft.ifft(padded, axis=0)
+        angles = grid.angles[0] + 2.0 * math.pi * np.arange(m) / m
+        fine = np.column_stack([np.cos(angles), np.sin(angles)])
         radii = (0.0, 0.1, 0.25, 0.4, 0.55, 0.68, 0.78, 0.87, 0.95)
         for i, r in enumerate(radii):
             z = r * np.array([math.cos(0.7 + 1.3 * i), math.sin(0.7 + 1.3 * i)])
             v, gv = adjoint_field(random_traces, grid, OMEGA, z, gradient=True)
-            pairs = [neumann_function(z, y, OMEGA, gradient=True) for y in grid.points]
+            pairs = [neumann_function(z, y, OMEGA, gradient=True) for y in fine]
             kern = np.array([val for val, _ in pairs])
             kern_grad = np.array([g for _, g in pairs])
-            ref = grid.weight * (kern @ random_traces)
-            ref_grad = grid.weight * (random_traces.T @ kern_grad)
+            ref = (2.0 * math.pi / m) * (kern @ interpolant)
+            ref_grad = (2.0 * math.pi / m) * (interpolant.T @ kern_grad)
             assert np.max(np.abs(v - ref)) / np.max(np.abs(ref)) < 1e-7, r
             assert np.max(np.abs(gv - ref_grad)) / np.max(np.abs(ref_grad)) < 1e-5, r
 
