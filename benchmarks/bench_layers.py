@@ -11,9 +11,10 @@ with one fixed noise seed (the noise sweep's scene, untraced), and L4/K16 on
 a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
 15 dB noise. The layers:
 
-- ``DiskModes.apply`` over the lattice at the top frequency, 2L coefficient
-  columns, value alone (the Bessel and angular tables and one product per
-  radius bin) and with the gradient;
+- ``DiskModes.apply`` over the lattice at the top frequency, on the
+  coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
+  for the N-point grid), value alone (the Bessel and angular tables and one
+  product per radius bin) and with the gradient;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
 - ``etd_multi``: the whole multi-frequency map;
 - ``synthesize``: the clean traces of the scene.
@@ -46,7 +47,7 @@ SCENES = {"L16K16_128": (16, 128), "L4K16_256": (4, 256)}
 N_FREQUENCIES = 16
 SNR_DB = 15.0
 NOISE_SEED = 7
-ADJOINT_TOL = 1e-8  # the adjoint's default mode-series tolerance
+ADJOINT_TOL = 1e-8  # the adjoint's mode-series tolerance (imaging._DEFAULT_MAP_TOL)
 REPEATS = 5
 
 
@@ -77,13 +78,13 @@ def scene_layers(n_directions: int, size: int) -> dict:
     traces = noisy.traces[:, :, -1]
     modes = forward.DiskModes(omega, lattice.points, ADJOINT_TOL)
     rng = np.random.default_rng(NOISE_SEED)
-    shape = (modes.nmax + 1, 2 * n_directions)
+    shape = (min(modes.nmax, grid.n_points // 2) + 1, 2 * n_directions)
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return {
         "DiskModes.apply": lambda: modes.apply(coefficients),
         "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True),
         "adjoint_field_batch": lambda: imaging.adjoint_field_batch(
-            traces, grid, omega, lattice.points, ADJOINT_TOL, gradient=True
+            traces, grid, omega, lattice.points, gradient=True
         ),
         "etd_multi": lambda: imaging.etd_multi(noisy, lattice),
         "synthesize": lambda: forward.synthesize(inclusions, incident, grid),

@@ -10,9 +10,6 @@ frequency band sharpens the focus.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataStateError
@@ -24,50 +21,25 @@ _CLEAN_DROP_TOL = 1e-6
 _NOISY_DROP_TOL = 1e-2
 
 
-@dataclass(frozen=True)
-class SteeringConfig:
-    """Weights of the steering-vector family.
-
-    The component for direction d is (c0 + c1 d_x + c2 d_y) e^{i omega d.x}:
-    a monopole term plus two dipole terms. The default keeps the monopole
-    only, which suits permittivity-dominated scatterers.
-    """
-
-    c: tuple[float, float, float] = (1.0, 0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (3,) or not np.all(np.isfinite(c)):
-            raise ConfigError("steering weights must be three finite numbers")
-        if float(np.linalg.norm(c)) == 0.0:
-            raise ConfigError("steering weights must not all vanish")
-
-
 def steering_vectors(
-    points: np.ndarray, omega: float, directions: np.ndarray, config: SteeringConfig | None = None
+    points: np.ndarray, omega: float, directions: np.ndarray
 ) -> np.ndarray:
-    """Unit-normalized steering vectors, one row per evaluation point.
+    """Unit-normalized monopole steering vectors e^{i omega d.x}, one row per point.
 
     Parameters
     ----------
     points : ndarray, shape (P, 2)
     omega : float
     directions : ndarray, shape (L, 2)
-    config : SteeringConfig, optional
 
     Returns
     -------
     ndarray, shape (P, L) complex, rows of unit Euclidean norm.
     """
-    cfg = config or SteeringConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    c = np.asarray(cfg.c, dtype=float)
-    profile = c[0] + dirs @ c[1:]
-    rows = profile[None, :] * np.exp(1j * float(omega) * (pts @ dirs.T))
+    rows = np.exp(1j * float(omega) * (pts @ dirs.T))
     norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        raise ConfigError("steering profile vanishes for every direction")
     return rows / norms[:, None]
 
 
@@ -91,32 +63,30 @@ def music_map(
     lattice: Lattice,
     msr: MultistaticMatrix,
     signal_dim: int | None = None,
-    config: SteeringConfig | None = None,
-    ceiling: float = _DEFAULT_CEILING,
 ) -> tuple[ImageMap, bool]:
     """Subspace imaging map and a saturation flag.
 
     Value at z is 1 / || (I - U_M U_M^H) w(z) || with w the unit steering
     vector and U_M the leading left singular vectors. Projections that fall
-    below 1/ceiling are capped at the ceiling; the flag reports whether any
-    point saturated.
+    below 1/_DEFAULT_CEILING are capped there, so values stop at 1e12; the
+    flag reports whether any point saturated.
     """
     m = signal_space_dim(msr, clean=True) if signal_dim is None else int(signal_dim)
     if not 0 < m < msr.n_directions:
         raise ConfigError(
             f"signal dimension must lie strictly between 0 and {msr.n_directions}"
         )
-    w = steering_vectors(lattice.points, msr.omega, msr.directions, config)
+    w = steering_vectors(lattice.points, msr.omega, msr.directions)
     basis = msr.left_vectors[:, :m]
     residual = w - (w @ basis.conj()) @ basis.T
     norms = np.linalg.norm(residual, axis=1)
-    saturated = bool(np.any(norms < 1.0 / ceiling))
-    values = 1.0 / np.maximum(norms, 1.0 / ceiling)
+    saturated = bool(np.any(norms < 1.0 / _DEFAULT_CEILING))
+    values = 1.0 / np.maximum(norms, 1.0 / _DEFAULT_CEILING)
     return from_point_values(lattice, values), saturated
 
 
 def kirchhoff_map(
-    lattice: Lattice, msr: MultistaticMatrix, config: SteeringConfig | None = None
+    lattice: Lattice, msr: MultistaticMatrix
 ) -> ImageMap:
     """Migration map |w(z)^H A conj(w(z))| on unit steering vectors.
 
@@ -125,19 +95,19 @@ def kirchhoff_map(
     must undo the phase twice or the image splits between a point and its
     mirror through the origin.
     """
-    w = steering_vectors(lattice.points, msr.omega, msr.directions, config)
+    w = steering_vectors(lattice.points, msr.omega, msr.directions)
     wc = w.conj()
     values = np.abs(np.einsum("pj,jl,pl->p", wc, msr.matrix, wc, optimize=True))
     return from_point_values(lattice, values)
 
 
 def multi_kirchhoff_map(
-    lattice: Lattice, msrs: list[MultistaticMatrix], config: SteeringConfig | None = None
+    lattice: Lattice, msrs: list[MultistaticMatrix]
 ) -> ImageMap:
     """Sum of the migration maps of several frequencies."""
     if not msrs:
         raise ConfigError("need at least one matrix")
     acc = np.zeros(lattice.points.shape[0])
     for msr in msrs:
-        acc += kirchhoff_map(lattice, msr, config).inside_values
+        acc += kirchhoff_map(lattice, msr).inside_values
     return from_point_values(lattice, acc)

@@ -38,6 +38,7 @@ from .forward import (
     IncidentSet,
     add_awgn,
     assemble_multistatic,
+    ensure_thin,
     frequency_band,
     resonance_orders,
     save_dataset,
@@ -63,16 +64,14 @@ from .postprocess import (
 
 _BUILTIN_CURVES = ("sigma1", "sigma2", "sigma3")
 _FUNCTIONALS = ("etd_multi", "etd_single", "music", "kirchhoff", "mkm", "oracles")
-_SYNTH_NODES = 400
-# inversion-side quadrature is kept at half the synthesis density so model
-# maps never ride the synthesis discretization
+# inversion-side quadrature is kept at half synthesize's default node count
+# (400) so model maps never ride the synthesis discretization
 _MODEL_NODES = 200
 _RIDGE_QUANTILE = 0.01
 # ridge points further out than this radius are sidelobe pickups: supporting
 # curves must keep a clearance inside the unit disk, so the fit ignores them
 _RIDGE_RADIUS = 0.85
 _SCAN_RESONANCE_TOL = 1e-4
-_THICKNESS_FRACTION = 0.1
 
 
 # marks the InclusionSpec fields that only a custom curve reads and carries
@@ -322,10 +321,15 @@ def _config_stage(config: ExperimentConfig):
     inclusions = [
         build(f"inclusion {i}", spec.build) for i, spec in enumerate(config.inclusions, start=1)
     ]
-    directions = build("incident", standard_directions, config.n_directions)
     omegas = build(
         "incident", frequency_band, config.n_frequencies, config.lambda_min, config.lambda_max
     )
+    # synthesize's thickness rule, refused here under each inclusion
+    if omegas is not None:
+        for i, incl in enumerate(inclusions, start=1):
+            if incl is not None:
+                build(f"inclusion {i}", ensure_thin, incl, omegas[-1])
+    directions = build("incident", standard_directions, config.n_directions)
     incident = None
     if directions is not None and omegas is not None:
         incident = build("incident", IncidentSet, directions, omegas)
@@ -365,13 +369,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         if incl.eps == incl.eps0 and incl.mu == incl.mu0:
             issues.append(
                 f"inclusion {i}: zero contrast against the background yields a flat map"
-            )
-        if incl.h > _THICKNESS_FRACTION * config.lambda_min:
-            issues.append(
-                f"inclusion {i}: half-thickness h={incl.h:g} exceeds "
-                f"{_THICKNESS_FRACTION:g} of the shortest wavelength "
-                f"lambda_min={config.lambda_min:g}; the thin-inclusion data "
-                f"model degrades"
             )
 
     if incident is not None:
@@ -460,7 +457,7 @@ def run(config: ExperimentConfig):
             raise faults[0][1]
 
     with _stage("synthesize"):
-        data = synthesize(inclusions, incident, grid, m_nodes=_SYNTH_NODES)
+        data = synthesize(inclusions, incident, grid)
 
     noise_seed = derive_seed(config.seed, "noise")
     with _stage("noise"):
@@ -495,7 +492,7 @@ def run(config: ExperimentConfig):
                 )
                 for i, fit in enumerate(fits)
             ]
-            comp = synthesize(fitted_inclusions, incident, grid, m_nodes=_SYNTH_NODES)
+            comp = synthesize(fitted_inclusions, incident, grid)
             report = discrete_norms(data, comp, k_index=0)
             for i, fit in enumerate(fits):
                 fit_rows.append((f"guess{i + 1}", fit, report if i == 0 else None))
@@ -629,7 +626,6 @@ def main(argv=None) -> int:
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("--config", type=Path, default=None, help="INI config path")
-    val_p.add_argument("--seed", type=int, default=None, help="override the master seed")
 
     exp_p = sub.add_parser("export-presets", help="write the shipped preset configs")
     exp_p.add_argument("--out", type=Path, default=Path("presets"), help="target directory")

@@ -37,7 +37,6 @@ _RADIUS_BIN_EDGES = np.array([0.0, 0.15, 0.3, 0.45, 0.6, 0.72, 0.82, 0.9, 1.01])
 # contribute below ~rho^cap anyway (see mode-count selection).
 _JNP_FLOOR = 1e-260
 _DEFAULT_SERIES_TOL = 1e-10
-_DEFAULT_SYNTH_NODES = 400
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +117,6 @@ def frequency_band(
     if n_frequencies == 1:
         return np.array([lo])
     return np.linspace(lo, hi, n_frequencies)
-
-
-def plane_wave(direction, omega: float, points):
-    """Incident plane wave e^{i w d.x} and its gradient at the given points.
-
-    Returns (values, gradients) with shapes (P,) and (P, 2); scalar-shaped
-    input points yield scalar value and (2,) gradient.
-    """
-    d = np.asarray(direction, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts2 = np.atleast_2d(pts)
-    phase = omega * (pts2 @ d)
-    vals = np.exp(1j * phase)
-    grads = (1j * omega) * vals[:, None] * d[None, :]
-    if single:
-        return vals[0], grads[0]
-    return vals, grads
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +229,6 @@ def neumann_function(
     x,
     y,
     omega: float,
-    trunc: int | None = None,
-    series_tol: float = _DEFAULT_SERIES_TOL,
     gradient: bool = False,
 ):
     """Neumann function N(x, y; omega) of the unit disk, one point pair.
@@ -262,9 +241,6 @@ def neumann_function(
         are possible; y must satisfy |y| <= 1.
     omega : float
         Frequency; rejected when within 1e-8 of a Neumann eigenvalue.
-    trunc : int, optional
-        Correction-series order override. The default grows with omega and
-        with the points' radii so the series tail stays below series_tol.
     gradient : bool
         Also return the gradient with respect to x.
 
@@ -290,10 +266,9 @@ def neumann_function(
     if dist < 1e-12:
         raise SingularityError("Neumann function evaluated on its diagonal")
 
-    if trunc is None:
-        # with one point on the rim, only the other radius makes the series decay
-        rho = max(rx * ry, ry if rx >= 0.98 else 0.0, rx if ry >= 0.98 else 0.0)
-        trunc = _series_order(omega, rho, series_tol)
+    # with one point on the rim, only the other radius makes the series decay
+    rho = max(rx * ry, ry if rx >= 0.98 else 0.0, rx if ry >= 0.98 else 0.0)
+    trunc = _series_order(omega, rho, _DEFAULT_SERIES_TOL)
     jnp, cut = jnp_values(omega, trunc)
     nmax = min(trunc, cut)
     orders = np.arange(nmax + 1)
@@ -433,7 +408,6 @@ def boundary_kernel_tables(
     omega: float,
     points: np.ndarray,
     boundary_angles: np.ndarray,
-    series_tol: float = _DEFAULT_SERIES_TOL,
     gradient: bool = False,
 ):
     """Neumann kernel N(x, y_b) for interior points against boundary points.
@@ -441,7 +415,7 @@ def boundary_kernel_tables(
     Returns the (P, NB) kernel matrix, plus its x and y gradient matrices
     when ``gradient`` is set.
     """
-    modes = DiskModes(omega, points, series_tol)
+    modes = DiskModes(omega, points, _DEFAULT_SERIES_TOL)
     phases = np.exp(-1j * np.outer(np.arange(modes.nmax + 1), boundary_angles))
     return modes.apply(phases, gradient)
 
@@ -450,10 +424,9 @@ def boundary_kernel_gradients(
     omega: float,
     points: np.ndarray,
     boundary_angles: np.ndarray,
-    series_tol: float = _DEFAULT_SERIES_TOL,
 ):
     """Kernel matrix and cartesian gradient matrices (P, NB) each."""
-    return boundary_kernel_tables(omega, points, boundary_angles, series_tol, gradient=True)
+    return boundary_kernel_tables(omega, points, boundary_angles, gradient=True)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +460,20 @@ class BoundaryDataset:
         return math.isinf(self.snr_db)
 
 
+def ensure_thin(inclusion: ThinInclusion, omega_max: float) -> None:
+    """Refuse a half-thickness above a tenth of the shortest wavelength 2 pi/omega_max."""
+    lam_min = 2.0 * math.pi / omega_max
+    if inclusion.h > lam_min / 10.0 + 1e-15:
+        raise ConfigError(
+            f"half-thickness {inclusion.h} too large for the shortest wavelength {lam_min:.4f}"
+        )
+
+
 def synthesize(
     inclusions,
     incident: IncidentSet,
     grid: BoundaryGrid,
-    m_nodes: int = _DEFAULT_SYNTH_NODES,
-    series_tol: float = _DEFAULT_SERIES_TOL,
+    m_nodes: int = 400,
 ) -> BoundaryDataset:
     """Synthesize clean boundary traces for one or more thin inclusions.
 
@@ -504,8 +485,6 @@ def synthesize(
     m_nodes : int
         Curve quadrature nodes (default 400; keep this at least twice any
         node count used on the inversion side).
-    series_tol : float
-        Mode-series tail tolerance for the boundary kernel.
 
     Returns
     -------
@@ -519,12 +498,8 @@ def synthesize(
         raise ConfigError("need at least one inclusion")
     for omega in incident.omegas:
         ensure_not_resonant(float(omega))
-    lam_min = 2.0 * math.pi / float(np.max(incident.omegas))
     for inc in inclusions:
-        if inc.h > lam_min / 10.0 + 1e-15:
-            raise ConfigError(
-                f"half-thickness {inc.h} too large for the shortest wavelength {lam_min:.4f}"
-            )
+        ensure_thin(inc, float(np.max(incident.omegas)))
 
     n_b = grid.n_points
     L = incident.n_directions
@@ -542,7 +517,7 @@ def synthesize(
         nor_dot = disc.normals @ incident.directions.T
         for k in range(K):
             omega = float(incident.omegas[k])
-            kernel, gx, gy = boundary_kernel_gradients(omega, nodes, grid.angles, series_tol)
+            kernel, gx, gy = boundary_kernel_gradients(omega, nodes, grid.angles)
             g_tan = disc.tangents[:, 0:1] * gx + disc.tangents[:, 1:2] * gy
             g_nor = disc.normals[:, 0:1] * gx + disc.normals[:, 1:2] * gy
             u = np.exp(1j * omega * (nodes @ incident.directions.T))  # (M, L)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 
-_FD_STEP = 1e-6
 _PANEL_ORDER = 4
 _MIN_CLEARANCE = 0.1
 
@@ -27,8 +26,7 @@ _MIN_CLEARANCE = 0.1
 class ParametricCurve:
     """Open curve s -> (fx(s), fy(s)) on [s_min, s_max].
 
-    dfx/dfy are analytic derivative callables when available; when absent the
-    velocity falls back to central differences with step 1e-6.
+    dfx/dfy are the analytic derivative callables; they are required.
     """
 
     label: str
@@ -36,8 +34,8 @@ class ParametricCurve:
     s_max: float
     fx: Callable[[np.ndarray], np.ndarray]
     fy: Callable[[np.ndarray], np.ndarray]
-    dfx: Callable[[np.ndarray], np.ndarray] | None = None
-    dfy: Callable[[np.ndarray], np.ndarray] | None = None
+    dfx: Callable[[np.ndarray], np.ndarray]
+    dfy: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if not (self.s_min < self.s_max):
@@ -49,13 +47,9 @@ class ParametricCurve:
 
     def velocity(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if self.dfx is not None and self.dfy is not None:
-            return np.stack(
-                [np.asarray(self.dfx(s), dtype=float), np.asarray(self.dfy(s), dtype=float)], axis=-1
-            )
-        up = self.points(s + _FD_STEP)
-        dn = self.points(s - _FD_STEP)
-        return (up - dn) / (2.0 * _FD_STEP)
+        return np.stack(
+            [np.asarray(self.dfx(s), dtype=float), np.asarray(self.dfy(s), dtype=float)], axis=-1
+        )
 
 
 def builtin_curve(label: str) -> ParametricCurve:
@@ -271,10 +265,6 @@ class BoundaryGrid:
         points.setflags(write=False)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "points", points)
-
-    @property
-    def normals(self) -> np.ndarray:
-        return self.points
 
     @property
     def weight(self) -> float:

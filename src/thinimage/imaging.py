@@ -10,7 +10,7 @@ their gradients.
 
 The closed-form families at the end of the module pair the incident waves
 over the known curve alone, in several regimes (single frequency, wide band
-with few or many directions, infinite band). They leave out the adjoint's
+with few or many directions). They leave out the adjoint's
 boundary factor (the disk kernel composed with itself over the boundary) and
 the polarization sources (the tangential and normal gradient terms of the
 first-order trace), so they are not what the raw maps converge to. They serve
@@ -42,7 +42,6 @@ def adjoint_field_batch(
     grid: BoundaryGrid,
     omega: float,
     points: np.ndarray,
-    series_tol: float = _DEFAULT_MAP_TOL,
     gradient: bool = False,
 ):
     """Adjoint fields at many interior points for one frequency.
@@ -56,8 +55,6 @@ def adjoint_field_batch(
     omega : float
     points : ndarray, shape (P, 2)
         Interior evaluation points, |z| < 1.
-    series_tol : float
-        Mode-series tail tolerance.
     gradient : bool
         Also return gradients, shape (P, L, 2).
 
@@ -80,7 +77,7 @@ def adjoint_field_batch(
     traces = np.asarray(traces, dtype=complex)
     if traces.ndim != 2 or traces.shape[0] != grid.n_points:
         raise ValueError(f"traces must have shape (N={grid.n_points}, L)")
-    modes = DiskModes(omega, points, series_tol)
+    modes = DiskModes(omega, points, _DEFAULT_MAP_TOL)
     n_l = traces.shape[1]
     top = min(modes.nmax, grid.n_points // 2)
     phases = np.exp(-1j * np.outer(np.arange(top + 1), grid.angles))
@@ -99,12 +96,11 @@ def adjoint_field(
     grid: BoundaryGrid,
     omega: float,
     z,
-    series_tol: float = _DEFAULT_MAP_TOL,
     gradient: bool = False,
 ):
     """Adjoint field (and optionally gradient) at a single interior point."""
     z = np.asarray(z, dtype=float).reshape(1, 2)
-    fields = adjoint_field_batch(traces, grid, omega, z, series_tol, gradient)
+    fields = adjoint_field_batch(traces, grid, omega, z, gradient)
     return tuple(f[0] for f in fields) if gradient else fields[0]
 
 
@@ -116,7 +112,6 @@ def td_component_maps(
     data: BoundaryDataset,
     lattice: Lattice,
     k_index: int = 0,
-    series_tol: float = _DEFAULT_MAP_TOL,
 ) -> tuple[ImageMap, ImageMap]:
     """Raw permittivity- and permeability-sensitivity maps at one frequency.
 
@@ -132,7 +127,7 @@ def td_component_maps(
     traces = data.traces[:, :, k_index]
     directions = data.incident.directions
     v, gv = adjoint_field_batch(
-        traces, data.grid, omega, lattice.points, series_tol, gradient=True
+        traces, data.grid, omega, lattice.points, gradient=True
     )
     iy, ix = np.nonzero(lattice.mask)
     u = np.exp(1j * omega * np.outer(lattice.ys, directions[:, 1]))[iy]
@@ -168,17 +163,15 @@ def etd_single(
     data: BoundaryDataset,
     lattice: Lattice,
     k_index: int = 0,
-    series_tol: float = _DEFAULT_MAP_TOL,
 ) -> ImageMap:
     """Normalized topological-derivative map at one frequency."""
-    eps_map, mu_map = td_component_maps(data, lattice, k_index, series_tol)
+    eps_map, mu_map = td_component_maps(data, lattice, k_index)
     return normalized_combination(eps_map, mu_map)
 
 
 def etd_multi(
     data: BoundaryDataset,
     lattice: Lattice,
-    series_tol: float = _DEFAULT_MAP_TOL,
 ) -> ImageMap:
     """Multi-frequency map: the mean of the per-frequency normalized maps.
 
@@ -189,7 +182,7 @@ def etd_multi(
     n_k = data.incident.n_frequencies
     acc = np.zeros(lattice.points.shape[0])
     for k in range(n_k):
-        acc += etd_single(data, lattice, k, series_tol).inside_values
+        acc += etd_single(data, lattice, k).inside_values
     return from_point_values(lattice, acc / float(n_k))
 
 
@@ -301,33 +294,6 @@ def radial_band_maps(
     diff = disc.nodes[None, :, :] - pts[:, None, :]
     t = np.hypot(diff[:, :, 0], diff[:, :, 1])
     kern = 2.0 * math.pi * (j0_band_integral(t, omega_hi) - j0_band_integral(t, omega_lo))
-    gamma = inclusion.permittivity_contrast()
-    eps_vals = kern @ (disc.weights * gamma)
-    mu_vals = np.zeros(pts.shape[0])
-    for d in np.atleast_2d(np.asarray(directions, dtype=float)):
-        mu_vals += kern @ (disc.weights * _mu_bracket(disc, inclusion, d))
-    return from_point_values(lattice, eps_vals), from_point_values(lattice, mu_vals)
-
-
-def inverse_distance_maps(
-    lattice: Lattice,
-    disc: CurveDiscretization,
-    inclusion: ThinInclusion,
-    directions: np.ndarray,
-    min_distance: float | None = None,
-) -> tuple[ImageMap, ImageMap]:
-    """Model maps with the infinite-band limit kernel 2 pi / |x-z|.
-
-    Curve nodes closer to a lattice point than ``min_distance`` (default:
-    half the lattice spacing) are dropped from that point's quadrature so
-    the kernel stays finite.
-    """
-    pts = lattice.points
-    cutoff = 0.5 * lattice.spacing if min_distance is None else float(min_distance)
-    diff = disc.nodes[None, :, :] - pts[:, None, :]
-    t = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    with np.errstate(divide="ignore"):
-        kern = np.where(t >= cutoff, 2.0 * math.pi / np.maximum(t, 1e-300), 0.0)
     gamma = inclusion.permittivity_contrast()
     eps_vals = kern @ (disc.weights * gamma)
     mu_vals = np.zeros(pts.shape[0])

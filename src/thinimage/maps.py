@@ -50,14 +50,14 @@ class Lattice:
         )
 
 
-def make_lattice(n: int = 128, clip_radius: float = 0.95, extent: float = 1.0) -> Lattice:
-    """Build an n-by-n lattice over [-extent, extent]^2 clipped to a disk."""
+def make_lattice(n: int = 128, clip_radius: float = 0.95) -> Lattice:
+    """Build an n-by-n lattice over [-1, 1]^2 clipped to a disk."""
     if n < 8:
         raise ConfigError(f"lattice needs at least 8 nodes per side, got {n}")
-    if not (0.0 < clip_radius <= extent):
-        raise ConfigError(f"clip radius must lie in (0, {extent}], got {clip_radius}")
-    xs = np.linspace(-extent, extent, n)
-    ys = np.linspace(-extent, extent, n)
+    if not (0.0 < clip_radius <= 1.0):
+        raise ConfigError(f"clip radius must lie in (0, 1.0], got {clip_radius}")
+    xs = np.linspace(-1.0, 1.0, n)
+    ys = np.linspace(-1.0, 1.0, n)
     gx, gy = np.meshgrid(xs, ys)
     mask = np.hypot(gx, gy) <= clip_radius
     points = np.column_stack([gx[mask], gy[mask]])

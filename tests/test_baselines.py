@@ -16,7 +16,6 @@ from thinimage.forward import (
 )
 from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve, discretize
 from thinimage.baselines import (
-    SteeringConfig,
     kirchhoff_map,
     multi_kirchhoff_map,
     music_map,
@@ -116,18 +115,13 @@ class TestSteering:
 
     def test_rows_are_unit(self):
         dirs = standard_directions(12)
-        cfg = SteeringConfig(c=(0.5, 1.0, -2.0))
-        w = steering_vectors(np.array([[0.1, 0.2], [-0.4, 0.0]]), OMEGA, dirs, cfg)
+        w = steering_vectors(np.array([[0.1, 0.2], [-0.4, 0.0]]), OMEGA, dirs)
         assert np.allclose(np.linalg.norm(w, axis=1), 1.0, rtol=0.0, atol=1e-13)
 
     def test_distinct_points_not_parallel(self):
         dirs = standard_directions(16)
         w = steering_vectors(np.array([[0.2, 0.1], [-0.2, -0.1]]), OMEGA, dirs)
         assert abs(np.vdot(w[0], w[1])) < 1.0 - 1e-6
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ConfigError):
-            SteeringConfig(c=(0.0, 0.0, 0.0))
 
 
 class TestSignalSpace:

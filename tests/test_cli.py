@@ -351,6 +351,10 @@ class TestValidate:
                 )
                 for name in ("etd_single", "music", "kirchhoff")
             ),
+            (
+                dict(inclusions=(InclusionSpec(h=0.05),)),
+                "inclusion 1: half-thickness 0.05 too large for the shortest wavelength 0.2000",
+            ),
         ],
     )
     def test_each_fault_is_refused_by_run_in_the_same_words(self, tmp_path, kwargs, fault):

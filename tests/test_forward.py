@@ -26,7 +26,6 @@ from thinimage.forward import (
     frequency_band,
     load_dataset,
     neumann_function,
-    plane_wave,
     resonance_orders,
     save_dataset,
     standard_directions,
@@ -73,27 +72,6 @@ class TestIncident:
     def test_decreasing_omegas_rejected(self):
         with pytest.raises(ConfigError):
             IncidentSet(standard_directions(2), np.array([10.0, 9.0]))
-
-    def test_plane_wave_value_and_gradient(self):
-        d = np.array([0.0, 1.0])
-        pt = np.array([0.3, 0.4])
-        v, g = plane_wave(d, OMEGA_LO, pt)
-        assert v == pytest.approx(np.exp(1j * OMEGA_LO * 0.4), rel=1e-14)
-        assert np.allclose(g, 1j * OMEGA_LO * v * d, atol=1e-12)
-
-    def test_plane_wave_satisfies_helmholtz(self):
-        d = standard_directions(3)[1]
-        pt = np.array([0.1, -0.2])
-        h = 1e-5
-        lap = 0.0 + 0.0j
-        v0, _ = plane_wave(d, OMEGA_LO, pt)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            vp, _ = plane_wave(d, OMEGA_LO, pt + e)
-            vm, _ = plane_wave(d, OMEGA_LO, pt - e)
-            lap += (vp - 2.0 * v0 + vm) / h**2
-        assert abs(lap + OMEGA_LO**2 * v0) < 1e-3 * OMEGA_LO**2
 
 
 class TestResonance:

@@ -151,14 +151,6 @@ class TestPolySinCurve:
         assert np.allclose(c.points(s), ref.points(s), atol=1e-14)
         assert np.allclose(c.velocity(s), ref.velocity(s), atol=1e-12)
 
-    def test_fd_fallback_matches_analytic(self):
-        analytic = poly_sin_curve("p", -0.5, 0.5, y_poly=[0.1, -0.3, 0.2])
-        opaque = ParametricCurve(
-            "q", -0.5, 0.5, fx=analytic.fx, fy=analytic.fy
-        )
-        s = np.linspace(-0.45, 0.45, 21)
-        assert np.allclose(analytic.velocity(s), opaque.velocity(s), atol=1e-7)
-
 
 class TestThinInclusion:
     def test_contrast_eigenvalues(self):
@@ -195,7 +187,6 @@ class TestBoundaryGrid:
         g = boundary_grid(128)
         radii = np.hypot(g.points[:, 0], g.points[:, 1])
         assert np.allclose(radii, 1.0, atol=1e-15)
-        assert g.normals is g.points
         assert g.weight * g.n_points == pytest.approx(2 * math.pi)
 
     def test_trapezoid_exactness_on_smooth_periodic(self):

@@ -27,7 +27,6 @@ from thinimage.imaging import (
     band_kernel_maps,
     etd_multi,
     etd_single,
-    inverse_distance_maps,
     normalized_combination,
     radial_band_maps,
     single_frequency_kernel_maps,
@@ -320,38 +319,6 @@ class TestKernelModels:
         length = float(np.sum(disc.weights))
         expected = 2.0 * math.pi * (inclusion.eps - inclusion.eps0) * length * (hi - lo)
         assert abs(eps_map.inside_values[center] - expected) < 0.05 * expected
-
-    def test_inverse_distance_far_bound(self, sigma1):
-        curve, disc = sigma1
-        inclusion = ThinInclusion(curve)
-        lattice = make_lattice(64)
-        eps_map, _ = inverse_distance_maps(
-            lattice, disc, inclusion, standard_directions(4)
-        )
-        dists = np.min(
-            np.hypot(
-                lattice.points[:, None, 0] - disc.nodes[None, :, 0],
-                lattice.points[:, None, 1] - disc.nodes[None, :, 1],
-            ),
-            axis=1,
-        )
-        far = dists >= 1.0
-        assert np.any(far)
-        bound = 2.0 * math.pi * (inclusion.eps - inclusion.eps0) * np.sum(disc.weights)
-        assert np.max(eps_map.inside_values[far]) <= bound * (1.0 + 1e-12)
-
-    def test_inverse_distance_decays_along_ray(self, sigma1):
-        curve, disc = sigma1
-        inclusion = ThinInclusion(curve)
-        lattice = make_lattice(128)
-        eps_map, _ = inverse_distance_maps(
-            lattice, disc, inclusion, standard_directions(4)
-        )
-        xs = np.linspace(-1.0, 1.0, 128)
-        ys = np.linspace(-1.0, 1.0, 128)
-        column = eps_map.values[:, int(np.argmin(np.abs(xs + 0.2)))]
-        ray = column[(ys <= 0.25) & (ys >= -0.5)][::-1]  # walking away downward
-        assert np.all(np.diff(ray) < 0.0)
 
 
 class TestOracleConsistency:
