@@ -16,6 +16,8 @@ a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
   for the N-point grid), value alone (the Bessel and angular tables and one
   product per radius bin) and with the gradient;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
+- ``td_component_maps``: both raw sensitivity maps at the top frequency,
+  the adjoint together with the sums against the incident waves;
 - ``etd_multi``: the whole multi-frequency map;
 - ``synthesize``: the clean traces of the scene.
 
@@ -85,6 +87,9 @@ def scene_layers(n_directions: int, size: int) -> dict:
         "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True),
         "adjoint_field_batch": lambda: imaging.adjoint_field_batch(
             traces, grid, omega, lattice.points, gradient=True
+        ),
+        "td_component_maps": lambda: imaging.td_component_maps(
+            noisy, lattice, N_FREQUENCIES - 1
         ),
         "etd_multi": lambda: imaging.etd_multi(noisy, lattice),
         "synthesize": lambda: forward.synthesize(inclusions, incident, grid),

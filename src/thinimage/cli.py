@@ -639,9 +639,11 @@ def main(argv=None) -> int:
             print(f"wrote {len(manifest['artifacts']) + 1} artifacts to {out_dir}")
             return 0
         if args.command == "validate":
-            for line in validate(_load_config(args)):
+            config = _load_config(args)
+            for line in validate(config):
                 print(line)
-            return 0
+            # a fault run's config stage refuses fails the check; warnings do not
+            return 2 if _config_stage(config)[1] else 0
         if args.command == "export-presets":
             written = export_presets(args.out)
             print(f"wrote {len(written)} presets to {args.out}")

@@ -160,43 +160,66 @@ def bessel_j_table(nmax: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x) & (x >= 0.0)):
         raise ValueError("bessel_j_table requires finite x >= 0")
-    out = np.zeros((nmax + 1, x.size))
+    return _miller_blocks(x, [(0, x.size, nmax)])
+
+
+def _miller_blocks(x: np.ndarray, blocks) -> np.ndarray:
+    """Bessel tables of contiguous blocks of x in one downward recurrence.
+
+    ``blocks`` lists (lo, hi, nmax): column j in [lo, hi) gets J_0..J_nmax of
+    x[j] and zeros above. Each block joins the loop at the start order its own
+    ``bessel_j_table(nmax, x[lo:hi])`` call would take, so its columns are
+    bitwise that call's. The blocks must be ordered so that their start
+    orders and their nmax do not decrease; the columns the loop works on are
+    then always a suffix of x.
+    """
+    starts, orders = [], []
+    for lo, hi, nmax in blocks:
+        top = max(nmax, int(math.ceil(float(np.max(x[lo:hi], initial=0.0)))))
+        starts.append(top + 15 + int(math.sqrt(40.0 * max(top, 1))))
+        orders.append(nmax)
+    if np.any(np.diff(starts) < 0) or np.any(np.diff(orders) < 0):
+        raise ValueError("blocks must not decrease in start order or in nmax")
+    out = np.zeros((max(orders, default=0) + 1, x.size))
     zero = x == 0.0
     inv_x = 1.0 / np.where(zero, 1.0, x)
-
-    top = max(nmax, int(math.ceil(float(np.max(x, initial=0.0)))))
-    start = top + 15 + int(math.sqrt(40.0 * max(top, 1)))
-    jp = np.zeros(x.size)
-    jc = np.full(x.size, 1e-30)
-    scratch = np.empty(x.size)
-    even_sum = np.zeros(x.size)
-    if start % 2 == 0:
-        even_sum += jc
-    for n in range(start, 0, -1):
+    jp, jc, even_sum, scratch = (np.zeros(x.size) for _ in range(4))
+    joined = stored = len(blocks)  # blocks [joined:] recur, [stored:] keep the row
+    first = x.size
+    for n in range(max(starts, default=0), 0, -1):
+        while joined > 0 and starts[joined - 1] >= n:
+            joined -= 1
+            lo = blocks[joined][0]
+            jp[lo:first] = 0.0
+            jc[lo:first] = 1e-30
+            even_sum[lo:first] = 1e-30 if n % 2 == 0 else 0.0
+            first = lo
+            vp, vc, ve, vs, vi = (a[first:] for a in (jp, jc, even_sum, scratch, inv_x))
         # J_{n-1} = (2n/x) J_n - J_{n+1}, written over the J_{n+1} buffer
-        np.multiply(np.multiply(2.0 * n, inv_x, out=scratch), jc, out=scratch)
-        np.subtract(scratch, jp, out=jp)
-        jp, jc = jc, jp
-        if n - 1 <= nmax:
-            out[n - 1] = jc
+        np.multiply(np.multiply(2.0 * n, vi, out=vs), vc, out=vs)
+        np.subtract(vs, vp, out=vp)
+        jp, jc, vp, vc = jc, jp, vc, vp
+        while stored > 0 and orders[stored - 1] >= n - 1:
+            stored -= 1
+        if stored < len(blocks):
+            lo = blocks[stored][0]
+            out[n - 1, lo:] = jc[lo:]
         if (n - 1) % 2 == 0 and n - 1 > 0:
-            even_sum += jc
-        np.abs(jc, out=scratch)
-        if scratch.max(initial=0.0) > 1e250:
+            ve += vc
+        np.abs(vc, out=vs)
+        if vs.max(initial=0.0) > 1e250:
             # Rescale only the offending points; growth rates differ wildly
             # across arguments and a global rescale would flush slow-growing
             # columns to zero.
-            big = scratch > 1e250
+            big = np.flatnonzero(vs > 1e250) + first
             jc[big] *= 1e-250
             jp[big] *= 1e-250
             even_sum[big] *= 1e-250
             out[:, big] *= 1e-250
     # Normalization J0 + 2*sum_{k>=1} J_{2k} = 1 (even_sum excludes J0).
-    norm = jc + 2.0 * even_sum
-    out /= norm
-    if np.any(zero):
-        out[:, zero] = 0.0
-        out[0, zero] = 1.0
+    out /= jc + 2.0 * even_sum
+    out[:, zero] = 0.0
+    out[0, zero] = 1.0
     return out
 
 
@@ -324,12 +347,14 @@ def neumann_function(
 # boundary-source kernel
 
 
-def _angular_table(thetas: np.ndarray, nmax: int) -> np.ndarray:
+def _angular_table(thetas: np.ndarray, nmax: int, out=None) -> np.ndarray:
     """e^{in theta}, n = 0..nmax, one column per angle: e^{i(n+1)theta} = e^{in theta} e^{i theta}.
 
-    Up to order 600 the rounding this builds up stays below 5e-14.
+    Up to order 600 the rounding this builds up stays below 5e-14. ``out``,
+    if given, is the complex (nmax + 1, thetas.size) array written to.
     """
-    table, step = np.empty((nmax + 1, thetas.size), dtype=complex), np.exp(1j * thetas)
+    table = np.empty((nmax + 1, thetas.size), dtype=complex) if out is None else out
+    step = np.exp(1j * thetas)
     table[0] = 1.0
     for n in range(nmax):
         np.multiply(table[n], step, out=table[n + 1])
@@ -345,6 +370,16 @@ class DiskModes:
     ``nmax`` from the series tolerance at the largest radius, cut where J_n'(w)
     underflows. Each geometric radius bin stops at its own lower order: the
     rows past it sit below the tolerance.
+
+    The points are held in radius order (one stable sort at construction), so
+    each radius bin is a contiguous slice (lo, hi, n_b) of them, and one
+    Miller recurrence builds the Bessel values of every bin at once: bins join
+    it in turn, from the outermost inwards, at the start orders their own
+    ``bessel_j_table`` calls would take, so each reads bitwise what that call
+    gives. ``apply`` returns its rows in the input order. Besides the values
+    it gives their x and y gradients (synthesis) or, in one product with two
+    blocks of columns instead of three, the derivative of each column along
+    its own unit vector (the adjoint of the imaging maps).
     """
 
     def __init__(self, omega: float, points, series_tol: float):
@@ -360,17 +395,18 @@ class DiskModes:
         self.nmax = min(nmax, cut - 1)
         eps_n = np.where(np.arange(self.nmax + 1) == 0, 1.0, 2.0)
         self._weights = eps_n / (2.0 * math.pi * omega * jnp[: self.nmax + 1])
-        self._radii = radii
-        self._thetas = np.arctan2(pts[:, 1], pts[:, 0])
-        # (points, order) per bin, the order set by the bin's outer radius
-        bin_of = np.digitize(radii, _RADIUS_BIN_EDGES)
+        self._order = np.argsort(radii, kind="stable")
+        self._radii = radii[self._order]
+        self._thetas = np.arctan2(pts[:, 1], pts[:, 0])[self._order]
+        # (lo, hi, order) per bin of the sorted points, the order set by the bin's outer radius
+        edges = np.searchsorted(self._radii, _RADIUS_BIN_EDGES).tolist()
         self._bins = [
-            (np.flatnonzero(bin_of == b), min(self.nmax, mode_count(omega, r_hi, series_tol)))
-            for b, r_hi in enumerate(np.minimum(_RADIUS_BIN_EDGES[1:], 0.999), start=1)
-            if np.any(bin_of == b)
+            (lo, hi, min(self.nmax, mode_count(omega, r_hi, series_tol)))
+            for lo, hi, r_hi in zip(edges, edges[1:], np.minimum(_RADIUS_BIN_EDGES[1:], 0.999))
+            if hi > lo
         ]
 
-    def apply(self, c: np.ndarray, gradient: bool = False):
+    def apply(self, c: np.ndarray, gradient: bool = False, directions=None):
         """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax.
 
         The rows of ``c`` set the order: each radius bin sums to min(n_b, m)
@@ -378,30 +414,46 @@ class DiskModes:
         rows past m set to zero gives.
 
         Returns the (P, C) real values, followed by their x and y gradients
-        when ``gradient`` is set. With a_n = eps_n c_n/(2 pi w J_n'(w)), the
-        gradients shift the coefficients by one order, d_x Phi_n = (w/2)(Phi_{n-1}
-        - Phi_{n+1}) and d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so each radius
-        bin takes one table Phi_0..Phi_{n_b+1} and one real matmul
-        [Re Phi; Im Phi]^T [Re b; -Im b] for all 3C columns.
+        when ``gradient`` is set, or by the derivative of column j along the
+        unit vector ``directions[j]`` when ``directions`` (shape (C, 2)) is
+        given. With a_n = eps_n c_n/(2 pi w J_n'(w)), the derivatives shift
+        the coefficients by one order, d_x Phi_n = (w/2)(Phi_{n-1} - Phi_{n+1})
+        and d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so each radius bin
+        takes one table Phi_0..Phi_{n_b+1} and one real matmul
+        [Re Phi; Im Phi]^T [Re b; -Im b] for all its columns: b = [a, d_x a,
+        d_y a] for the gradients (3C) and b = [a, dx d_x a + dy d_y a] for the
+        directional derivative (2C).
         """
-        fields = np.zeros((self._radii.size, (3 if gradient else 1) * c.shape[1]))
-        for members, n_b in self._bins:
-            n_b = min(n_b, c.shape[0] - 1)
+        if gradient and directions is not None:
+            raise ValueError("ask for the gradient or for directional derivatives, not both")
+        width = 3 if gradient else 1 if directions is None else 2
+        bins = [(lo, hi, min(n_b, c.shape[0] - 1)) for lo, hi, n_b in self._bins]
+        blocks = [(lo, hi, n_b + 1) for lo, hi, n_b in bins]
+        bessel = _miller_blocks(self.omega * self._radii, blocks)
+        # table workspaces sized for the largest bin; each bin uses their leading part
+        rows, size = max(n_b for _, _, n_b in bins) + 2, max(hi - lo for lo, hi, _ in bins)
+        phase_work, table_work = np.empty(rows * size, dtype=complex), np.empty(2 * rows * size)
+        fields = np.empty((self._radii.size, width * c.shape[1]))
+        for lo, hi, n_b in bins:
             a = np.zeros((n_b + 4, c.shape[1]), dtype=complex)  # a_{-1}..a_{n_b+2}
             a[1 : n_b + 2] = self._weights[: n_b + 1, None] * c[: n_b + 1]
             coef, above, below = a[1:-1], a[2:], a[:-2].copy()
-            if gradient:
+            if width > 1:
                 # Phi_{-1} = -conj(Phi_1), so Re(k a_0 Phi_{-1}) = -Re(conj(k a_0) Phi_1)
                 below[1] += below[1].conj()
                 half = 0.5 * self.omega
-                coef = np.hstack([coef, half * (above - below), (1j * half) * (above + below)])
-            jr = bessel_j_table(n_b + 1, self.omega * self._radii[members])
-            phases = _angular_table(self._thetas[members], n_b + 1)
-            table = np.empty((2 * (n_b + 2), members.size))
-            np.multiply(jr, phases.real, out=table[: n_b + 2])
-            np.multiply(jr, phases.imag, out=table[n_b + 2 :])
-            fields[members] = table.T @ np.vstack([coef.real, -coef.imag])
-        return tuple(np.hsplit(fields, 3)) if gradient else fields
+                d_x, d_y = half * (above - below), (1j * half) * (above + below)
+                if gradient:
+                    coef = np.hstack([coef, d_x, d_y])
+                else:
+                    coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
+            k, m = n_b + 2, hi - lo
+            phases = _angular_table(self._thetas[lo:hi], n_b + 1, phase_work[: k * m].reshape(k, m))
+            table = table_work[: 2 * k * m].reshape(2 * k, m)
+            np.multiply(bessel[:k, lo:hi], phases.real, out=table[:k])
+            np.multiply(bessel[:k, lo:hi], phases.imag, out=table[k:])
+            fields[self._order[lo:hi]] = table.T @ np.vstack([coef.real, -coef.imag])
+        return tuple(np.hsplit(fields, width)) if width > 1 else fields
 
 
 def boundary_kernel_tables(

@@ -78,17 +78,27 @@ def adjoint_field_batch(
     if traces.ndim != 2 or traces.shape[0] != grid.n_points:
         raise ValueError(f"traces must have shape (N={grid.n_points}, L)")
     modes = DiskModes(omega, points, _DEFAULT_MAP_TOL)
-    n_l = traces.shape[1]
-    top = min(modes.nmax, grid.n_points // 2)
+    fields = modes.apply(_trace_modes(traces, grid, modes.nmax), gradient)
+    if not gradient:
+        return fields.view(complex)
+    v, gx, gy = (f.view(complex) for f in fields)
+    return v, np.stack([gx, gy], axis=-1)
+
+
+def _trace_modes(traces: np.ndarray, grid: BoundaryGrid, nmax: int) -> np.ndarray:
+    """Mode projections of the traces' real and imaginary parts, (min(nmax, N/2) + 1, 2L).
+
+    Column 2l holds (2 pi/N) sum_b Re(tr_bl) e^{-in phi_b} in row n, column
+    2l + 1 the same of Im(tr_bl); for even N the Nyquist row N/2 is halved
+    (see ``adjoint_field_batch``). The kernel is real, so the fields of the
+    two columns are the real and imaginary parts of direction l's field.
+    """
+    top = min(nmax, grid.n_points // 2)
     phases = np.exp(-1j * np.outer(np.arange(top + 1), grid.angles))
-    coefficients = grid.weight * (phases @ np.hstack([traces.real, traces.imag]))
+    coefficients = grid.weight * (phases @ np.ascontiguousarray(traces, dtype=complex).view(float))
     if 2 * top == grid.n_points:
         coefficients[top] *= 0.5
-    fields = modes.apply(coefficients, gradient)
-    if not gradient:
-        return fields[:, :n_l] + 1j * fields[:, n_l:]
-    v, gx, gy = (f[:, :n_l] + 1j * f[:, n_l:] for f in fields)
-    return v, np.stack([gx, gy], axis=-1)
+    return coefficients
 
 
 def adjoint_field(
@@ -117,27 +127,33 @@ def td_component_maps(
 
     The permittivity component is Re sum_l v_l conj(u_l); the permeability
     component is Re sum_l grad v_l . conj(grad u_l), with u_l the incident
-    wave and v_l the adjoint field of direction l. The incident waves
-    separate by axis, e^{iw d.z} = e^{iw d_x x} e^{iw d_y y}, so they are
-    gathered from one phase table per lattice axis.
+    wave and v_l the adjoint field of direction l. The kernel is real, so the
+    fields of a trace's real and imaginary parts are Re v_l and Im v_l, and
+    grad u_l = i w d_l u_l leaves only the derivative D_l = d_l . grad v_l:
+
+        eps = sum_l (Re v_l Re u_l + Im v_l Im u_l),
+        mu = w sum_l (Im D_l Re u_l - Re D_l Im u_l).
+
+    One ``DiskModes.apply`` gives v and D as real (Re, Im) column pairs, each
+    pair differentiated along its own direction, and each map is a real dot
+    product of those pairs with the (Re, Im) pairs of u, or of
+    i u = (-Im u, Re u). The incident waves separate by axis,
+    e^{iw d.z} = e^{iw d_x x} e^{iw d_y y}, so u is the product of one phase
+    table per lattice axis, the one complex (P, L) array built here.
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
     omega = float(data.incident.omegas[k_index])
-    traces = data.traces[:, :, k_index]
     directions = data.incident.directions
-    v, gv = adjoint_field_batch(
-        traces, data.grid, omega, lattice.points, gradient=True
-    )
+    modes = DiskModes(omega, lattice.points, _DEFAULT_MAP_TOL)
+    coefficients = _trace_modes(data.traces[:, :, k_index], data.grid, modes.nmax)
+    v, d = modes.apply(coefficients, directions=np.repeat(directions, 2, axis=0))
     iy, ix = np.nonzero(lattice.mask)
     u = np.exp(1j * omega * np.outer(lattice.ys, directions[:, 1]))[iy]
     u *= np.exp(1j * omega * np.outer(lattice.xs, directions[:, 0]))[ix]
-    eps_vals = np.sum(np.real(v * u.conj()), axis=1)
-    gu_x = (1j * omega) * u * directions[None, :, 0]
-    gu_y = (1j * omega) * u * directions[None, :, 1]
-    mu_vals = np.sum(
-        np.real(gv[:, :, 0] * gu_x.conj() + gv[:, :, 1] * gu_y.conj()), axis=1
-    )
+    eps_vals = np.einsum("pk,pk->p", v, u.view(float))
+    u *= 1j
+    mu_vals = omega * np.einsum("pk,pk->p", d, u.view(float))
     return from_point_values(lattice, eps_vals), from_point_values(lattice, mu_vals)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, FitError, RidgeError
 from .forward import BoundaryDataset
@@ -159,6 +158,10 @@ def clustered_ridges(
     scene yields its own point set. Clusters with fewer than min_points
     thinned points are dropped.
     """
+    # imported here: only multi-inclusion runs label clusters, and the import
+    # would otherwise add to every start of the command line
+    from scipy import ndimage
+
     selected = _selected_mask(imap, quantile)
     labels, count = ndimage.label(selected, structure=_EIGHT_NEIGHBORHOOD)
     ridges = []

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import thinimage
 from thinimage.cli import (
     ExperimentConfig,
     InclusionSpec,
@@ -494,6 +498,19 @@ class TestPresets:
 
 
 class TestMain:
+    def test_import_leaves_ndimage_unloaded(self):
+        # only multi-inclusion runs label ridge clusters with scipy.ndimage, so
+        # a fresh interpreter importing the command line must not load it
+        src = str(Path(thinimage.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        code = "import sys, thinimage.cli; print('scipy.ndimage' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_validate_subcommand(self, capsys):
         assert main(["validate"]) == 0
         assert capsys.readouterr().out.strip() == "ok"
@@ -501,8 +518,15 @@ class TestMain:
     def test_validate_with_config(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         write_config(ExperimentConfig(inclusions=(InclusionSpec(h=0.2),)), path)
-        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["validate", "--config", str(path)]) == 2
         assert "half-thickness" in capsys.readouterr().out
+
+    def test_validate_warnings_only_exit_zero(self, tmp_path, capsys):
+        # a warning run does not act on leaves the exit status at 0
+        path = tmp_path / "exp.ini"
+        write_config(ExperimentConfig(snr_db=-3.0), path)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "noise: snr_db should be positive" in capsys.readouterr().out
 
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"

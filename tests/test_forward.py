@@ -18,6 +18,7 @@ from thinimage.forward import (
     DiskModes,
     IncidentSet,
     _angular_table,
+    _miller_blocks,
     add_awgn,
     bessel_j_table,
     boundary_kernel_gradients,
@@ -32,6 +33,7 @@ from thinimage.forward import (
     synthesize,
 )
 from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve
+from thinimage.maps import make_lattice
 
 OMEGA_LO = 2.0 * math.pi / 0.5
 OMEGA_HI = 2.0 * math.pi / 0.2
@@ -277,7 +279,7 @@ class TestDiskModes:
         modes = DiskModes(OMEGA_HI, pts, 1e-10)
         c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
         fields = modes.apply(c, gradient=True)
-        order_of = {int(i): n_b for members, n_b in modes._bins for i in members}
+        order_of = {int(i): n_b for lo, hi, n_b in modes._bins for i in modes._order[lo:hi]}
         assert len(order_of) == radii.size == len(modes._bins) + 1
         refs = np.zeros((3, radii.size, 3))
         for i, (r, t) in enumerate(zip(radii, thetas)):
@@ -305,7 +307,7 @@ class TestDiskModes:
         pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
         modes = DiskModes(OMEGA_HI, pts, 1e-10)
         c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
-        orders = [n_b for _, n_b in modes._bins]
+        orders = [n_b for _, _, n_b in modes._bins]
         assert 20 < min(orders) < 64 < max(orders)
         for m in (20, 64):
             zeroed = c.copy()
@@ -314,6 +316,56 @@ class TestDiskModes:
                 got = np.atleast_3d(modes.apply(c[: m + 1], gradient))
                 ref = np.atleast_3d(modes.apply(zeroed, gradient))
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (m, gradient)
+
+    @pytest.mark.parametrize("size", [128, 65])
+    @pytest.mark.parametrize("omega", [OMEGA_LO, OMEGA_HI])
+    def test_one_recurrence_gives_each_bins_own_table(self, omega, size):
+        # apply builds every bin's Bessel values in one Miller loop over the
+        # radius-sorted points; each bin must read bitwise what its own
+        # bessel_j_table call gives, with zeros above its order. Orders: the
+        # series' own (synthesis) and the adjoint's cap at N/2 = 64. The odd
+        # lattice has a node at the centre (x = 0).
+        modes = DiskModes(omega, make_lattice(size).points, 1e-8)
+        x = omega * modes._radii
+        assert (x[0] == 0.0) == (size % 2 == 1)
+        for top in (modes.nmax, 64):
+            blocks = [(lo, hi, min(n_b, top) + 1) for lo, hi, n_b in modes._bins]
+            table = _miller_blocks(x, blocks)
+            for lo, hi, nmax in blocks:
+                assert np.array_equal(table[: nmax + 1, lo:hi], bessel_j_table(nmax, x[lo:hi]))
+                assert not np.any(table[nmax + 1 :, lo:hi])
+
+    def test_blocks_must_not_lower_their_start_order(self):
+        x = np.array([1.0, 2.0, 30.0, 40.0])
+        with pytest.raises(ValueError, match="start order"):
+            _miller_blocks(x, [(0, 2, 5), (2, 4, 3)])
+
+    def test_rows_come_back_in_the_input_order(self):
+        # the points are sorted by radius inside; a shuffled point set gives
+        # the same rows, shuffled, bit for bit
+        rng = np.random.default_rng(37)
+        points = make_lattice(40).points
+        shuffle = rng.permutation(points.shape[0])
+        modes = DiskModes(OMEGA_HI, points, 1e-10)
+        shuffled = DiskModes(OMEGA_HI, points[shuffle], 1e-10)
+        c = rng.standard_normal((65, 4)) + 1j * rng.standard_normal((65, 4))
+        for gradient in (False, True):
+            ref = np.atleast_3d(modes.apply(c, gradient))
+            got = np.atleast_3d(shuffled.apply(c, gradient))
+            assert np.array_equal(got, ref[:, shuffle] if gradient else ref[shuffle])
+
+    def test_directional_derivative_combines_the_gradient(self):
+        rng = np.random.default_rng(41)
+        modes = DiskModes(OMEGA_HI, make_lattice(40).points, 1e-10)
+        c = rng.standard_normal((modes.nmax + 1, 6)) + 1j * rng.standard_normal((modes.nmax + 1, 6))
+        directions = standard_directions(6)
+        value, along = modes.apply(c, directions=directions)
+        v, gx, gy = modes.apply(c, gradient=True)
+        ref = directions[:, 0] * gx + directions[:, 1] * gy
+        assert np.max(np.abs(value - v)) <= 1e-13 * np.max(np.abs(v))
+        assert np.max(np.abs(along - ref)) <= 1e-13 * np.max(np.abs(ref))
+        with pytest.raises(ValueError):
+            modes.apply(c, gradient=True, directions=directions)
 
     def test_angular_table_matches_exponentials(self):
         # exp(1j n theta) itself carries about 1e-13 of argument rounding at order 600

@@ -183,6 +183,26 @@ class TestComponentMaps:
         assert np.allclose(e2.values, 2.5 * e1.values, rtol=1e-12, atol=0.0)
         assert np.allclose(m2.values, 2.5 * m1.values, rtol=1e-12, atol=0.0)
 
+    def test_real_sums_match_the_complex_formula(self, grid, sigma1):
+        # Re sum_l v_l conj(u_l) and Re sum_l grad v_l . conj(grad u_l) from
+        # the complex adjoint fields, u_l = e^{iw d_l.z}
+        curve, _ = sigma1
+        incident = IncidentSet(standard_directions(3), frequency_band(2))
+        data = synthesize([ThinInclusion(curve)], incident, grid)
+        lattice = make_lattice(40)
+        for k, omega in enumerate(incident.omegas):
+            v, gv = adjoint_field_batch(
+                data.traces[:, :, k], grid, omega, lattice.points, gradient=True
+            )
+            u = np.exp(1j * omega * (lattice.points @ incident.directions.T))
+            gu = (1j * omega) * u[:, :, None] * incident.directions[None, :, :]
+            eps_map, mu_map = td_component_maps(data, lattice, k)
+            for got, ref in (
+                (eps_map.inside_values, np.sum(np.real(v * u.conj()), axis=1)),
+                (mu_map.inside_values, np.sum(np.real(gv * gu.conj()), axis=(1, 2))),
+            ):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_frequency_index_checked(self, clean16):
         with pytest.raises(IndexError):
             td_component_maps(clean16, make_lattice(16), k_index=16)
