@@ -62,16 +62,17 @@ def signal_space_dim(msr: MultistaticMatrix, drop_tol: float | None = None, clea
 def music_map(
     lattice: Lattice,
     msr: MultistaticMatrix,
-    signal_dim: int | None = None,
+    signal_dim: int,
 ) -> tuple[ImageMap, bool]:
     """Subspace imaging map and a saturation flag.
 
     Value at z is 1 / || (I - U_M U_M^H) w(z) || with w the unit steering
-    vector and U_M the leading left singular vectors. Projections that fall
+    vector and U_M the leading ``signal_dim`` left singular vectors (see
+    ``signal_space_dim`` for a rank decision). Projections that fall
     below 1/_DEFAULT_CEILING are capped there, so values stop at 1e12; the
     flag reports whether any point saturated.
     """
-    m = signal_space_dim(msr, clean=True) if signal_dim is None else int(signal_dim)
+    m = int(signal_dim)
     if not 0 < m < msr.n_directions:
         raise ConfigError(
             f"signal dimension must lie strictly between 0 and {msr.n_directions}"

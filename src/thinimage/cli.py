@@ -484,12 +484,8 @@ def run(config: ExperimentConfig):
             fits = [chebyshev_fit(pts, config.fit_degree) for pts in point_sets]
             # recompute boundary data from the fitted curves; material
             # parameters are taken from the first configured inclusion
-            ref = config.inclusions[0]
             fitted_inclusions = [
-                ThinInclusion(
-                    fit.as_parametric(f"guess{i + 1}"),
-                    h=ref.h, eps=ref.eps, mu=ref.mu, eps0=ref.eps0, mu0=ref.mu0,
-                )
+                replace(inclusions[0], curve=fit.as_parametric(f"guess{i + 1}"))
                 for i, fit in enumerate(fits)
             ]
             comp = synthesize(fitted_inclusions, incident, grid)

@@ -22,13 +22,13 @@ factorizable into dense matrix products over a truncated mode range;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sp
 
 from .errors import ConfigError, DataStateError, GeometryError, ResonanceError, SingularityError
-from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion, discretize
+from .geometry import BoundaryGrid, ThinInclusion, discretize
 
 _RESONANCE_TOL = 1e-8
 # Geometric radius bins for mode tables: small radii need far fewer orders.
@@ -160,58 +160,29 @@ def bessel_j_table(nmax: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x) & (x >= 0.0)):
         raise ValueError("bessel_j_table requires finite x >= 0")
-    return _miller_blocks(x, [(0, x.size, nmax)])
-
-
-def _miller_blocks(x: np.ndarray, blocks) -> np.ndarray:
-    """Bessel tables of contiguous blocks of x in one downward recurrence.
-
-    ``blocks`` lists (lo, hi, nmax): column j in [lo, hi) gets J_0..J_nmax of
-    x[j] and zeros above. Each block joins the loop at the start order its own
-    ``bessel_j_table(nmax, x[lo:hi])`` call would take, so its columns are
-    bitwise that call's. The blocks must be ordered so that their start
-    orders and their nmax do not decrease; the columns the loop works on are
-    then always a suffix of x.
-    """
-    starts, orders = [], []
-    for lo, hi, nmax in blocks:
-        top = max(nmax, int(math.ceil(float(np.max(x[lo:hi], initial=0.0)))))
-        starts.append(top + 15 + int(math.sqrt(40.0 * max(top, 1))))
-        orders.append(nmax)
-    if np.any(np.diff(starts) < 0) or np.any(np.diff(orders) < 0):
-        raise ValueError("blocks must not decrease in start order or in nmax")
-    out = np.zeros((max(orders, default=0) + 1, x.size))
+    out = np.zeros((nmax + 1, x.size))
     zero = x == 0.0
     inv_x = 1.0 / np.where(zero, 1.0, x)
-    jp, jc, even_sum, scratch = (np.zeros(x.size) for _ in range(4))
-    joined = stored = len(blocks)  # blocks [joined:] recur, [stored:] keep the row
-    first = x.size
-    for n in range(max(starts, default=0), 0, -1):
-        while joined > 0 and starts[joined - 1] >= n:
-            joined -= 1
-            lo = blocks[joined][0]
-            jp[lo:first] = 0.0
-            jc[lo:first] = 1e-30
-            even_sum[lo:first] = 1e-30 if n % 2 == 0 else 0.0
-            first = lo
-            vp, vc, ve, vs, vi = (a[first:] for a in (jp, jc, even_sum, scratch, inv_x))
+    top = max(nmax, int(math.ceil(float(np.max(x, initial=0.0)))))
+    start = top + 15 + int(math.sqrt(40.0 * max(top, 1)))
+    jp, scratch = np.zeros(x.size), np.empty(x.size)
+    jc = np.full(x.size, 1e-30)
+    even_sum = np.full(x.size, 1e-30 if start % 2 == 0 else 0.0)
+    for n in range(start, 0, -1):
         # J_{n-1} = (2n/x) J_n - J_{n+1}, written over the J_{n+1} buffer
-        np.multiply(np.multiply(2.0 * n, vi, out=vs), vc, out=vs)
-        np.subtract(vs, vp, out=vp)
-        jp, jc, vp, vc = jc, jp, vc, vp
-        while stored > 0 and orders[stored - 1] >= n - 1:
-            stored -= 1
-        if stored < len(blocks):
-            lo = blocks[stored][0]
-            out[n - 1, lo:] = jc[lo:]
+        np.multiply(np.multiply(2.0 * n, inv_x, out=scratch), jc, out=scratch)
+        np.subtract(scratch, jp, out=jp)
+        jp, jc = jc, jp
+        if n - 1 <= nmax:
+            out[n - 1] = jc
         if (n - 1) % 2 == 0 and n - 1 > 0:
-            ve += vc
-        np.abs(vc, out=vs)
-        if vs.max(initial=0.0) > 1e250:
+            even_sum += jc
+        np.abs(jc, out=scratch)
+        if scratch.max(initial=0.0) > 1e250:
             # Rescale only the offending points; growth rates differ wildly
             # across arguments and a global rescale would flush slow-growing
             # columns to zero.
-            big = np.flatnonzero(vs > 1e250) + first
+            big = scratch > 1e250
             jc[big] *= 1e-250
             jp[big] *= 1e-250
             even_sum[big] *= 1e-250
@@ -372,11 +343,9 @@ class DiskModes:
     rows past it sit below the tolerance.
 
     The points are held in radius order (one stable sort at construction), so
-    each radius bin is a contiguous slice (lo, hi, n_b) of them, and one
-    Miller recurrence builds the Bessel values of every bin at once: bins join
-    it in turn, from the outermost inwards, at the start orders their own
-    ``bessel_j_table`` calls would take, so each reads bitwise what that call
-    gives. ``apply`` returns its rows in the input order. Besides the values
+    each radius bin is a contiguous slice (lo, hi, n_b) of them and gathers
+    its rows from one ``bessel_j_table`` per call over the distinct radii.
+    ``apply`` returns its rows in the input order. Besides the values
     it gives their x and y gradients (synthesis) or, in one product with two
     blocks of columns instead of three, the derivative of each column along
     its own unit vector (the adjoint of the imaging maps).
@@ -396,10 +365,12 @@ class DiskModes:
         eps_n = np.where(np.arange(self.nmax + 1) == 0, 1.0, 2.0)
         self._weights = eps_n / (2.0 * math.pi * omega * jnp[: self.nmax + 1])
         self._order = np.argsort(radii, kind="stable")
-        self._radii = radii[self._order]
+        radii = radii[self._order]
         self._thetas = np.arctan2(pts[:, 1], pts[:, 0])[self._order]
+        # one Bessel column per distinct radius: a square lattice repeats each about six times
+        self._radii, self._column = np.unique(radii, return_inverse=True)
         # (lo, hi, order) per bin of the sorted points, the order set by the bin's outer radius
-        edges = np.searchsorted(self._radii, _RADIUS_BIN_EDGES).tolist()
+        edges = np.searchsorted(radii, _RADIUS_BIN_EDGES).tolist()
         self._bins = [
             (lo, hi, min(self.nmax, mode_count(omega, r_hi, series_tol)))
             for lo, hi, r_hi in zip(edges, edges[1:], np.minimum(_RADIUS_BIN_EDGES[1:], 0.999))
@@ -428,12 +399,11 @@ class DiskModes:
             raise ValueError("ask for the gradient or for directional derivatives, not both")
         width = 3 if gradient else 1 if directions is None else 2
         bins = [(lo, hi, min(n_b, c.shape[0] - 1)) for lo, hi, n_b in self._bins]
-        blocks = [(lo, hi, n_b + 1) for lo, hi, n_b in bins]
-        bessel = _miller_blocks(self.omega * self._radii, blocks)
-        # table workspaces sized for the largest bin; each bin uses their leading part
         rows, size = max(n_b for _, _, n_b in bins) + 2, max(hi - lo for lo, hi, _ in bins)
+        bessel = bessel_j_table(rows - 1, self.omega * self._radii)
+        # table workspaces sized for the largest bin; each bin uses their leading part
         phase_work, table_work = np.empty(rows * size, dtype=complex), np.empty(2 * rows * size)
-        fields = np.empty((self._radii.size, width * c.shape[1]))
+        fields = np.empty((self._order.size, width * c.shape[1]))
         for lo, hi, n_b in bins:
             a = np.zeros((n_b + 4, c.shape[1]), dtype=complex)  # a_{-1}..a_{n_b+2}
             a[1 : n_b + 2] = self._weights[: n_b + 1, None] * c[: n_b + 1]
@@ -450,8 +420,10 @@ class DiskModes:
             k, m = n_b + 2, hi - lo
             phases = _angular_table(self._thetas[lo:hi], n_b + 1, phase_work[: k * m].reshape(k, m))
             table = table_work[: 2 * k * m].reshape(2 * k, m)
-            np.multiply(bessel[:k, lo:hi], phases.real, out=table[:k])
-            np.multiply(bessel[:k, lo:hi], phases.imag, out=table[k:])
+            # the bin's Bessel columns; "clip" lets take write to out unbuffered (indices are valid)
+            np.take(bessel[:k], self._column[lo:hi], axis=1, out=table[:k], mode="clip")
+            np.multiply(table[:k], phases.imag, out=table[k:])
+            table[:k] *= phases.real
             fields[self._order[lo:hi]] = table.T @ np.vstack([coef.real, -coef.imag])
         return tuple(np.hsplit(fields, width)) if width > 1 else fields
 
@@ -506,10 +478,12 @@ class BoundaryDataset:
             raise ConfigError(f"traces shape {tr.shape} does not match {expected}")
         if not np.all(np.isfinite(tr.real)) or not np.all(np.isfinite(tr.imag)):
             raise ConfigError("traces must be finite")
+        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
+            raise ConfigError(f"snr_db must be finite or +inf, got {self.snr_db!r}")
 
     @property
     def is_clean(self) -> bool:
-        return math.isinf(self.snr_db)
+        return self.snr_db == math.inf
 
 
 def ensure_thin(inclusion: ThinInclusion, omega_max: float) -> None:
@@ -705,14 +679,20 @@ class MultistaticMatrix:
     Entry (j, l) pairs the scattered trace of incident direction l with the
     normal flux of the plane wave travelling along direction j, integrated
     over the boundary. Observation and incidence share one direction set.
+    The SVD factors are computed from ``matrix`` at construction.
     """
 
     matrix: np.ndarray
     omega: float
     directions: np.ndarray
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors_h: np.ndarray
+    left_vectors: np.ndarray = field(init=False)
+    singular_values: np.ndarray = field(init=False)
+    right_vectors_h: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        factors = np.linalg.svd(self.matrix)
+        for name, value in zip(("left_vectors", "singular_values", "right_vectors_h"), factors):
+            object.__setattr__(self, name, value)
 
     @property
     def n_directions(self) -> int:
@@ -748,15 +728,7 @@ def assemble_multistatic(data: BoundaryDataset, k_index: int = 0) -> Multistatic
     flux = (1j * omega) * radial * np.exp(1j * omega * radial)
     traces = data.traces[:, :, k_index]
     matrix = data.grid.weight * (flux.T @ traces)
-    left, sing, right_h = np.linalg.svd(matrix)
-    return MultistaticMatrix(
-        matrix=matrix,
-        omega=omega,
-        directions=directions,
-        left_vectors=left,
-        singular_values=sing,
-        right_vectors_h=right_h,
-    )
+    return MultistaticMatrix(matrix, omega, directions)
 
 
 def point_scatterer_matrix(
@@ -776,12 +748,4 @@ def point_scatterer_matrix(
         raise ConfigError("need one amplitude per scatterer")
     phases = np.exp(1j * float(omega) * (dirs @ pts.T))
     matrix = (phases * amps[None, :]) @ phases.T
-    left, sing, right_h = np.linalg.svd(matrix)
-    return MultistaticMatrix(
-        matrix=matrix,
-        omega=float(omega),
-        directions=dirs,
-        left_vectors=left,
-        singular_values=sing,
-        right_vectors_h=right_h,
-    )
+    return MultistaticMatrix(matrix, float(omega), dirs)

@@ -18,7 +18,6 @@ from thinimage.forward import (
     DiskModes,
     IncidentSet,
     _angular_table,
-    _miller_blocks,
     add_awgn,
     bessel_j_table,
     boundary_kernel_gradients,
@@ -317,29 +316,6 @@ class TestDiskModes:
                 ref = np.atleast_3d(modes.apply(zeroed, gradient))
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (m, gradient)
 
-    @pytest.mark.parametrize("size", [128, 65])
-    @pytest.mark.parametrize("omega", [OMEGA_LO, OMEGA_HI])
-    def test_one_recurrence_gives_each_bins_own_table(self, omega, size):
-        # apply builds every bin's Bessel values in one Miller loop over the
-        # radius-sorted points; each bin must read bitwise what its own
-        # bessel_j_table call gives, with zeros above its order. Orders: the
-        # series' own (synthesis) and the adjoint's cap at N/2 = 64. The odd
-        # lattice has a node at the centre (x = 0).
-        modes = DiskModes(omega, make_lattice(size).points, 1e-8)
-        x = omega * modes._radii
-        assert (x[0] == 0.0) == (size % 2 == 1)
-        for top in (modes.nmax, 64):
-            blocks = [(lo, hi, min(n_b, top) + 1) for lo, hi, n_b in modes._bins]
-            table = _miller_blocks(x, blocks)
-            for lo, hi, nmax in blocks:
-                assert np.array_equal(table[: nmax + 1, lo:hi], bessel_j_table(nmax, x[lo:hi]))
-                assert not np.any(table[nmax + 1 :, lo:hi])
-
-    def test_blocks_must_not_lower_their_start_order(self):
-        x = np.array([1.0, 2.0, 30.0, 40.0])
-        with pytest.raises(ValueError, match="start order"):
-            _miller_blocks(x, [(0, 2, 5), (2, 4, 3)])
-
     def test_rows_come_back_in_the_input_order(self):
         # the points are sorted by radius inside; a shuffled point set gives
         # the same rows, shuffled, bit for bit
@@ -533,6 +509,23 @@ class TestDatasetIO:
         data = BoundaryDataset(traces=traces, grid=boundary_grid(16), incident=incident)
         with pytest.raises(ConfigError):
             save_dataset(data, tmp_path / "bad.txt")
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_only_positive_infinite_snr_is_clean(self, tmp_path, bad):
+        # clean means snr_db == +inf; -inf and NaN are no SNR at all, whether
+        # built directly or read back from a dataset header
+        data = synthesize(
+            small_inclusion(), IncidentSet.standard(2, 1), boundary_grid(16), m_nodes=40
+        )
+        with pytest.raises(ConfigError, match=r"finite or \+inf"):
+            BoundaryDataset(data.traces, data.grid, data.incident, snr_db=bad)
+        path = tmp_path / "clean.txt"
+        save_dataset(data, path)
+        text = path.read_text().replace("# snr_db clean", f"# snr_db {bad!r}")
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"finite or \+inf"):
+            load_dataset(path)
+        assert not BoundaryDataset(data.traces, data.grid, data.incident, snr_db=15.0).is_clean
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "broken.txt"
