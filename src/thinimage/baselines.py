@@ -43,15 +43,14 @@ def steering_vectors(
     return rows / norms[:, None]
 
 
-def signal_space_dim(msr: MultistaticMatrix, drop_tol: float | None = None, clean: bool = True) -> int:
-    """Number of singular values within drop_tol of the largest.
+def signal_space_dim(msr: MultistaticMatrix, clean: bool = True) -> int:
+    """Number of singular values within a drop tolerance of the largest.
 
-    Defaults to a tight tolerance for clean data and a loose one matched to
-    the 15 dB noise floor otherwise. The result is clamped below the matrix
-    size so a noise subspace always remains.
+    The tolerance is tight for clean data and matched to the 15 dB noise
+    floor otherwise. The result is clamped below the matrix size so a noise
+    subspace always remains.
     """
-    if drop_tol is None:
-        drop_tol = _CLEAN_DROP_TOL if clean else _NOISY_DROP_TOL
+    drop_tol = _CLEAN_DROP_TOL if clean else _NOISY_DROP_TOL
     s = msr.singular_values
     if s.size == 0 or s[0] == 0.0:
         raise DataStateError("matrix carries no signal")

@@ -54,23 +54,13 @@ from .geometry import (
 )
 from .imaging import band_kernel_maps, etd_multi, etd_single, normalized_combination
 from .maps import ImageMap, make_lattice, save_map_csv, save_map_pgm
-from .postprocess import (
-    chebyshev_fit,
-    clustered_ridges,
-    discrete_norms,
-    extract_ridge,
-    format_fit_report,
-)
+from .postprocess import discrete_norms, format_fit_report, initial_guesses
 
 _BUILTIN_CURVES = ("sigma1", "sigma2", "sigma3")
 _FUNCTIONALS = ("etd_multi", "etd_single", "music", "kirchhoff", "mkm", "oracles")
 # inversion-side quadrature is kept at half synthesize's default node count
 # (400) so model maps never ride the synthesis discretization
 _MODEL_NODES = 200
-_RIDGE_QUANTILE = 0.01
-# ridge points further out than this radius are sidelobe pickups: supporting
-# curves must keep a clearance inside the unit disk, so the fit ignores them
-_RIDGE_RADIUS = 0.85
 _SCAN_RESONANCE_TOL = 1e-4
 
 
@@ -107,16 +97,8 @@ class InclusionSpec:
         if self.curve in _BUILTIN_CURVES:
             curve = builtin_curve(self.curve)
         elif self.curve == "custom":
-            curve = poly_sin_curve(
-                "custom",
-                self.s_min,
-                self.s_max,
-                x_shift=self.x_shift,
-                y_poly=self.y_poly,
-                y_sin_amp=self.y_sin_amp,
-                y_sin_freq=self.y_sin_freq,
-                y_sin_phase=self.y_sin_phase,
-            )
+            custom = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata}
+            curve = poly_sin_curve("custom", **custom)
         else:
             raise ConfigError(
                 f"unknown curve {self.curve!r}; pick one of {_BUILTIN_CURVES} or 'custom'"
@@ -470,18 +452,7 @@ def run(config: ExperimentConfig):
     fit_rows = []
     with _stage("postprocess"):
         if config.functional in ("etd_multi", "etd_single"):
-            target = next(iter(maps.values()))
-            if len(inclusions) > 1:
-                point_sets = clustered_ridges(
-                    target, _RIDGE_QUANTILE, min_points=config.fit_degree + 3
-                )[: len(inclusions)]
-            else:
-                point_sets = [extract_ridge(target, _RIDGE_QUANTILE)]
-            point_sets = [
-                pts[np.hypot(pts[:, 0], pts[:, 1]) <= _RIDGE_RADIUS]
-                for pts in point_sets
-            ]
-            fits = [chebyshev_fit(pts, config.fit_degree) for pts in point_sets]
+            fits = initial_guesses(next(iter(maps.values())), len(inclusions), config.fit_degree)
             # recompute boundary data from the fitted curves; material
             # parameters are taken from the first configured inclusion
             fitted_inclusions = [
@@ -543,44 +514,27 @@ def run(config: ExperimentConfig):
 
 def preset_configs() -> dict[str, ExperimentConfig]:
     """Named experiment presets covering the standard comparison scenes."""
-    sigma = {label: (InclusionSpec(curve=label),) for label in _BUILTIN_CURVES}
-    multi_same = (InclusionSpec(curve="sigma1"), InclusionSpec(curve="sigma2"))
-    multi_diff = (
-        InclusionSpec(curve="sigma1"),
-        InclusionSpec(curve="sigma2", eps=10.0, mu=10.0),
-    )
-    presets: dict[str, ExperimentConfig] = {}
-
-    def add(name: str, **kwargs) -> None:
-        presets[name] = replace(ExperimentConfig(), out_dir=name, **kwargs)
-
-    for k in (1, 5, 10, 16):
-        add(f"sigma1_L4_K{k:02d}", inclusions=sigma["sigma1"], n_directions=4, n_frequencies=k)
-    for label in ("sigma2", "sigma3"):
-        for k in (4, 16):
-            add(f"{label}_L4_K{k:02d}", inclusions=sigma[label], n_directions=4, n_frequencies=k)
-    for k in (4, 16):
-        add(f"multi_same_L4_K{k:02d}", inclusions=multi_same, n_directions=4, n_frequencies=k)
-        add(f"multi_diff_L4_K{k:02d}", inclusions=multi_diff, n_directions=4, n_frequencies=k)
-    for label in _BUILTIN_CURVES:
-        add(f"{label}_L16_K16", inclusions=sigma[label], n_directions=16, n_frequencies=16)
-    add("sigma3_L16_K04", inclusions=sigma["sigma3"], n_directions=16, n_frequencies=4)
-    add("multi_same_L16_K16", inclusions=multi_same, n_directions=16, n_frequencies=16)
-    add("multi_diff_L16_K16", inclusions=multi_diff, n_directions=16, n_frequencies=16)
-    add(
-        "sigma3_music_single",
-        inclusions=sigma["sigma3"], n_directions=16, n_frequencies=1,
-        functional="music", k_values=(0,),
-    )
-    add(
-        "sigma3_kirchhoff_multi",
-        inclusions=sigma["sigma3"], n_directions=16, n_frequencies=16,
-        functional="mkm",
-    )
-    for label in _BUILTIN_CURVES:
-        add(f"initial_guess_{label}", inclusions=sigma[label], n_directions=16, n_frequencies=16)
-    add("initial_guess_multi", inclusions=multi_same, n_directions=16, n_frequencies=16)
-    return presets
+    scenes = {label: (InclusionSpec(curve=label),) for label in _BUILTIN_CURVES}
+    scenes["multi_same"] = scenes["sigma1"] + scenes["sigma2"]
+    scenes["multi_diff"] = scenes["sigma1"] + (InclusionSpec(curve="sigma2", eps=10.0, mu=10.0),)
+    # name: scene, incident directions, frequencies, functional
+    table = {f"sigma1_L4_K{k:02d}": ("sigma1", 4, k, "etd_multi") for k in (1, 5, 10, 16)}
+    for s in ("sigma2", "sigma3", "multi_same", "multi_diff"):
+        table.update({f"{s}_L4_K{k:02d}": (s, 4, k, "etd_multi") for k in (4, 16)})
+    for s in scenes:
+        table[f"{s}_L16_K16"] = (s, 16, 16, "etd_multi")
+    table["sigma3_L16_K04"] = ("sigma3", 16, 4, "etd_multi")
+    table["sigma3_music_single"] = ("sigma3", 16, 1, "music")
+    table["sigma3_kirchhoff_multi"] = ("sigma3", 16, 16, "mkm")
+    for s in _BUILTIN_CURVES:
+        table[f"initial_guess_{s}"] = (s, 16, 16, "etd_multi")
+    table["initial_guess_multi"] = ("multi_same", 16, 16, "etd_multi")
+    return {
+        name: ExperimentConfig(
+            inclusions=scenes[s], n_directions=n, n_frequencies=k, functional=f, out_dir=name
+        )
+        for name, (s, n, k, f) in table.items()
+    }
 
 
 def export_presets(directory) -> list[Path]:

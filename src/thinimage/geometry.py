@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 
 _PANEL_ORDER = 4
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 _MIN_CLEARANCE = 0.1
 
 
@@ -142,11 +142,6 @@ class CurveDiscretization:
             arr.setflags(write=False)
 
 
-@lru_cache(maxsize=8)
-def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_PANEL_ORDER)
-
-
 def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
     """Discretize a curve with composite 4-point Gauss-Legendre panels.
 
@@ -171,12 +166,11 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
     if m_nodes < 8:
         raise ConfigError(f"m_nodes must be at least 8, got {m_nodes}")
     panels = -(-m_nodes // _PANEL_ORDER)
-    ref_nodes, ref_weights = _panel_rule()
     edges = np.linspace(curve.s_min, curve.s_max, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    s = (mid[:, None] + half[:, None] * ref_nodes[None, :]).reshape(-1)
-    w_param = (half[:, None] * ref_weights[None, :]).reshape(-1)
+    s = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).reshape(-1)
+    w_param = (half[:, None] * _PANEL_WEIGHTS[None, :]).reshape(-1)
 
     pts = curve.points(s)
     vel = curve.velocity(s)

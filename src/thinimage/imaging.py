@@ -266,8 +266,6 @@ def band_kernel_maps(
     center. The sinc envelope suppresses the oscillatory sidelobes that a
     single frequency leaves along each direction.
     """
-    from .special import spherical_j0
-
     if not omega_hi > omega_lo:
         raise ConfigError("need omega_hi > omega_lo")
     half_width = 0.5 * (omega_hi - omega_lo)
@@ -278,7 +276,8 @@ def band_kernel_maps(
     mu_vals = np.zeros(pts.shape[0])
     for d in np.atleast_2d(np.asarray(directions, dtype=float)):
         s = (disc.nodes @ d)[None, :] - (pts @ d)[:, None]
-        kern = spherical_j0(half_width * s) * np.cos(center * s)
+        # np.sinc(x / pi) = sin(x) / x, with its limit 1 at x = 0
+        kern = np.sinc(half_width * s / math.pi) * np.cos(center * s)
         eps_vals += kern @ (disc.weights * gamma)
         mu_vals += kern @ (disc.weights * _mu_bracket(disc, inclusion, d))
     return from_point_values(lattice, eps_vals), from_point_values(lattice, mu_vals)

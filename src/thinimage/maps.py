@@ -1,7 +1,7 @@
 """Sampling lattices, image containers, comparison metrics, and map output.
 
 Maps live on a square lattice over [-1, 1]^2 with nodes kept only inside a
-clip radius (default 0.95), so evaluation points stay clear of the boundary
+clip radius of 0.95, so evaluation points stay clear of the boundary
 where the imaging kernels lose accuracy. Values are stored as a full raster
 with zeros outside the clip mask; metrics only ever look inside the mask.
 """
@@ -17,6 +17,7 @@ from .errors import ConfigError, FlatMapError
 from .geometry import CurveDiscretization, distance_to_curve
 
 _FLAT_TOL = 1e-14
+_CLIP_RADIUS = 0.95
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,18 @@ class Lattice:
         )
 
 
-def make_lattice(n: int = 128, clip_radius: float = 0.95) -> Lattice:
-    """Build an n-by-n lattice over [-1, 1]^2 clipped to a disk."""
+def make_lattice(n: int = 128) -> Lattice:
+    """Build an n-by-n lattice over [-1, 1]^2 clipped to the disk of radius 0.95."""
     if n < 8:
         raise ConfigError(f"lattice needs at least 8 nodes per side, got {n}")
-    if not (0.0 < clip_radius <= 1.0):
-        raise ConfigError(f"clip radius must lie in (0, 1.0], got {clip_radius}")
     xs = np.linspace(-1.0, 1.0, n)
     ys = np.linspace(-1.0, 1.0, n)
     gx, gy = np.meshgrid(xs, ys)
-    mask = np.hypot(gx, gy) <= clip_radius
+    mask = np.hypot(gx, gy) <= _CLIP_RADIUS
     points = np.column_stack([gx[mask], gy[mask]])
     for arr in (xs, ys, mask, points):
         arr.setflags(write=False)
-    return Lattice(xs=xs, ys=ys, mask=mask, points=points, clip_radius=clip_radius)
+    return Lattice(xs=xs, ys=ys, mask=mask, points=points, clip_radius=_CLIP_RADIUS)
 
 
 @dataclass(frozen=True)

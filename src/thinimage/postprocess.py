@@ -4,9 +4,10 @@ An imaging map localizes a thin inclusion as a bright ridge. This module
 turns that ridge into an explicit parametric curve: threshold the map at a
 high quantile, thin the selected nodes to one point per lattice column, and
 fit a Chebyshev expansion of the ridge height as a function of the abscissa.
-The fitted curve can then be fed back through the forward model; discrepancy
-norms between measured and recomputed boundary data quantify how well the
-guess explains the data.
+`initial_guesses` states the run's policy for this, one curve per
+inclusion. The fitted curve can then be fed back through the forward model;
+discrepancy norms between measured and recomputed boundary data quantify how
+well the guess explains the data.
 
 Column thinning assumes the inclusion is a graph over the x axis, which
 holds for the built-in curves. Strongly folded curves would need a
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConfigError, FitError, RidgeError
 from .forward import BoundaryDataset
@@ -25,6 +27,10 @@ from .geometry import ParametricCurve
 from .maps import ImageMap
 
 _EIGHT_NEIGHBORHOOD = np.ones((3, 3), dtype=int)
+_RIDGE_QUANTILE = 0.01
+# ridge points further out than this radius are sidelobe pickups: supporting
+# curves must keep a clearance inside the unit disk, so the fit ignores them
+_RIDGE_RADIUS = 0.85
 
 
 @dataclass(frozen=True)
@@ -58,27 +64,12 @@ class ChebyshevCurve:
 
     def evaluate(self, s) -> np.ndarray:
         """Height of the curve at abscissa s (scalar or array)."""
-        u = self._rescale(np.asarray(s, dtype=float))
-        prev = np.ones_like(u)
-        cur = u.copy()
-        total = self.coeffs[0] * prev + self.coeffs[1] * cur
-        for p in range(2, self.coeffs.size):
-            prev, cur = cur, 2.0 * u * cur - prev
-            total = total + self.coeffs[p] * cur
-        return total
+        return cheb.chebval(self._rescale(np.asarray(s, dtype=float)), self.coeffs)
 
     def derivative(self, s) -> np.ndarray:
-        """Slope dy/ds at abscissa s, using T_p' = p U_{p-1}."""
-        u = self._rescale(np.asarray(s, dtype=float))
-        chain = 2.0 / (self.b - self.a)
-        # U_{p-1} recurrence alongside the coefficient sum
-        uprev = np.ones_like(u)
-        total = self.coeffs[1] * uprev
-        ucur = 2.0 * u
-        for p in range(2, self.coeffs.size):
-            total = total + self.coeffs[p] * p * ucur
-            uprev, ucur = ucur, 2.0 * u * ucur - uprev
-        return chain * total
+        """Slope dy/ds at abscissa s (scalar or array)."""
+        slope = cheb.chebder(self.coeffs, scl=2.0 / (self.b - self.a))
+        return cheb.chebval(self._rescale(np.asarray(s, dtype=float)), slope)
 
     def as_parametric(self, label: str = "fitted") -> ParametricCurve:
         """Wrap the graph as a parametric curve with analytic derivatives."""
@@ -101,8 +92,6 @@ class DiscrepancyReport:
     n2: float
     n_inf: float
     omega: float
-    n_points: int
-    n_directions: int
 
 
 def _selected_mask(imap: ImageMap, quantile: float) -> np.ndarray:
@@ -176,8 +165,7 @@ def clustered_ridges(
 def chebyshev_fit(points: np.ndarray, degree: int = 5) -> ChebyshevCurve:
     """Least-squares Chebyshev fit of ridge points as a graph over x.
 
-    The interval is [min x, max x] and the design matrix is built from the
-    recurrence T_0 = 1, T_1 = u, T_{p+1} = 2 u T_p - T_{p-1}.
+    The interval is [min x, max x], mapped affinely onto [-1, 1].
 
     Parameters
     ----------
@@ -202,14 +190,27 @@ def chebyshev_fit(points: np.ndarray, degree: int = 5) -> ChebyshevCurve:
         )
     a = float(np.min(x))
     b = float(np.max(x))
-    u = (2.0 * x - a - b) / (b - a)
-    design = np.empty((x.size, degree + 1))
-    design[:, 0] = 1.0
-    design[:, 1] = u
-    for p in range(2, degree + 1):
-        design[:, p] = 2.0 * u * design[:, p - 1] - design[:, p - 2]
+    design = cheb.chebvander((2.0 * x - a - b) / (b - a), degree)
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     return ChebyshevCurve(a=a, b=b, coeffs=coeffs)
+
+
+def initial_guesses(imap: ImageMap, n_curves: int, degree: int) -> list[ChebyshevCurve]:
+    """The run's initial guess: Chebyshev fits of the map's ridges.
+
+    One curve fits the ridge of extract_ridge. More curves fit the n_curves
+    largest 8-connected clusters of clustered_ridges that hold at least
+    degree + 3 points, largest first, so fewer fits may come back. Ridge
+    points farther than 0.85 from the origin are dropped before each fit.
+    """
+    if n_curves > 1:
+        point_sets = clustered_ridges(imap, _RIDGE_QUANTILE, min_points=degree + 3)[:n_curves]
+    else:
+        point_sets = [extract_ridge(imap, _RIDGE_QUANTILE)]
+    return [
+        chebyshev_fit(pts[np.hypot(pts[:, 0], pts[:, 1]) <= _RIDGE_RADIUS], degree)
+        for pts in point_sets
+    ]
 
 
 def discrete_norms(
@@ -243,8 +244,6 @@ def discrete_norms(
         n2=float(np.mean(np.sqrt(np.sum(delta**2, axis=0)))),
         n_inf=float(np.mean(np.max(delta, axis=0))),
         omega=float(omegas[k_index]),
-        n_points=int(delta.shape[0]),
-        n_directions=int(delta.shape[1]),
     )
 
 

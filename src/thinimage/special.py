@@ -1,8 +1,8 @@
-"""Real special functions used by the band-limited imaging kernels.
+"""The running integral of J0, the radial kernel of band-summed imaging.
 
-Vectorized: scalars in, scalar out; arrays in, arrays out. The running
-integral of J0 is a sum of odd-order Bessel functions, taken from the same
-Miller table (`forward.bessel_j_table`) that the disk's mode sums use.
+Vectorized: scalars in, scalar out; arrays in, arrays out. The integral is a
+sum of odd-order Bessel functions, taken from the same Miller table
+(`forward.bessel_j_table`) that the disk's mode sums use.
 """
 
 from __future__ import annotations
@@ -27,18 +27,6 @@ def _as_array(x, name: str) -> tuple[np.ndarray, bool]:
 
 def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[()]) if scalar else values
-
-
-def spherical_j0(x):
-    """Spherical Bessel function j0(x) = sin(x)/x with j0(0) = 1."""
-    arr, scalar = _as_array(x, "x")
-    out = np.empty_like(arr)
-    tiny = np.abs(arr) < 1e-6
-    # Two Taylor terms keep full float64 accuracy below the switch point.
-    out[tiny] = 1.0 - arr[tiny] ** 2 / 6.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out[~tiny] = np.sin(arr[~tiny]) / arr[~tiny]
-    return _maybe_scalar(out, scalar)
 
 
 def j0_band_integral(t, omega):

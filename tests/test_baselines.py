@@ -127,21 +127,21 @@ class TestSteering:
 class TestSignalSpace:
     def test_three_monopoles_give_three(self, three_monopoles):
         msr, _ = three_monopoles
-        assert signal_space_dim(msr, drop_tol=1e-6) == 3
+        assert signal_space_dim(msr) == 3
 
     def test_single_monopole_gives_one(self):
         msr = point_scatterer_matrix(
             np.array([[0.2, 0.3]]), np.ones(1), standard_directions(8), OMEGA
         )
-        assert signal_space_dim(msr, drop_tol=1e-6) == 1
-
-    def test_unit_drop_tol_keeps_only_leading(self, sigma1_msr):
-        msr, _ = sigma1_msr
-        assert signal_space_dim(msr, drop_tol=1.0) == 1
+        assert signal_space_dim(msr) == 1
 
     def test_dimension_clamped_below_size(self, three_monopoles):
-        msr, _ = three_monopoles
-        assert signal_space_dim(msr, drop_tol=1e-300) == msr.n_directions - 1
+        # three well-separated scatterers seen from three directions: all
+        # three singular values clear both tolerances
+        _, points = three_monopoles
+        msr = point_scatterer_matrix(points, np.ones(3), standard_directions(3), 10.0 * math.pi)
+        for clean in (True, False):
+            assert signal_space_dim(msr, clean=clean) == msr.n_directions - 1 == 2
 
     def test_zero_matrix_rejected(self):
         grid = boundary_grid(32)

@@ -1,5 +1,6 @@
 """Tests for config parsing, validation, the experiment driver, and presets."""
 
+import hashlib
 import json
 import math
 import os
@@ -495,6 +496,16 @@ class TestPresets:
         first = {p.name: p.read_bytes() for p in export_presets(tmp_path / "a")}
         second = {p.name: p.read_bytes() for p in export_presets(tmp_path / "b")}
         assert first == second
+
+    def test_export_bytes_are_pinned(self, tmp_path):
+        # the shipped preset files, byte for byte; a rewrite of the preset
+        # table must leave this digest alone
+        digest = hashlib.sha256()
+        for path in sorted(export_presets(tmp_path), key=lambda p: p.name):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "32ad1b870e640d6cda4fa2a8d1ed72b5c3cc509e9f53492edc4a3064d0c8be5f"
+        )
 
 
 class TestMain:

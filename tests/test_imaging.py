@@ -37,7 +37,6 @@ from thinimage.maps import (
     masked_correlation,
     top_quantile_distance,
 )
-from thinimage.special import spherical_j0
 
 OMEGA = 4.0 * math.pi
 
@@ -304,7 +303,7 @@ class TestKernelModels:
 
     def test_band_kernel_profile_peaks_at_origin(self):
         x = np.linspace(-4.0, 4.0, 4001)
-        y = spherical_j0(2.0 * x) * np.cos(10.0 * x)
+        y = np.sinc(2.0 * x / np.pi) * np.cos(10.0 * x)
         assert y[2000] == 1.0
         assert np.argmax(y) == 2000
 

@@ -24,12 +24,12 @@ class TestLattice:
         assert lat.clip_radius == 0.95
 
     def test_mask_matches_clip(self):
-        lat = make_lattice(32, clip_radius=0.5)
+        lat = make_lattice(32)
         gx, gy = np.meshgrid(lat.xs, lat.ys)
-        inside = np.hypot(gx, gy) <= 0.5
+        inside = np.hypot(gx, gy) <= 0.95
         assert np.array_equal(lat.mask, inside)
         assert lat.points.shape == (int(inside.sum()), 2)
-        assert np.all(np.hypot(lat.points[:, 0], lat.points[:, 1]) <= 0.5)
+        assert np.all(np.hypot(lat.points[:, 0], lat.points[:, 1]) <= 0.95)
 
     def test_kept_fraction_near_disk_area(self):
         lat = make_lattice(128)
@@ -39,10 +39,6 @@ class TestLattice:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError):
             make_lattice(4)
-
-    def test_bad_clip_rejected(self):
-        with pytest.raises(ConfigError):
-            make_lattice(32, clip_radius=1.5)
 
 
 class TestImageMap:

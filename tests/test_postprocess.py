@@ -29,6 +29,7 @@ from thinimage.postprocess import (
     discrete_norms,
     extract_ridge,
     format_fit_report,
+    initial_guesses,
 )
 
 
@@ -191,6 +192,54 @@ class TestClusters:
         assert plain <= merged
 
 
+class TestInitialGuesses:
+    @staticmethod
+    def _graph_ridge_map(x_lo, x_hi):
+        # 1 on the node nearest y = 0.3 - 0.2 x^2 in each column of [x_lo, x_hi]:
+        # fewer nodes than the top 1% of the 128^2 lattice, so all are the ridge
+        lattice = make_lattice(128)
+        values = np.zeros(lattice.shape)
+        for ix in np.flatnonzero((lattice.xs >= x_lo) & (lattice.xs <= x_hi)):
+            y = 0.3 - 0.2 * lattice.xs[ix] ** 2
+            values[np.argmin(np.abs(lattice.ys - y)), ix] = 1.0
+        return ImageMap(lattice, values)
+
+    def test_one_curve_fits_the_clipped_ridge(self):
+        imap = self._graph_ridge_map(-0.5, 0.93)
+        (fit,) = initial_guesses(imap, 1, 5)
+        ridge = extract_ridge(imap, quantile=0.01)
+        kept = ridge[np.hypot(ridge[:, 0], ridge[:, 1]) <= 0.85]
+        expected = chebyshev_fit(kept, 5)
+        assert (fit.a, fit.b) == (expected.a, expected.b)
+        assert np.array_equal(fit.coeffs, expected.coeffs)
+
+    def test_ridge_points_past_the_clip_radius_are_dropped(self):
+        imap = self._graph_ridge_map(-0.5, 0.93)
+        ridge = extract_ridge(imap, quantile=0.01)
+        radius = np.hypot(ridge[:, 0], ridge[:, 1])
+        assert np.count_nonzero(radius > 0.85) >= 3
+        (fit,) = initial_guesses(imap, 1, 5)
+        assert fit.a == ridge[0, 0]
+        assert fit.b == np.max(ridge[radius <= 0.85, 0]) < ridge[-1, 0]
+
+    def test_clusters_fitted_largest_first_small_ones_dropped(self):
+        lattice = make_lattice(64)
+        values = np.zeros(lattice.shape)
+        values[40:42, 20:28] = 1.0  # 8 columns
+        values[20, 36:41] = 1.0  # 5 columns
+        values[30, 10:14] = 1.0  # 4 columns: under degree + 3 for degree 2
+        imap = ImageMap(lattice, values)
+        clusters = clustered_ridges(imap, quantile=0.01)
+        assert [c.shape[0] for c in clusters] == [8, 5, 4]
+        for n_curves, degree, n_fits in ((2, 1, 2), (3, 1, 3), (3, 2, 2)):
+            fits = initial_guesses(imap, n_curves, degree)
+            assert len(fits) == n_fits
+            for fit, pts in zip(fits, clusters):
+                expected = chebyshev_fit(pts, degree)
+                assert (fit.a, fit.b) == (expected.a, expected.b)
+                assert np.array_equal(fit.coeffs, expected.coeffs)
+
+
 class TestNorms:
     def test_identical_datasets_give_exact_zero(self, small_data):
         data, _, _ = small_data
@@ -211,9 +260,8 @@ class TestNorms:
         other = rng.normal(size=(32, 4, 1)) + 1j * rng.normal(size=(32, 4, 1))
         report = discrete_norms(data, _dataset(other, grid, incident))
         assert report.n2 <= report.n1
-        assert report.n_inf <= report.n_points * report.n1
+        assert report.n_inf <= 32 * report.n1
         assert report.omega == 4.0 * math.pi
-        assert (report.n_points, report.n_directions) == (32, 4)
 
     def test_mismatches_rejected(self, small_data):
         data, grid, incident = small_data
@@ -251,9 +299,7 @@ class TestReport:
         curve = ChebyshevCurve(-0.7, 0.3, np.array([0.29, -0.16, -0.2, 0.0, 0.0, 0.0]))
         from thinimage.postprocess import DiscrepancyReport
 
-        report = DiscrepancyReport(
-            n1=0.1, n2=0.15, n_inf=0.7, omega=4.0 * math.pi, n_points=128, n_directions=4
-        )
+        report = DiscrepancyReport(n1=0.1, n2=0.15, n_inf=0.7, omega=4.0 * math.pi)
         text = format_fit_report([("first", curve, report), ("second", curve, None)])
         lines = text.strip().split("\n")
         assert len(lines) == 3

@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from thinimage.forward import bessel_j_table
-from thinimage.special import _CHUNK, j0_band_integral, spherical_j0
+from thinimage.special import _CHUNK, j0_band_integral
 
 
 class TestBesselJ:
@@ -21,22 +21,6 @@ class TestBesselJ:
         # Relative away from zeros, absolute near them.
         err = np.abs(mine - ref) / np.maximum(np.abs(ref), 1.0)
         assert np.max(err) <= 1e-10
-
-
-class TestSphericalJ0:
-    def test_values(self):
-        assert spherical_j0(0.0) == 1.0
-        assert spherical_j0(np.pi) == pytest.approx(0.0, abs=1e-15)
-        x = np.linspace(-40, 40, 2001)
-        vals = spherical_j0(x)
-        assert np.allclose(vals, np.sinc(x / np.pi), atol=1e-13)
-
-    def test_even_and_bounded(self):
-        rng = np.random.default_rng(3)
-        x = rng.uniform(-100, 100, 4000)
-        vals = spherical_j0(x)
-        assert np.allclose(vals, spherical_j0(-x), rtol=0, atol=1e-15)
-        assert np.all(np.abs(vals[np.abs(x) > 1e-8]) < 1.0)
 
 
 class TestJ0BandIntegral:
@@ -99,7 +83,7 @@ class TestModulatedKernelShape:
     def test_global_max_at_origin(self):
         # j0(a x) cos(b x) with a=2, b=10 peaks at x=0 with value 1.
         x = np.linspace(-3.0, 3.0, 12001)
-        y = spherical_j0(2 * x) * np.cos(10 * x)
+        y = np.sinc(2 * x / np.pi) * np.cos(10 * x)
         assert y[np.argmax(np.abs(x) < 1e-12)] == 1.0
         assert np.max(y) == 1.0
         assert np.argmax(y) == 6000
