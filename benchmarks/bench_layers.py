@@ -14,7 +14,7 @@ a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
 - ``DiskModes.apply`` over the lattice at the top frequency, on the
   coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
   for the N-point grid), value alone (the Bessel and angular tables and one
-  product per radius bin) and with the gradient;
+  product per block of points) and with the gradient;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
 - ``td_component_maps``: both raw sensitivity maps at the top frequency,
   the adjoint together with the sums against the incident waves;

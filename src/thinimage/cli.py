@@ -46,6 +46,7 @@ from .forward import (
     synthesize,
 )
 from .geometry import (
+    BUILTIN_CURVES,
     ThinInclusion,
     boundary_grid,
     builtin_curve,
@@ -56,7 +57,6 @@ from .imaging import band_kernel_maps, etd_multi, etd_single, normalized_combina
 from .maps import ImageMap, make_lattice, save_map_csv, save_map_pgm
 from .postprocess import discrete_norms, format_fit_report, initial_guesses
 
-_BUILTIN_CURVES = ("sigma1", "sigma2", "sigma3")
 _FUNCTIONALS = ("etd_multi", "etd_single", "music", "kirchhoff", "mkm", "oracles")
 # inversion-side quadrature is kept at half synthesize's default node count
 # (400) so model maps never ride the synthesis discretization
@@ -94,14 +94,14 @@ class InclusionSpec:
             raise ConfigError(f"custom-curve keys {keys} need curve = custom, not {self.curve!r}")
 
     def build(self) -> ThinInclusion:
-        if self.curve in _BUILTIN_CURVES:
+        if self.curve in BUILTIN_CURVES:
             curve = builtin_curve(self.curve)
         elif self.curve == "custom":
             custom = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata}
             curve = poly_sin_curve("custom", **custom)
         else:
             raise ConfigError(
-                f"unknown curve {self.curve!r}; pick one of {_BUILTIN_CURVES} or 'custom'"
+                f"unknown curve {self.curve!r}; pick one of {tuple(BUILTIN_CURVES)} or 'custom'"
             )
         return ThinInclusion(
             curve, h=self.h, eps=self.eps, mu=self.mu, eps0=self.eps0, mu0=self.mu0
@@ -514,7 +514,7 @@ def run(config: ExperimentConfig):
 
 def preset_configs() -> dict[str, ExperimentConfig]:
     """Named experiment presets covering the standard comparison scenes."""
-    scenes = {label: (InclusionSpec(curve=label),) for label in _BUILTIN_CURVES}
+    scenes = {label: (InclusionSpec(curve=label),) for label in BUILTIN_CURVES}
     scenes["multi_same"] = scenes["sigma1"] + scenes["sigma2"]
     scenes["multi_diff"] = scenes["sigma1"] + (InclusionSpec(curve="sigma2", eps=10.0, mu=10.0),)
     # name: scene, incident directions, frequencies, functional
@@ -526,7 +526,7 @@ def preset_configs() -> dict[str, ExperimentConfig]:
     table["sigma3_L16_K04"] = ("sigma3", 16, 4, "etd_multi")
     table["sigma3_music_single"] = ("sigma3", 16, 1, "music")
     table["sigma3_kirchhoff_multi"] = ("sigma3", 16, 16, "mkm")
-    for s in _BUILTIN_CURVES:
+    for s in BUILTIN_CURVES:
         table[f"initial_guess_{s}"] = (s, 16, 16, "etd_multi")
     table["initial_guess_multi"] = ("multi_same", 16, 16, "etd_multi")
     return {

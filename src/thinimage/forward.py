@@ -31,10 +31,8 @@ from .errors import ConfigError, DataStateError, GeometryError, ResonanceError, 
 from .geometry import BoundaryGrid, ThinInclusion, discretize
 
 _RESONANCE_TOL = 1e-8
-# Geometric radius bins for mode tables: small radii need far fewer orders.
-_RADIUS_BIN_EDGES = np.array([0.0, 0.15, 0.3, 0.45, 0.6, 0.72, 0.82, 0.9, 1.01])
 # Coefficients beyond this J_n' magnitude floor would overflow; orders past it
-# contribute below ~rho^cap anyway (see mode-count selection).
+# contribute below ~rho^cap anyway (see _series_order).
 _JNP_FLOOR = 1e-260
 _DEFAULT_SERIES_TOL = 1e-10
 
@@ -194,16 +192,11 @@ def bessel_j_table(nmax: int, x) -> np.ndarray:
     return out
 
 
-def mode_count(omega: float, rho: float, tol: float) -> int:
-    """Mode cutoff for correction series with geometric tail ratio rho."""
+def _series_order(omega: float, rho: float, tol: float) -> int:
+    """Truncation order of a kernel series with geometric tail ratio rho, with a floor."""
     rho = min(max(rho, 0.05), 0.999)
     tail = int(math.ceil(math.log(1.0 / tol) / math.log(1.0 / rho)))
-    return int(math.ceil(omega)) + 10 + tail
-
-
-def _series_order(omega: float, rho: float, tol: float) -> int:
-    """Truncation order of a kernel series: mode_count with a floor."""
-    return max(30, int(math.ceil(2 * omega)) + 20, mode_count(omega, rho, tol))
+    return max(30, int(math.ceil(2 * omega)) + 20, int(math.ceil(omega)) + 10 + tail)
 
 
 def jnp_values(omega: float, nmax: int) -> tuple[np.ndarray, int]:
@@ -332,6 +325,10 @@ def _angular_table(thetas: np.ndarray, nmax: int, out=None) -> np.ndarray:
     return table
 
 
+# Points per table block: fastest of 256..4096 on 128^2 and 256^2 lattices (workspaces ~1 MB).
+_POINT_BLOCK = 1024
+
+
 class DiskModes:
     """The disk's Neumann kernel for boundary sources, as a mode series.
 
@@ -339,13 +336,11 @@ class DiskModes:
     with eps_0 = 1, eps_n = 2, K_n = Phi_n/(2 pi w J_n'(w)), Phi_n(x) = J_n(w|x|) e^{in theta_x}.
     Construction rejects rim points and near-resonant frequencies, and fixes
     ``nmax`` from the series tolerance at the largest radius, cut where J_n'(w)
-    underflows. Each geometric radius bin stops at its own lower order: the
-    rows past it sit below the tolerance.
+    underflows.
 
-    The points are held in radius order (one stable sort at construction), so
-    each radius bin is a contiguous slice (lo, hi, n_b) of them and gathers
-    its rows from one ``bessel_j_table`` per call over the distinct radii.
-    ``apply`` returns its rows in the input order. Besides the values
+    ``apply`` sums every point to one order and takes the points in input
+    order, ``_POINT_BLOCK`` at a time, gathering their rows from one
+    ``bessel_j_table`` per call over the distinct radii. Besides the values
     it gives their x and y gradients (synthesis) or, in one product with two
     blocks of columns instead of three, the derivative of each column along
     its own unit vector (the adjoint of the imaging maps).
@@ -364,33 +359,23 @@ class DiskModes:
         self.nmax = min(nmax, cut - 1)
         eps_n = np.where(np.arange(self.nmax + 1) == 0, 1.0, 2.0)
         self._weights = eps_n / (2.0 * math.pi * omega * jnp[: self.nmax + 1])
-        self._order = np.argsort(radii, kind="stable")
-        radii = radii[self._order]
-        self._thetas = np.arctan2(pts[:, 1], pts[:, 0])[self._order]
+        self._thetas = np.arctan2(pts[:, 1], pts[:, 0])
         # one Bessel column per distinct radius: a square lattice repeats each about six times
         self._radii, self._column = np.unique(radii, return_inverse=True)
-        # (lo, hi, order) per bin of the sorted points, the order set by the bin's outer radius
-        edges = np.searchsorted(radii, _RADIUS_BIN_EDGES).tolist()
-        self._bins = [
-            (lo, hi, min(self.nmax, mode_count(omega, r_hi, series_tol)))
-            for lo, hi, r_hi in zip(edges, edges[1:], np.minimum(_RADIUS_BIN_EDGES[1:], 0.999))
-            if hi > lo
-        ]
 
     def apply(self, c: np.ndarray, gradient: bool = False, directions=None):
         """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax.
 
-        The rows of ``c`` set the order: each radius bin sums to min(n_b, m)
-        and builds its tables no further, so c[:m+1] gives what c with its
-        rows past m set to zero gives.
+        The rows of ``c`` set the order: the series stops at min(nmax, m), so
+        c[:m+1] gives what c with its rows past m set to zero gives.
 
         Returns the (P, C) real values, followed by their x and y gradients
         when ``gradient`` is set, or by the derivative of column j along the
         unit vector ``directions[j]`` when ``directions`` (shape (C, 2)) is
         given. With a_n = eps_n c_n/(2 pi w J_n'(w)), the derivatives shift
         the coefficients by one order, d_x Phi_n = (w/2)(Phi_{n-1} - Phi_{n+1})
-        and d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so each radius bin
-        takes one table Phi_0..Phi_{n_b+1} and one real matmul
+        and d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so each block of points
+        takes one table Phi_0..Phi_{n+1} and one real matmul
         [Re Phi; Im Phi]^T [Re b; -Im b] for all its columns: b = [a, d_x a,
         d_y a] for the gradients (3C) and b = [a, dx d_x a + dy d_y a] for the
         directional derivative (2C).
@@ -398,33 +383,35 @@ class DiskModes:
         if gradient and directions is not None:
             raise ValueError("ask for the gradient or for directional derivatives, not both")
         width = 3 if gradient else 1 if directions is None else 2
-        bins = [(lo, hi, min(n_b, c.shape[0] - 1)) for lo, hi, n_b in self._bins]
-        rows, size = max(n_b for _, _, n_b in bins) + 2, max(hi - lo for lo, hi, _ in bins)
-        bessel = bessel_j_table(rows - 1, self.omega * self._radii)
-        # table workspaces sized for the largest bin; each bin uses their leading part
-        phase_work, table_work = np.empty(rows * size, dtype=complex), np.empty(2 * rows * size)
-        fields = np.empty((self._order.size, width * c.shape[1]))
-        for lo, hi, n_b in bins:
-            a = np.zeros((n_b + 4, c.shape[1]), dtype=complex)  # a_{-1}..a_{n_b+2}
-            a[1 : n_b + 2] = self._weights[: n_b + 1, None] * c[: n_b + 1]
-            coef, above, below = a[1:-1], a[2:], a[:-2].copy()
-            if width > 1:
-                # Phi_{-1} = -conj(Phi_1), so Re(k a_0 Phi_{-1}) = -Re(conj(k a_0) Phi_1)
-                below[1] += below[1].conj()
-                half = 0.5 * self.omega
-                d_x, d_y = half * (above - below), (1j * half) * (above + below)
-                if gradient:
-                    coef = np.hstack([coef, d_x, d_y])
-                else:
-                    coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
-            k, m = n_b + 2, hi - lo
-            phases = _angular_table(self._thetas[lo:hi], n_b + 1, phase_work[: k * m].reshape(k, m))
+        n = min(self.nmax, c.shape[0] - 1)
+        a = np.zeros((n + 4, c.shape[1]), dtype=complex)  # a_{-1}..a_{n+2}
+        a[1 : n + 2] = self._weights[: n + 1, None] * c[: n + 1]
+        coef, above, below = a[1:-1], a[2:], a[:-2].copy()
+        if width > 1:
+            # Phi_{-1} = -conj(Phi_1), so Re(k a_0 Phi_{-1}) = -Re(conj(k a_0) Phi_1)
+            below[1] += below[1].conj()
+            half = 0.5 * self.omega
+            d_x, d_y = half * (above - below), (1j * half) * (above + below)
+            if gradient:
+                coef = np.hstack([coef, d_x, d_y])
+            else:
+                coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
+        rhs = np.vstack([coef.real, -coef.imag])
+        k, points = n + 2, self._thetas.size
+        bessel = bessel_j_table(k - 1, self.omega * self._radii)
+        size = min(points, _POINT_BLOCK)
+        # table workspaces for one block; a short last block uses their leading part
+        phase_work, table_work = np.empty(k * size, dtype=complex), np.empty(2 * k * size)
+        fields = np.empty((points, rhs.shape[1]))
+        for lo in range(0, points, size):
+            m = min(size, points - lo)
+            phases = _angular_table(self._thetas[lo : lo + m], k - 1, phase_work[: k * m].reshape(k, m))
             table = table_work[: 2 * k * m].reshape(2 * k, m)
-            # the bin's Bessel columns; "clip" lets take write to out unbuffered (indices are valid)
-            np.take(bessel[:k], self._column[lo:hi], axis=1, out=table[:k], mode="clip")
+            # the block's Bessel columns; "clip" lets take write to out unbuffered (indices are valid)
+            np.take(bessel, self._column[lo : lo + m], axis=1, out=table[:k], mode="clip")
             np.multiply(table[:k], phases.imag, out=table[k:])
             table[:k] *= phases.real
-            fields[self._order[lo:hi]] = table.T @ np.vstack([coef.real, -coef.imag])
+            np.matmul(table.T, rhs, out=fields[lo : lo + m])
         return tuple(np.hsplit(fields, width)) if width > 1 else fields
 
 

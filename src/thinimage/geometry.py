@@ -52,41 +52,6 @@ class ParametricCurve:
         )
 
 
-def builtin_curve(label: str) -> ParametricCurve:
-    """Return one of the built-in supporting curves sigma1, sigma2, sigma3."""
-    if label == "sigma1":
-        return ParametricCurve(
-            label,
-            -0.5,
-            0.5,
-            fx=lambda s: s - 0.2,
-            fy=lambda s: -0.5 * s**2 + 0.5,
-            dfx=lambda s: np.ones_like(s),
-            dfy=lambda s: -s,
-        )
-    if label == "sigma2":
-        return ParametricCurve(
-            label,
-            -0.5,
-            0.5,
-            fx=lambda s: s + 0.2,
-            fy=lambda s: s**3 + s**2 - 0.6,
-            dfx=lambda s: np.ones_like(s),
-            dfy=lambda s: 3.0 * s**2 + 2.0 * s,
-        )
-    if label == "sigma3":
-        return ParametricCurve(
-            label,
-            -0.7,
-            0.7,
-            fx=lambda s: np.asarray(s, dtype=float),
-            fy=lambda s: 0.5 * s**2 + 0.1 * np.sin(3.0 * math.pi * (s + 0.7)),
-            dfx=lambda s: np.ones_like(s),
-            dfy=lambda s: s + 0.3 * math.pi * np.cos(3.0 * math.pi * (s + 0.7)),
-        )
-    raise ConfigError(f"unknown builtin curve {label!r}")
-
-
 def poly_sin_curve(
     label: str,
     s_min: float,
@@ -119,6 +84,21 @@ def poly_sin_curve(
         dfx=lambda s: np.ones_like(s),
         dfy=dfy,
     )
+
+
+# name: s_min, s_max, x_shift, y_poly, y_sin_amp, y_sin_freq, y_sin_phase (of poly_sin_curve)
+BUILTIN_CURVES = {
+    "sigma1": (-0.5, 0.5, -0.2, (0.5, 0.0, -0.5), 0.0, 0.0, 0.0),
+    "sigma2": (-0.5, 0.5, 0.2, (-0.6, 0.0, 1.0, 1.0), 0.0, 0.0, 0.0),
+    "sigma3": (-0.7, 0.7, 0.0, (0.0, 0.0, 0.5), 0.1, 3.0 * math.pi, 0.7),
+}
+
+
+def builtin_curve(label: str) -> ParametricCurve:
+    """Return one of the built-in supporting curves sigma1, sigma2, sigma3."""
+    if label not in BUILTIN_CURVES:
+        raise ConfigError(f"unknown builtin curve {label!r}")
+    return poly_sin_curve(label, *BUILTIN_CURVES[label])
 
 
 @dataclass(frozen=True)

@@ -200,11 +200,14 @@ def initial_guesses(imap: ImageMap, n_curves: int, degree: int) -> list[Chebyshe
 
     One curve fits the ridge of extract_ridge. More curves fit the n_curves
     largest 8-connected clusters of clustered_ridges that hold at least
-    degree + 3 points, largest first, so fewer fits may come back. Ridge
-    points farther than 0.85 from the origin are dropped before each fit.
+    degree + 3 points, largest first, so fewer fits may come back; with no
+    such cluster it raises RidgeError. Ridge points farther than 0.85 from
+    the origin are dropped before each fit.
     """
     if n_curves > 1:
         point_sets = clustered_ridges(imap, _RIDGE_QUANTILE, min_points=degree + 3)[:n_curves]
+        if not point_sets:
+            raise RidgeError(f"no ridge cluster holds degree + 3 = {degree + 3} points")
     else:
         point_sets = [extract_ridge(imap, _RIDGE_QUANTILE)]
     return [

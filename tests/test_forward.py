@@ -268,9 +268,9 @@ class TestBoundaryKernel:
 class TestDiskModes:
     def test_apply_matches_library_series_in_every_radius_bin(self):
         # Re sum_n a_n J_n(w r) e^{in theta}, a_n = eps_n c_n/(2 pi w J_n'(w)),
-        # and its gradient from jv/jvp in radial and (1/r) angular parts, each
-        # point cut at its radius bin's order; the centre uses the limit of
-        # n J_n(w r)/r (w/2 at n = 1).
+        # and its gradient from jv/jvp in radial and (1/r) angular parts, every
+        # point summed to nmax; the centre uses the limit of n J_n(w r)/r
+        # (w/2 at n = 1).
         rng = np.random.default_rng(23)
         radii = np.array([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.87, 0.95])
         thetas = rng.uniform(-math.pi, math.pi, radii.size)
@@ -278,12 +278,10 @@ class TestDiskModes:
         modes = DiskModes(OMEGA_HI, pts, 1e-10)
         c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
         fields = modes.apply(c, gradient=True)
-        order_of = {int(i): n_b for lo, hi, n_b in modes._bins for i in modes._order[lo:hi]}
-        assert len(order_of) == radii.size == len(modes._bins) + 1
         refs = np.zeros((3, radii.size, 3))
+        n = np.arange(modes.nmax + 1)
+        eps = np.where(n == 0, 1.0, 2.0)
         for i, (r, t) in enumerate(zip(radii, thetas)):
-            n = np.arange(order_of[i] + 1)
-            eps = np.where(n == 0, 1.0, 2.0)
             terms = (eps / (2.0 * math.pi * OMEGA_HI * sp.jvp(n, OMEGA_HI)))[:, None] * c[n]
             terms *= np.exp(1j * n * t)[:, None]
             angular = n * sp.jv(n, OMEGA_HI * r) / r if r > 0 else np.where(n == 1, OMEGA_HI / 2, 0)
@@ -298,16 +296,13 @@ class TestDiskModes:
             assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_rows_of_c_set_the_order(self):
-        # apply(c[:m+1]) is apply of c with its rows past m set to zero, for m
-        # below every bin's own order and for m between the bins' orders
+        # apply(c[:m+1]) is apply of c with its rows past m set to zero
         rng = np.random.default_rng(31)
         radii = np.array([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.87, 0.95])
         thetas = rng.uniform(-math.pi, math.pi, radii.size)
         pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
         modes = DiskModes(OMEGA_HI, pts, 1e-10)
         c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
-        orders = [n_b for _, _, n_b in modes._bins]
-        assert 20 < min(orders) < 64 < max(orders)
         for m in (20, 64):
             zeroed = c.copy()
             zeroed[m + 1 :] = 0.0
@@ -317,18 +312,18 @@ class TestDiskModes:
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (m, gradient)
 
     def test_rows_come_back_in_the_input_order(self):
-        # the points are sorted by radius inside; a shuffled point set gives
-        # the same rows, shuffled, bit for bit
+        # a shuffled point set gives the same rows, shuffled, bit for bit; the
+        # 128^2 lattice spans several point blocks
         rng = np.random.default_rng(37)
-        points = make_lattice(40).points
-        shuffle = rng.permutation(points.shape[0])
-        modes = DiskModes(OMEGA_HI, points, 1e-10)
-        shuffled = DiskModes(OMEGA_HI, points[shuffle], 1e-10)
         c = rng.standard_normal((65, 4)) + 1j * rng.standard_normal((65, 4))
-        for gradient in (False, True):
-            ref = np.atleast_3d(modes.apply(c, gradient))
-            got = np.atleast_3d(shuffled.apply(c, gradient))
-            assert np.array_equal(got, ref[:, shuffle] if gradient else ref[shuffle])
+        for points in (make_lattice(40).points, make_lattice(128).points):
+            shuffle = rng.permutation(points.shape[0])
+            modes = DiskModes(OMEGA_HI, points, 1e-10)
+            shuffled = DiskModes(OMEGA_HI, points[shuffle], 1e-10)
+            for gradient in (False, True):
+                ref = np.atleast_3d(modes.apply(c, gradient))
+                got = np.atleast_3d(shuffled.apply(c, gradient))
+                assert np.array_equal(got, ref[:, shuffle] if gradient else ref[shuffle])
 
     def test_directional_derivative_combines_the_gradient(self):
         rng = np.random.default_rng(41)

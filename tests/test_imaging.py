@@ -94,8 +94,8 @@ class TestAdjointField:
         # at 4 pi, below M - N/2 = 448, so no kernel order aliases onto one of
         # the interpolant's and the quadrature is the interpolant's integral:
         # the two agree to 1e-14 out to 0.87 and to 1e-12 (values) and 1e-10
-        # (gradients) at 0.95. Radii: the centre and one radius inside each
-        # mode-table radius bin, out to the lattice clip radius 0.95.
+        # (gradients) at 0.95. Radii: the centre and eight radii spread out to
+        # the lattice clip radius 0.95.
         n, m = grid.n_points, 4 * grid.n_points
         spectrum = np.fft.fft(random_traces, axis=0)
         padded = np.zeros((m, random_traces.shape[1]), dtype=complex)

@@ -239,6 +239,18 @@ class TestInitialGuesses:
                 assert (fit.a, fit.b) == (expected.a, expected.b)
                 assert np.array_equal(fit.coeffs, expected.coeffs)
 
+    def test_no_cluster_of_degree_plus_three_points_is_a_ridge_error(self):
+        # two clusters of 4 thinned points each: degree 2 needs 5
+        lattice = make_lattice(64)
+        values = np.zeros(lattice.shape)
+        values[40, 20:24] = 1.0
+        values[20, 36:40] = 1.0
+        imap = ImageMap(lattice, values)
+        assert [c.shape[0] for c in clustered_ridges(imap, quantile=0.01)] == [4, 4]
+        assert len(initial_guesses(imap, 2, 1)) == 2
+        with pytest.raises(RidgeError, match="5 points"):
+            initial_guesses(imap, 2, 2)
+
 
 class TestNorms:
     def test_identical_datasets_give_exact_zero(self, small_data):
