@@ -21,26 +21,13 @@ _CLEAN_DROP_TOL = 1e-6
 _NOISY_DROP_TOL = 1e-2
 
 
-def steering_vectors(
-    points: np.ndarray, omega: float, directions: np.ndarray
-) -> np.ndarray:
-    """Unit-normalized monopole steering vectors e^{i omega d.x}, one row per point.
+def steering_vectors(lattice: Lattice, omega: float, directions: np.ndarray) -> np.ndarray:
+    """Unit steering vectors e^{i omega d.z}/sqrt(L), one row per kept lattice node.
 
-    Parameters
-    ----------
-    points : ndarray, shape (P, 2)
-    omega : float
-    directions : ndarray, shape (L, 2)
-
-    Returns
-    -------
-    ndarray, shape (P, L) complex, rows of unit Euclidean norm.
+    Each row of ``Lattice.plane_waves`` holds L entries of unit modulus, so
+    dividing by sqrt(L) gives the (P, L) complex rows unit Euclidean norm.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    rows = np.exp(1j * float(omega) * (pts @ dirs.T))
-    norms = np.linalg.norm(rows, axis=1)
-    return rows / norms[:, None]
+    return lattice.plane_waves(omega, directions) / np.sqrt(directions.shape[0])
 
 
 def signal_space_dim(msr: MultistaticMatrix, clean: bool = True) -> int:
@@ -76,7 +63,7 @@ def music_map(
         raise ConfigError(
             f"signal dimension must lie strictly between 0 and {msr.n_directions}"
         )
-    w = steering_vectors(lattice.points, msr.omega, msr.directions)
+    w = steering_vectors(lattice, msr.omega, msr.directions)
     basis = msr.left_vectors[:, :m]
     residual = w - (w @ basis.conj()) @ basis.T
     norms = np.linalg.norm(residual, axis=1)
@@ -95,7 +82,7 @@ def kirchhoff_map(
     must undo the phase twice or the image splits between a point and its
     mirror through the origin.
     """
-    w = steering_vectors(lattice.points, msr.omega, msr.directions)
+    w = steering_vectors(lattice, msr.omega, msr.directions)
     wc = w.conj()
     values = np.abs(np.einsum("pj,jl,pl->p", wc, msr.matrix, wc, optimize=True))
     return from_point_values(lattice, values)

@@ -75,24 +75,6 @@ class IncidentSet:
     def n_frequencies(self) -> int:
         return self.omegas.size
 
-    @classmethod
-    def standard(
-        cls,
-        n_directions: int,
-        n_frequencies: int,
-        lambda_min: float = 0.2,
-        lambda_max: float = 0.5,
-    ) -> "IncidentSet":
-        """Equispaced directions with frequencies equispaced over the band.
-
-        The band runs from 2 pi / lambda_max up to 2 pi / lambda_min; a single
-        frequency picks the low band edge.
-        """
-        return cls(
-            standard_directions(n_directions),
-            frequency_band(n_frequencies, lambda_min, lambda_max),
-        )
-
 
 def standard_directions(n_directions: int) -> np.ndarray:
     """Unit directions d_l = (cos 2(l-1)pi/L, sin 2(l-1)pi/L), l = 1..L."""
@@ -335,8 +317,8 @@ class DiskModes:
     For |y| = 1 the kernel is N(x, y) = Re sum_{n>=0} eps_n K_n(x) e^{-in phi_y}
     with eps_0 = 1, eps_n = 2, K_n = Phi_n/(2 pi w J_n'(w)), Phi_n(x) = J_n(w|x|) e^{in theta_x}.
     Construction rejects rim points and near-resonant frequencies, and fixes
-    ``nmax`` from the series tolerance at the largest radius, cut where J_n'(w)
-    underflows.
+    ``nmax`` from the one series tolerance ``_DEFAULT_SERIES_TOL`` at the
+    largest radius, cut where J_n'(w) underflows.
 
     ``apply`` sums every point to one order and takes the points in input
     order, ``_POINT_BLOCK`` at a time, gathering their rows from one
@@ -346,14 +328,14 @@ class DiskModes:
     its own unit vector (the adjoint of the imaging maps).
     """
 
-    def __init__(self, omega: float, points, series_tol: float):
+    def __init__(self, omega: float, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         radii = np.hypot(pts[:, 0], pts[:, 1])
         rmax = float(np.max(radii))
         if rmax > 0.999:
             raise GeometryError(f"interior points must satisfy |x| < 1 (max {rmax:.4f})")
         ensure_not_resonant(omega)
-        nmax = _series_order(omega, rmax, series_tol)
+        nmax = _series_order(omega, rmax, _DEFAULT_SERIES_TOL)
         jnp, cut = jnp_values(omega, nmax + 1)
         self.omega = float(omega)
         self.nmax = min(nmax, cut - 1)
@@ -426,7 +408,7 @@ def boundary_kernel_tables(
     Returns the (P, NB) kernel matrix, plus its x and y gradient matrices
     when ``gradient`` is set.
     """
-    modes = DiskModes(omega, points, _DEFAULT_SERIES_TOL)
+    modes = DiskModes(omega, points)
     phases = np.exp(-1j * np.outer(np.arange(modes.nmax + 1), boundary_angles))
     return modes.apply(phases, gradient)
 
@@ -509,8 +491,6 @@ def synthesize(
     inclusions = list(inclusions)
     if not inclusions:
         raise ConfigError("need at least one inclusion")
-    for omega in incident.omegas:
-        ensure_not_resonant(float(omega))
     for inc in inclusions:
         ensure_thin(inc, float(np.max(incident.omegas)))
 

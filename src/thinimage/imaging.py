@@ -30,7 +30,6 @@ from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion
 from .maps import ImageMap, Lattice, from_point_values
 
 _FLAT_TOL = 1e-14
-_DEFAULT_MAP_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +76,7 @@ def adjoint_field_batch(
     traces = np.asarray(traces, dtype=complex)
     if traces.ndim != 2 or traces.shape[0] != grid.n_points:
         raise ValueError(f"traces must have shape (N={grid.n_points}, L)")
-    modes = DiskModes(omega, points, _DEFAULT_MAP_TOL)
+    modes = DiskModes(omega, points)
     fields = modes.apply(_trace_modes(traces, grid, modes.nmax), gradient)
     if not gradient:
         return fields.view(complex)
@@ -137,20 +136,17 @@ def td_component_maps(
     One ``DiskModes.apply`` gives v and D as real (Re, Im) column pairs, each
     pair differentiated along its own direction, and each map is a real dot
     product of those pairs with the (Re, Im) pairs of u, or of
-    i u = (-Im u, Re u). The incident waves separate by axis,
-    e^{iw d.z} = e^{iw d_x x} e^{iw d_y y}, so u is the product of one phase
-    table per lattice axis, the one complex (P, L) array built here.
+    i u = (-Im u, Re u). u is the lattice's plane-wave table
+    (``Lattice.plane_waves``), the one complex (P, L) array here.
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
     omega = float(data.incident.omegas[k_index])
     directions = data.incident.directions
-    modes = DiskModes(omega, lattice.points, _DEFAULT_MAP_TOL)
+    modes = DiskModes(omega, lattice.points)
     coefficients = _trace_modes(data.traces[:, :, k_index], data.grid, modes.nmax)
     v, d = modes.apply(coefficients, directions=np.repeat(directions, 2, axis=0))
-    iy, ix = np.nonzero(lattice.mask)
-    u = np.exp(1j * omega * np.outer(lattice.ys, directions[:, 1]))[iy]
-    u *= np.exp(1j * omega * np.outer(lattice.xs, directions[:, 0]))[ix]
+    u = lattice.plane_waves(omega, directions)
     eps_vals = np.einsum("pk,pk->p", v, u.view(float))
     u *= 1j
     mu_vals = omega * np.einsum("pk,pk->p", d, u.view(float))
@@ -234,16 +230,15 @@ def single_frequency_kernel_maps(
     by the permeability bracket. The adjoint's boundary factor and the
     polarization sources are left out, so the raw sensitivity maps of
     ``td_component_maps`` do not approach these forms in the disk, nor in the
-    open plane. The phase factor is separable, so each direction costs
-    O(P + M).
+    open plane. The phase factor is separable, e^{i w d.x} on the curve times
+    the conjugate of the lattice's plane wave, so each direction costs O(P + M).
     """
-    pts = lattice.points
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
     gamma = inclusion.permittivity_contrast()
-    eps_vals = np.zeros(pts.shape[0])
-    mu_vals = np.zeros(pts.shape[0])
-    for d in np.atleast_2d(np.asarray(directions, dtype=float)):
+    eps_vals = np.zeros(lattice.points.shape[0])
+    mu_vals = np.zeros(lattice.points.shape[0])
+    for d, z_phase in zip(directions, lattice.plane_waves(omega, directions).conj().T):
         curve_phase = np.exp(1j * omega * (disc.nodes @ d))
-        z_phase = np.exp(-1j * omega * (pts @ d))
         eps_vals += np.real(z_phase * np.sum(disc.weights * gamma * curve_phase))
         mu_vals += np.real(
             z_phase * np.sum(disc.weights * _mu_bracket(disc, inclusion, d) * curve_phase)

@@ -25,7 +25,8 @@ class Lattice:
     """Square sampling lattice clipped to a disk.
 
     ``mask[iy, ix]`` flags nodes with radius <= clip_radius; ``points`` lists
-    the kept nodes, row-major over (iy, ix).
+    the kept nodes, row-major over (iy, ix). ``plane_waves`` is the one source
+    of the incident waves on them (imaging maps, model maps, steering vectors).
     """
 
     xs: np.ndarray
@@ -49,6 +50,17 @@ class Lattice:
             and np.array_equal(self.xs, other.xs)
             and np.array_equal(self.ys, other.ys)
         )
+
+    def plane_waves(self, omega: float, directions: np.ndarray) -> np.ndarray:
+        """e^{i w d_l.z} at the kept nodes, shape (P, L) complex, one column per direction.
+
+        The waves separate by axis, e^{i w d.z} = e^{i w d_x x} e^{i w d_y y},
+        so the table is the product of one phase table per lattice axis.
+        """
+        iy, ix = np.nonzero(self.mask)
+        waves = np.exp(1j * omega * np.outer(self.ys, directions[:, 1]))[iy]
+        waves *= np.exp(1j * omega * np.outer(self.xs, directions[:, 0]))[ix]
+        return waves
 
 
 def make_lattice(n: int = 128) -> Lattice:

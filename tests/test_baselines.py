@@ -103,25 +103,29 @@ class TestAssembly:
 
 
 class TestSteering:
+    # make_lattice(9) steps by 0.25 from -1: it holds the origin exactly, and
+    # the mirror -z of its k-th kept node is its k-th node from the end
     def test_monopole_rows_have_flat_magnitude(self):
-        dirs = standard_directions(8)
-        w = steering_vectors(np.array([[0.3, -0.2]]), OMEGA, dirs)
+        w = steering_vectors(make_lattice(9), OMEGA, standard_directions(8))
         assert np.allclose(np.abs(w), 1.0 / math.sqrt(8), rtol=0.0, atol=1e-14)
 
     def test_origin_monopole_is_uniform(self):
-        dirs = standard_directions(8)
-        w = steering_vectors(np.array([[0.0, 0.0]]), OMEGA, dirs)
-        assert np.allclose(w, 1.0 / math.sqrt(8), rtol=0.0, atol=1e-14)
+        lattice = make_lattice(9)
+        (origin,) = np.flatnonzero(np.all(lattice.points == 0.0, axis=1))
+        w = steering_vectors(lattice, OMEGA, standard_directions(8))
+        assert np.allclose(w[origin], 1.0 / math.sqrt(8), rtol=0.0, atol=1e-14)
 
     def test_rows_are_unit(self):
-        dirs = standard_directions(12)
-        w = steering_vectors(np.array([[0.1, 0.2], [-0.4, 0.0]]), OMEGA, dirs)
+        w = steering_vectors(make_lattice(9), OMEGA, standard_directions(12))
         assert np.allclose(np.linalg.norm(w, axis=1), 1.0, rtol=0.0, atol=1e-13)
 
     def test_distinct_points_not_parallel(self):
-        dirs = standard_directions(16)
-        w = steering_vectors(np.array([[0.2, 0.1], [-0.2, -0.1]]), OMEGA, dirs)
-        assert abs(np.vdot(w[0], w[1])) < 1.0 - 1e-6
+        lattice = make_lattice(9)
+        assert np.array_equal(lattice.points[::-1], -lattice.points)
+        w = steering_vectors(lattice, OMEGA, standard_directions(16))
+        overlap = np.abs(np.sum(w.conj() * w[::-1], axis=1))
+        off_origin = np.any(lattice.points != 0.0, axis=1)
+        assert np.all(overlap[off_origin] < 1.0 - 1e-6)
 
 
 class TestSignalSpace:
@@ -201,7 +205,7 @@ class TestKirchhoff:
         )
         lattice = make_lattice(16)
         imap = kirchhoff_map(lattice, msr)
-        w = steering_vectors(lattice.points, msr.omega, msr.directions)
+        w = steering_vectors(lattice, msr.omega, msr.directions)
         s1 = msr.singular_values[0]
         u1 = msr.left_vectors[:, 0]
         v1h = msr.right_vectors_h[0]

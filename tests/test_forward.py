@@ -61,11 +61,6 @@ class TestIncident:
         assert w.shape == (1,)
         assert w[0] == pytest.approx(OMEGA_LO, rel=1e-15)
 
-    def test_incident_set_standard(self):
-        inc = IncidentSet.standard(4, 16)
-        assert inc.n_directions == 4
-        assert inc.n_frequencies == 16
-
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ConfigError):
             IncidentSet(np.array([[1.0, 1.0]]), np.array([OMEGA_LO]))
@@ -275,7 +270,7 @@ class TestDiskModes:
         radii = np.array([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.87, 0.95])
         thetas = rng.uniform(-math.pi, math.pi, radii.size)
         pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
-        modes = DiskModes(OMEGA_HI, pts, 1e-10)
+        modes = DiskModes(OMEGA_HI, pts)
         c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
         fields = modes.apply(c, gradient=True)
         refs = np.zeros((3, radii.size, 3))
@@ -301,7 +296,7 @@ class TestDiskModes:
         radii = np.array([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.87, 0.95])
         thetas = rng.uniform(-math.pi, math.pi, radii.size)
         pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
-        modes = DiskModes(OMEGA_HI, pts, 1e-10)
+        modes = DiskModes(OMEGA_HI, pts)
         c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
         for m in (20, 64):
             zeroed = c.copy()
@@ -318,8 +313,8 @@ class TestDiskModes:
         c = rng.standard_normal((65, 4)) + 1j * rng.standard_normal((65, 4))
         for points in (make_lattice(40).points, make_lattice(128).points):
             shuffle = rng.permutation(points.shape[0])
-            modes = DiskModes(OMEGA_HI, points, 1e-10)
-            shuffled = DiskModes(OMEGA_HI, points[shuffle], 1e-10)
+            modes = DiskModes(OMEGA_HI, points)
+            shuffled = DiskModes(OMEGA_HI, points[shuffle])
             for gradient in (False, True):
                 ref = np.atleast_3d(modes.apply(c, gradient))
                 got = np.atleast_3d(shuffled.apply(c, gradient))
@@ -327,7 +322,7 @@ class TestDiskModes:
 
     def test_directional_derivative_combines_the_gradient(self):
         rng = np.random.default_rng(41)
-        modes = DiskModes(OMEGA_HI, make_lattice(40).points, 1e-10)
+        modes = DiskModes(OMEGA_HI, make_lattice(40).points)
         c = rng.standard_normal((modes.nmax + 1, 6)) + 1j * rng.standard_normal((modes.nmax + 1, 6))
         directions = standard_directions(6)
         value, along = modes.apply(c, directions=directions)
@@ -384,7 +379,8 @@ class TestSynthesize:
 
     def test_zero_contrast_gives_zero_traces(self):
         inc = small_inclusion(eps=1.0, mu=1.0)
-        data = synthesize(inc, IncidentSet.standard(2, 2), boundary_grid(16), m_nodes=40)
+        incident = IncidentSet(standard_directions(2), frequency_band(2))
+        data = synthesize(inc, incident, boundary_grid(16), m_nodes=40)
         assert np.all(data.traces == 0.0)
 
     def test_linear_in_thickness(self):
@@ -407,11 +403,18 @@ class TestSynthesize:
 
     def test_thickness_validated_against_wavelength(self):
         inc = small_inclusion(h=0.05)
+        incident = IncidentSet(standard_directions(2), frequency_band(16))
         with pytest.raises(ConfigError):
-            synthesize(inc, IncidentSet.standard(2, 16), boundary_grid(16), m_nodes=40)
+            synthesize(inc, incident, boundary_grid(16), m_nodes=40)
+
+    def test_resonant_frequency_rejected(self):
+        incident = IncidentSet(standard_directions(2), np.array([J1P_FIRST_ZERO, OMEGA_LO]))
+        with pytest.raises(ResonanceError, match="n=1"):
+            synthesize(small_inclusion(), incident, boundary_grid(16), m_nodes=40)
 
     def test_traces_shape_and_cleanliness(self):
-        data = synthesize(small_inclusion(), IncidentSet.standard(3, 2), boundary_grid(16), 40)
+        incident = IncidentSet(standard_directions(3), frequency_band(2))
+        data = synthesize(small_inclusion(), incident, boundary_grid(16), 40)
         assert data.traces.shape == (16, 3, 2)
         assert data.is_clean
         assert data.noise_seed is None
@@ -420,7 +423,10 @@ class TestSynthesize:
 @pytest.fixture(scope="module")
 def clean():
     return synthesize(
-        small_inclusion(), IncidentSet.standard(4, 4), boundary_grid(64), m_nodes=120
+        small_inclusion(),
+        IncidentSet(standard_directions(4), frequency_band(4)),
+        boundary_grid(64),
+        m_nodes=120,
     )
 
 
@@ -457,7 +463,8 @@ class TestNoise:
 
     def test_zero_traces_stay_zero(self):
         inc = small_inclusion(eps=1.0, mu=1.0)
-        clean = synthesize(inc, IncidentSet.standard(2, 2), boundary_grid(16), m_nodes=40)
+        incident = IncidentSet(standard_directions(2), frequency_band(2))
+        clean = synthesize(inc, incident, boundary_grid(16), m_nodes=40)
         noisy = add_awgn(clean, 15.0, seed=3)
         assert np.all(noisy.traces == 0.0)
 
@@ -473,7 +480,10 @@ class TestNoise:
 class TestDatasetIO:
     def test_round_trip_bit_exact_noisy(self, tmp_path):
         data = synthesize(
-            small_inclusion(), IncidentSet.standard(3, 2), boundary_grid(16), m_nodes=40
+            small_inclusion(),
+            IncidentSet(standard_directions(3), frequency_band(2)),
+            boundary_grid(16),
+            m_nodes=40,
         )
         noisy = add_awgn(data, 15.0, seed=99)
         path = tmp_path / "traces.txt"
@@ -486,7 +496,10 @@ class TestDatasetIO:
 
     def test_round_trip_clean(self, tmp_path):
         data = synthesize(
-            small_inclusion(), IncidentSet.standard(2, 1), boundary_grid(16), m_nodes=40
+            small_inclusion(),
+            IncidentSet(standard_directions(2), frequency_band(1)),
+            boundary_grid(16),
+            m_nodes=40,
         )
         path = tmp_path / "clean.txt"
         save_dataset(data, path)
@@ -510,7 +523,10 @@ class TestDatasetIO:
         # clean means snr_db == +inf; -inf and NaN are no SNR at all, whether
         # built directly or read back from a dataset header
         data = synthesize(
-            small_inclusion(), IncidentSet.standard(2, 1), boundary_grid(16), m_nodes=40
+            small_inclusion(),
+            IncidentSet(standard_directions(2), frequency_band(1)),
+            boundary_grid(16),
+            m_nodes=40,
         )
         with pytest.raises(ConfigError, match=r"finite or \+inf"):
             BoundaryDataset(data.traces, data.grid, data.incident, snr_db=bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thinimage.errors import ConfigError, FlatMapError
+from thinimage.forward import standard_directions
 from thinimage.geometry import builtin_curve, discretize
 from thinimage.maps import (
     ImageMap,
@@ -39,6 +40,18 @@ class TestLattice:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError):
             make_lattice(4)
+
+    @pytest.mark.parametrize("n", [65, 128])
+    def test_plane_waves_match_direct_exponential(self, n):
+        # the per-axis product against one exponential per (node, direction);
+        # phases reach 10 pi, so a few ulp of the phase is ~5e-15
+        lat = make_lattice(n)
+        directions = standard_directions(16)
+        omega = 10.0 * np.pi
+        waves = lat.plane_waves(omega, directions)
+        direct = np.exp(1j * omega * (lat.points @ directions.T))
+        assert waves.shape == (lat.points.shape[0], 16)
+        assert np.max(np.abs(waves - direct)) < 1e-14
 
 
 class TestImageMap:
