@@ -459,8 +459,10 @@ def run(config: ExperimentConfig):
                 replace(inclusions[0], curve=fit.as_parametric(f"guess{i + 1}"))
                 for i, fit in enumerate(fits)
             ]
-            comp = synthesize(fitted_inclusions, incident, grid)
-            report = discrete_norms(data, comp, k_index=0)
+            # the norms read the first frequency alone, so synthesize only that one
+            first = IncidentSet(incident.directions, incident.omegas[:1])
+            comp = synthesize(fitted_inclusions, first, grid)
+            report = discrete_norms(replace(data, traces=data.traces[:, :, :1], incident=first), comp)
             for i, fit in enumerate(fits):
                 fit_rows.append((f"guess{i + 1}", fit, report if i == 0 else None))
             notes["fit"] = {

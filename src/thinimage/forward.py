@@ -16,7 +16,12 @@ correction collapses, via the Wronskian, to the separable real kernel
 
 which is what makes synthesis (and the adjoint evaluations downstream)
 factorizable into dense matrix products over a truncated mode range;
-``DiskModes`` holds that mode series for both.
+``DiskModes`` holds that mode series for both. The adjoint applies it to the
+traces' mode projections. Synthesis runs it transposed: per frequency, the
+curve's monopole and dipole sources go through one table of
+J_n(w|x|) e^{in theta_x} to two coefficient rows per direction, and one
+product with the boundary phases e^{-in phi_b} and e^{in phi_b} gives every
+boundary point. No kernel matrix between the curve and the boundary is formed.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ def resonance_orders(omega: float, threshold: float = _RESONANCE_TOL) -> list[tu
     if not (omega > 0.0 and math.isfinite(omega)):
         raise ConfigError(f"omega must be positive and finite, got {omega!r}")
     orders = np.arange(0, int(math.ceil(omega)) + 2)
-    vals = np.abs(sp.jvp(orders, omega))
+    vals = np.abs(jnp_values(omega, orders[-1])[0])
     flagged = vals < threshold
     return [(int(n), float(v)) for n, v in zip(orders[flagged], vals[flagged])]
 
@@ -182,9 +187,13 @@ def _series_order(omega: float, rho: float, tol: float) -> int:
 
 
 def jnp_values(omega: float, nmax: int) -> tuple[np.ndarray, int]:
-    """J_n'(omega) for n = 0..nmax and the usable cutoff before underflow."""
-    orders = np.arange(nmax + 1)
-    vals = sp.jvp(orders, omega)
+    """J_n'(omega) for n = 0..nmax and the usable cutoff before underflow.
+
+    J_n' = (J_{n-1} - J_{n+1})/2 from one ``jv`` call over n = -1..nmax+1:
+    bit for bit what scipy's ``jvp`` gives, with half its order evaluations.
+    """
+    j = sp.jv(np.arange(-1, nmax + 2), omega)
+    vals = (j[:-2] - j[2:]) / 2
     small = np.abs(vals) < _JNP_FLOOR
     cut = int(np.argmax(small)) - 1 if np.any(small) else nmax
     return vals, max(cut, 0)
@@ -307,6 +316,17 @@ def _angular_table(thetas: np.ndarray, nmax: int, out=None) -> np.ndarray:
     return table
 
 
+def boundary_phases(nmax: int, angles: np.ndarray) -> np.ndarray:
+    """e^{-in phi_b}, n = 0..nmax, one column per boundary angle phi_b."""
+    return np.exp(-1j * np.outer(np.arange(nmax + 1), angles))
+
+
+# Frequencies per Bessel table in synthesize: four share one Miller loop, which
+# measured faster than one table per frequency, and the table stays near 2 MB
+# for 400 nodes (one table for the whole band raised the noise sweep's peak RSS
+# by about 8 MB).
+_BAND_GROUP = 4
+
 # Points per table block: fastest of 256..4096 on 128^2 and 256^2 lattices (workspaces ~1 MB).
 _POINT_BLOCK = 1024
 
@@ -323,9 +343,13 @@ class DiskModes:
     ``apply`` sums every point to one order and takes the points in input
     order, ``_POINT_BLOCK`` at a time, gathering their rows from one
     ``bessel_j_table`` per call over the distinct radii. Besides the values
-    it gives their x and y gradients (synthesis) or, in one product with two
-    blocks of columns instead of three, the derivative of each column along
-    its own unit vector (the adjoint of the imaging maps).
+    it gives their x and y gradients (``boundary_kernel_gradients``) or, in
+    one product with two blocks of columns instead of three, the derivative
+    of each column along its own unit vector (the adjoint of the imaging
+    maps).
+
+    ``transpose`` runs the series the other way, from sources at the points
+    to coefficients; ``synthesize`` takes every frequency's traces from it.
     """
 
     def __init__(self, omega: float, points):
@@ -396,6 +420,43 @@ class DiskModes:
             np.matmul(table.T, rhs, out=fields[lo : lo + m])
         return tuple(np.hsplit(fields, width)) if width > 1 else fields
 
+    def transpose(self, s: np.ndarray, s_x: np.ndarray, s_y: np.ndarray, table=None):
+        """The transpose of ``apply``: sources at the points to coefficient pairs (p, q).
+
+        For complex sources s and dipole sources s_x, s_y, each of shape
+        (P, C), returns p and q, each (nmax + 1, C), such that for every c
+        and in each column
+
+            sum_x [s f + s_x d_x f + s_y d_y f] = (1/2) sum_n (c_n p_n + conj(c_n) q_n),
+
+        with f, d_x f, d_y f = ``apply(c, gradient=True)``. With
+        D1 = s_x + i s_y, D2 = s_x - i s_y and the order shift of ``apply``,
+
+            p_n = w_n sum_x [s Phi_n + (w/2)(D1 Phi_{n-1} - D2 Phi_{n+1})],
+            q_n = w_n sum_x [s conj Phi_n + (w/2)(D2 conj Phi_{n-1} - D1 conj Phi_{n+1})],
+
+        w_n = eps_n/(2 pi w J_n'(w)) and Phi_{-1} = -conj Phi_1. One real
+        product [Re Phi; Im Phi] [s, D1, D2] gives both Phi @ x = re + i im and
+        conj(Phi) @ x = re - i im. ``table`` is [Re Phi; Im Phi] for
+        Phi_0..Phi_{nmax+1} at the points, (2(nmax + 2), P), when the caller
+        has built it already; otherwise it is built here over all points at once.
+        """
+        n, k = self.nmax, self.nmax + 2
+        if table is None:
+            bessel = bessel_j_table(k - 1, self.omega * self._radii)[:, self._column]
+            phases = _angular_table(self._thetas, k - 1)
+            table = np.vstack([bessel * phases.real, bessel * phases.imag])
+        sources = np.hstack([s, s_x + 1j * s_y, s_x - 1j * s_y])
+        prod = (table @ sources.view(float)).view(complex)
+        direct, conj = prod[:k] + 1j * prod[k:], prod[:k] - 1j * prod[k:]
+        a, d1, d2 = np.hsplit(direct, 3)
+        b, e1, e2 = np.hsplit(conj, 3)
+        half = 0.5 * self.omega
+        p = a[: n + 1] + half * (np.vstack([-e1[1:2], d1[:n]]) - d2[1:])
+        q = b[: n + 1] + half * (np.vstack([-d2[1:2], e2[:n]]) - e1[1:])
+        weights = self._weights[:, None]
+        return weights * p, weights * q
+
 
 def boundary_kernel_tables(
     omega: float,
@@ -409,8 +470,7 @@ def boundary_kernel_tables(
     when ``gradient`` is set.
     """
     modes = DiskModes(omega, points)
-    phases = np.exp(-1j * np.outer(np.arange(modes.nmax + 1), boundary_angles))
-    return modes.apply(phases, gradient)
+    return modes.apply(boundary_phases(modes.nmax, boundary_angles), gradient)
 
 
 def boundary_kernel_gradients(
@@ -485,6 +545,13 @@ def synthesize(
     -------
     BoundaryDataset
         Clean traces of shape (N, L, K).
+
+    Notes
+    -----
+    Each frequency takes the curve's monopole and dipole sources through
+    ``DiskModes.transpose`` to coefficient rows p_n, q_n per direction; the
+    trace at boundary angle phi_b is (1/2) sum_n (p_n e^{-in phi_b} +
+    q_n e^{in phi_b}), exact for any N, also where nmax exceeds N.
     """
     if isinstance(inclusions, ThinInclusion):
         inclusions = [inclusions]
@@ -494,34 +561,40 @@ def synthesize(
     for inc in inclusions:
         ensure_thin(inc, float(np.max(incident.omegas)))
 
-    n_b = grid.n_points
-    L = incident.n_directions
-    K = incident.n_frequencies
-    traces = np.zeros((n_b, L, K), dtype=complex)
-
+    directions = incident.directions
+    traces = np.zeros((grid.n_points, directions.shape[0], incident.n_frequencies), dtype=complex)
     for inc in inclusions:
         disc = discretize(inc.curve, m_nodes)
         nodes = disc.nodes
-        alpha = inc.tangential_contrast()
-        beta = inc.normal_contrast()
-        gamma = inc.permittivity_contrast()
-        # d_l . t and d_l . n at every node, per direction: (M, L)
-        tan_dot = disc.tangents @ incident.directions.T
-        nor_dot = disc.normals @ incident.directions.T
-        for k in range(K):
-            omega = float(incident.omegas[k])
-            kernel, gx, gy = boundary_kernel_gradients(omega, nodes, grid.angles)
-            g_tan = disc.tangents[:, 0:1] * gx + disc.tangents[:, 1:2] * gy
-            g_nor = disc.normals[:, 0:1] * gx + disc.normals[:, 1:2] * gy
-            u = np.exp(1j * omega * (nodes @ incident.directions.T))  # (M, L)
-            coupled = (1j * omega) * u
-            w = disc.weights[:, None]
-            block = (
-                (alpha * w * coupled * tan_dot).T @ g_tan
-                + (beta * w * coupled * nor_dot).T @ g_nor
-                + (gamma * omega**2 * w * u).T @ kernel
-            )  # (L, NB)
-            traces[:, :, k] += inc.h * block.T
+        # each frequency's order, weights and refusals
+        modes = [DiskModes(omega, nodes) for omega in incident.omegas]
+        top = max(m.nmax for m in modes) + 1
+        phases = boundary_phases(top - 1, grid.angles)
+        angular = _angular_table(np.arctan2(nodes[:, 1], nodes[:, 0]), top)
+        planes = np.stack([angular.real, angular.imag])  # cos and sin n theta, (2, top + 1, M)
+        radii = np.hypot(nodes[:, 0], nodes[:, 1])
+        along = nodes @ directions.T  # d_l . x per node, (M, L)
+        w = inc.h * disc.weights[:, None]
+        monopole = inc.permittivity_contrast() * w
+        # the dipole alpha (d.t) t + beta (d.n) n per node and direction, one (M, L) per axis
+        tangential = inc.tangential_contrast() * w * (disc.tangents @ directions.T)
+        normal = inc.normal_contrast() * w * (disc.normals @ directions.T)
+        dipole_x = disc.tangents[:, 0:1] * tangential + disc.normals[:, 0:1] * normal
+        dipole_y = disc.tangents[:, 1:2] * tangential + disc.normals[:, 1:2] * normal
+        for lo in range(0, len(modes), _BAND_GROUP):
+            group = modes[lo : lo + _BAND_GROUP]
+            rows = max(m.nmax for m in group) + 2
+            arguments = np.outer([m.omega for m in group], radii)
+            bessel = bessel_j_table(rows - 1, arguments.ravel()).reshape(rows, *arguments.shape)
+            for k, m in enumerate(group, start=lo):
+                # [Re Phi; Im Phi] for Phi_0..Phi_{nmax+1}, Phi_n = J_n(w|x|) e^{in theta}
+                table = bessel[: m.nmax + 2, k - lo] * planes[:, : m.nmax + 2]
+                u = np.exp(1j * m.omega * along)
+                coupled = (1j * m.omega) * u
+                sources = (m.omega**2 * monopole * u, coupled * dipole_x, coupled * dipole_y)
+                p, q = m.transpose(*sources, table.reshape(-1, radii.size))
+                e = phases[: m.nmax + 1]
+                traces[:, :, k] += 0.5 * (e.T @ p + e.T.conj() @ q)
     return BoundaryDataset(traces=traces, grid=grid, incident=incident)
 
 

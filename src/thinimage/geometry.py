@@ -168,12 +168,10 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
             f"curve violates the boundary clearance: max |x| = {np.max(radii):.4f} > {1.0 - _MIN_CLEARANCE}"
         )
 
-    # Simple-curve check: non-adjacent nodes must stay strictly separated.
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dist = np.hypot(diffs[..., 0], diffs[..., 1])
-    idx = np.arange(len(s))
-    adjacent = np.abs(idx[:, None] - idx[None, :]) <= 1
-    if np.min(dist[~adjacent]) <= 1e-12:
+    # Simple-curve check: non-adjacent nodes (j >= i + 2) must stay more than
+    # 1e-12 apart; squared distances, since hypot over all pairs is slow.
+    dx, dy = pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1]
+    if np.min((dx * dx + dy * dy)[np.triu_indices(len(s), 2)]) <= 1e-24:
         raise GeometryError("curve discretization self-intersects")
 
     return CurveDiscretization(

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, FlatMapError
-from .forward import BoundaryDataset, DiskModes
+from .forward import BoundaryDataset, DiskModes, boundary_phases
 from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion
 from .maps import ImageMap, Lattice, from_point_values
 
@@ -93,8 +93,8 @@ def _trace_modes(traces: np.ndarray, grid: BoundaryGrid, nmax: int) -> np.ndarra
     two columns are the real and imaginary parts of direction l's field.
     """
     top = min(nmax, grid.n_points // 2)
-    phases = np.exp(-1j * np.outer(np.arange(top + 1), grid.angles))
-    coefficients = grid.weight * (phases @ np.ascontiguousarray(traces, dtype=complex).view(float))
+    columns = np.ascontiguousarray(traces, dtype=complex).view(float)
+    coefficients = grid.weight * (boundary_phases(top, grid.angles) @ columns)
     if 2 * top == grid.n_points:
         coefficients[top] *= 0.5
     return coefficients

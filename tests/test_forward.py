@@ -31,7 +31,7 @@ from thinimage.forward import (
     standard_directions,
     synthesize,
 )
-from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve
+from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve, discretize
 from thinimage.maps import make_lattice
 
 OMEGA_LO = 2.0 * math.pi / 0.5
@@ -333,6 +333,26 @@ class TestDiskModes:
         with pytest.raises(ValueError):
             modes.apply(c, gradient=True, directions=directions)
 
+    def test_transpose_dot_product_identity(self):
+        # sum_x [s f + s_x d_x f + s_y d_y f] = (1/2) sum_n (c_n p_n + conj(c_n) q_n)
+        # per column, with (f, d_x f, d_y f) from apply and (p, q) from transpose;
+        # the points reach the centre and r = 0.95
+        rng = np.random.default_rng(43)
+        radii = np.concatenate([[0.0, 0.95], rng.uniform(0.0, 0.95, 60)])
+        thetas = rng.uniform(-math.pi, math.pi, radii.size)
+        pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
+        modes = DiskModes(OMEGA_HI, pts)
+
+        def rand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        c = rand(modes.nmax + 1, 5)
+        sources = rand(radii.size, 5), rand(radii.size, 5), rand(radii.size, 5)
+        lhs = sum(np.sum(src * f, axis=0) for src, f in zip(sources, modes.apply(c, gradient=True)))
+        p, q = modes.transpose(*sources)
+        rhs = 0.5 * np.sum(c * p + c.conj() * q, axis=0)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
     def test_angular_table_matches_exponentials(self):
         # exp(1j n theta) itself carries about 1e-13 of argument rounding at order 600
         thetas = np.random.default_rng(29).uniform(-math.pi, math.pi, 200)
@@ -376,6 +396,48 @@ class TestSynthesize:
         ref *= inc.h
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(data.traces[:, :, 0] - ref)) < 1e-8 * scale
+
+    @pytest.mark.parametrize("n_points", [128, 16])
+    @pytest.mark.parametrize(
+        "curves", [["sigma1"], ["sigma2"], ["sigma1", "sigma2"]], ids=["sigma1", "sigma2", "both"]
+    )
+    def test_against_kernel_product_formula(self, curves, n_points):
+        # the per-frequency kernel products synthesis took before it ran the
+        # mode series transposed; on 16 points the series runs past N, where
+        # the boundary phases repeat
+        inclusions = [ThinInclusion(curve=builtin_curve(name)) for name in curves]
+        incident = IncidentSet(standard_directions(4), frequency_band(16))
+        grid = boundary_grid(n_points)
+        ref = np.zeros((n_points, 4, 16), dtype=complex)
+        for inc in inclusions:
+            disc = discretize(inc.curve, 400)
+            w = disc.weights[:, None]
+            tan_dot = disc.tangents @ incident.directions.T
+            nor_dot = disc.normals @ incident.directions.T
+            for k, omega in enumerate(incident.omegas):
+                kernel, gx, gy = boundary_kernel_gradients(omega, disc.nodes, grid.angles)
+                g_tan = disc.tangents[:, 0:1] * gx + disc.tangents[:, 1:2] * gy
+                g_nor = disc.normals[:, 0:1] * gx + disc.normals[:, 1:2] * gy
+                u = np.exp(1j * omega * (disc.nodes @ incident.directions.T))
+                block = (
+                    (inc.tangential_contrast() * w * 1j * omega * u * tan_dot).T @ g_tan
+                    + (inc.normal_contrast() * w * 1j * omega * u * nor_dot).T @ g_nor
+                    + (inc.permittivity_contrast() * omega**2 * w * u).T @ kernel
+                )
+                ref[:, :, k] += inc.h * block.T
+        got = synthesize(inclusions, incident, grid).traces
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_one_frequency_matches_its_slice_of_the_band(self):
+        inclusions = [small_inclusion(), ThinInclusion(curve=builtin_curve("sigma2"))]
+        incident = IncidentSet(standard_directions(4), frequency_band(16))
+        grid = boundary_grid(128)
+        band = synthesize(inclusions, incident, grid).traces
+        scale = np.max(np.abs(band))
+        for k in (0, 9, 15):
+            one = IncidentSet(incident.directions, incident.omegas[k : k + 1])
+            got = synthesize(inclusions, one, grid).traces[:, :, 0]
+            assert np.max(np.abs(got - band[:, :, k])) <= 1e-14 * scale, k
 
     def test_zero_contrast_gives_zero_traces(self):
         inc = small_inclusion(eps=1.0, mu=1.0)
