@@ -11,6 +11,9 @@ with one fixed noise seed (the noise sweep's scene, untraced), and L4/K16 on
 a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
 15 dB noise. The layers:
 
+- ``DiskModes`` construction for the band on the lattice, as ``etd_multi``
+  builds it (one object for the band; on a tree from before the band API,
+  one per frequency);
 - ``DiskModes.apply`` over the lattice at the top frequency, on the
   coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
   for the N-point grid), value alone (the Bessel and angular tables and one
@@ -35,6 +38,7 @@ scipy versions, nproc, medians in seconds) to ``--out``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -80,17 +84,28 @@ def scene_layers(n_directions: int, size: int) -> dict:
     noisy = forward.add_awgn(forward.synthesize(inclusions, incident, grid), SNR_DB, NOISE_SEED)
     omega = float(incident.omegas[-1])
     traces = noisy.traces[:, :, -1]
-    try:
-        modes = forward.DiskModes(omega, lattice.points)
-    except TypeError:  # a source tree whose DiskModes still takes a series tolerance
-        modes = forward.DiskModes(omega, lattice.points, 1e-8)
+    if "omegas" in inspect.signature(forward.DiskModes).parameters:
+
+        def band():
+            return forward.DiskModes(incident.omegas, lattice.points)
+
+        modes = band()
+        top, nmax = {"k": N_FREQUENCIES - 1}, modes.nmax[-1]
+    else:  # a source tree with one DiskModes per frequency
+
+        def band():
+            return [forward.DiskModes(w, lattice.points) for w in incident.omegas]
+
+        modes = band()[-1]
+        top, nmax = {}, modes.nmax
     msrs = [forward.assemble_multistatic(noisy, k) for k in range(N_FREQUENCIES)]
     rng = np.random.default_rng(NOISE_SEED)
-    shape = (min(modes.nmax, grid.n_points // 2) + 1, 2 * n_directions)
+    shape = (min(nmax, grid.n_points // 2) + 1, 2 * n_directions)
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return {
-        "DiskModes.apply": lambda: modes.apply(coefficients),
-        "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True),
+        "DiskModes(band)": band,
+        "DiskModes.apply": lambda: modes.apply(coefficients, **top),
+        "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True, **top),
         "adjoint_field_batch": lambda: imaging.adjoint_field_batch(
             traces, grid, omega, lattice.points, gradient=True
         ),

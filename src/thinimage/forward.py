@@ -15,13 +15,13 @@ correction collapses, via the Wronskian, to the separable real kernel
     N(x, y)|_{|y|=1} = (1/2 pi w) * sum_n [J_n(w|x|)/J_n'(w)] e^{in(ax-ay)},
 
 which is what makes synthesis (and the adjoint evaluations downstream)
-factorizable into dense matrix products over a truncated mode range;
-``DiskModes`` holds that mode series for both. The adjoint applies it to the
-traces' mode projections. Synthesis runs it transposed: per frequency, the
-curve's monopole and dipole sources go through one table of
-J_n(w|x|) e^{in theta_x} to two coefficient rows per direction, and one
-product with the boundary phases e^{-in phi_b} and e^{in phi_b} gives every
-boundary point. No kernel matrix between the curve and the boundary is formed.
+factorizable into dense matrix products over a truncated mode range.
+``DiskModes`` holds that series for a band of frequencies on one point set.
+The adjoint applies it to the traces' mode projections; synthesis runs it
+transposed over the band, from the curve's monopole and dipole sources to
+two coefficient rows per direction, and one product with the boundary phases
+e^{-in phi_b} and e^{in phi_b} gives every boundary point. No kernel matrix
+between the curve and the boundary is formed.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def resonance_orders(omega: float, threshold: float = _RESONANCE_TOL) -> list[tu
     return [(int(n), float(v)) for n, v in zip(orders[flagged], vals[flagged])]
 
 
-def ensure_not_resonant(omega: float, threshold: float = _RESONANCE_TOL) -> None:
-    hits = resonance_orders(omega, threshold)
+def ensure_not_resonant(omega: float) -> None:
+    hits = resonance_orders(omega)
     if hits:
         listing = ", ".join(f"n={n} (|J_n'|={v:.2e})" for n, v in hits)
         raise ResonanceError(f"omega = {omega:.10g} is next to a Neumann eigenvalue: {listing}")
@@ -321,10 +321,9 @@ def boundary_phases(nmax: int, angles: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.outer(np.arange(nmax + 1), angles))
 
 
-# Frequencies per Bessel table in synthesize: four share one Miller loop, which
-# measured faster than one table per frequency, and the table stays near 2 MB
-# for 400 nodes (one table for the whole band raised the noise sweep's peak RSS
-# by about 8 MB).
+# Frequencies per Bessel table in DiskModes.transpose: four share one Miller loop
+# (faster than one table each), and the table stays near 2 MB for 400 nodes (one
+# table for the whole band raised the noise sweep's peak RSS by about 8 MB).
 _BAND_GROUP = 4
 
 # Points per table block: fastest of 256..4096 on 128^2 and 256^2 lattices (workspaces ~1 MB).
@@ -332,48 +331,53 @@ _POINT_BLOCK = 1024
 
 
 class DiskModes:
-    """The disk's Neumann kernel for boundary sources, as a mode series.
+    """The disk's Neumann kernel for boundary sources, as a mode series over a band.
 
     For |y| = 1 the kernel is N(x, y) = Re sum_{n>=0} eps_n K_n(x) e^{-in phi_y}
     with eps_0 = 1, eps_n = 2, K_n = Phi_n/(2 pi w J_n'(w)), Phi_n(x) = J_n(w|x|) e^{in theta_x}.
-    Construction rejects rim points and near-resonant frequencies, and fixes
-    ``nmax`` from the one series tolerance ``_DEFAULT_SERIES_TOL`` at the
-    largest radius, cut where J_n'(w) underflows.
+    ``omegas`` is one frequency or a band of them on one point set. The
+    points' geometry is taken once: rim points are rejected, the angles and
+    the distinct radii kept. Each frequency k is checked for resonance and
+    gets its own ``nmax[k]``, from the one series tolerance
+    ``_DEFAULT_SERIES_TOL`` at the largest radius, cut where J_n'(w) underflows.
 
-    ``apply`` sums every point to one order and takes the points in input
-    order, ``_POINT_BLOCK`` at a time, gathering their rows from one
-    ``bessel_j_table`` per call over the distinct radii. Besides the values
-    it gives their x and y gradients (``boundary_kernel_gradients``) or, in
-    one product with two blocks of columns instead of three, the derivative
-    of each column along its own unit vector (the adjoint of the imaging
-    maps).
+    ``apply`` runs frequency k: it sums every point to one order and takes
+    the points in input order, ``_POINT_BLOCK`` at a time, gathering their
+    rows from one ``bessel_j_table`` per call over the distinct radii.
+    Besides the values it gives their x and y gradients or, in one product
+    with two blocks of columns instead of three, the derivative of each
+    column along its own unit vector (the adjoint of the imaging maps).
 
-    ``transpose`` runs the series the other way, from sources at the points
-    to coefficients; ``synthesize`` takes every frequency's traces from it.
+    ``transpose`` runs the whole band the other way, from sources at the
+    points to coefficients; ``synthesize`` takes its traces from it.
     """
 
-    def __init__(self, omega: float, points):
+    def __init__(self, omegas, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         radii = np.hypot(pts[:, 0], pts[:, 1])
         rmax = float(np.max(radii))
         if rmax > 0.999:
             raise GeometryError(f"interior points must satisfy |x| < 1 (max {rmax:.4f})")
-        ensure_not_resonant(omega)
-        nmax = _series_order(omega, rmax, _DEFAULT_SERIES_TOL)
-        jnp, cut = jnp_values(omega, nmax + 1)
-        self.omega = float(omega)
-        self.nmax = min(nmax, cut - 1)
-        eps_n = np.where(np.arange(self.nmax + 1) == 0, 1.0, 2.0)
-        self._weights = eps_n / (2.0 * math.pi * omega * jnp[: self.nmax + 1])
+        self.omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        self.nmax, self._weights = [], []
+        for omega in self.omegas:
+            ensure_not_resonant(omega)
+            top = _series_order(omega, rmax, _DEFAULT_SERIES_TOL)
+            jnp, cut = jnp_values(omega, top + 1)
+            n = min(top, cut - 1)
+            eps_n = np.where(np.arange(n + 1) == 0, 1.0, 2.0)
+            self.nmax.append(n)
+            self._weights.append(eps_n / (2.0 * math.pi * omega * jnp[: n + 1]))
         self._thetas = np.arctan2(pts[:, 1], pts[:, 0])
         # one Bessel column per distinct radius: a square lattice repeats each about six times
         self._radii, self._column = np.unique(radii, return_inverse=True)
 
-    def apply(self, c: np.ndarray, gradient: bool = False, directions=None):
-        """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax.
+    def apply(self, c: np.ndarray, gradient: bool = False, directions=None, k: int = 0):
+        """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax[k].
 
-        The rows of ``c`` set the order: the series stops at min(nmax, m), so
-        c[:m+1] gives what c with its rows past m set to zero gives.
+        ``k`` picks the frequency of the band. The rows of ``c`` set the
+        order: the series stops at min(nmax[k], m), so c[:m+1] gives what c
+        with its rows past m set to zero gives.
 
         Returns the (P, C) real values, followed by their x and y gradients
         when ``gradient`` is set, or by the derivative of column j along the
@@ -388,48 +392,50 @@ class DiskModes:
         """
         if gradient and directions is not None:
             raise ValueError("ask for the gradient or for directional derivatives, not both")
+        omega = self.omegas[k]
         width = 3 if gradient else 1 if directions is None else 2
-        n = min(self.nmax, c.shape[0] - 1)
+        n = min(self.nmax[k], c.shape[0] - 1)
         a = np.zeros((n + 4, c.shape[1]), dtype=complex)  # a_{-1}..a_{n+2}
-        a[1 : n + 2] = self._weights[: n + 1, None] * c[: n + 1]
+        a[1 : n + 2] = self._weights[k][: n + 1, None] * c[: n + 1]
         coef, above, below = a[1:-1], a[2:], a[:-2].copy()
         if width > 1:
             # Phi_{-1} = -conj(Phi_1), so Re(k a_0 Phi_{-1}) = -Re(conj(k a_0) Phi_1)
             below[1] += below[1].conj()
-            half = 0.5 * self.omega
+            half = 0.5 * omega
             d_x, d_y = half * (above - below), (1j * half) * (above + below)
             if gradient:
                 coef = np.hstack([coef, d_x, d_y])
             else:
                 coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
         rhs = np.vstack([coef.real, -coef.imag])
-        k, points = n + 2, self._thetas.size
-        bessel = bessel_j_table(k - 1, self.omega * self._radii)
+        r, points = n + 2, self._thetas.size  # r table rows, Phi_0..Phi_{n+1}
+        bessel = bessel_j_table(r - 1, omega * self._radii)
         size = min(points, _POINT_BLOCK)
         # table workspaces for one block; a short last block uses their leading part
-        phase_work, table_work = np.empty(k * size, dtype=complex), np.empty(2 * k * size)
+        phase_work, table_work = np.empty(r * size, dtype=complex), np.empty(2 * r * size)
         fields = np.empty((points, rhs.shape[1]))
         for lo in range(0, points, size):
             m = min(size, points - lo)
-            phases = _angular_table(self._thetas[lo : lo + m], k - 1, phase_work[: k * m].reshape(k, m))
-            table = table_work[: 2 * k * m].reshape(2 * k, m)
+            phases = _angular_table(self._thetas[lo : lo + m], r - 1, phase_work[: r * m].reshape(r, m))
+            table = table_work[: 2 * r * m].reshape(2 * r, m)
             # the block's Bessel columns; "clip" lets take write to out unbuffered (indices are valid)
-            np.take(bessel, self._column[lo : lo + m], axis=1, out=table[:k], mode="clip")
-            np.multiply(table[:k], phases.imag, out=table[k:])
-            table[:k] *= phases.real
+            np.take(bessel, self._column[lo : lo + m], axis=1, out=table[:r], mode="clip")
+            np.multiply(table[:r], phases.imag, out=table[r:])
+            table[:r] *= phases.real
             np.matmul(table.T, rhs, out=fields[lo : lo + m])
         return tuple(np.hsplit(fields, width)) if width > 1 else fields
 
-    def transpose(self, s: np.ndarray, s_x: np.ndarray, s_y: np.ndarray, table=None):
-        """The transpose of ``apply``: sources at the points to coefficient pairs (p, q).
+    def transpose(self, sources):
+        """The transpose of ``apply`` over the band: sources at the points to coefficient pairs.
 
-        For complex sources s and dipole sources s_x, s_y, each of shape
-        (P, C), returns p and q, each (nmax + 1, C), such that for every c
-        and in each column
+        ``sources`` gives one triple (s, s_x, s_y) of complex sources and
+        dipole sources per frequency, in band order, each of shape (P, C).
+        For each it yields p and q, each (nmax[k] + 1, C), such that for
+        every c and in each column
 
             sum_x [s f + s_x d_x f + s_y d_y f] = (1/2) sum_n (c_n p_n + conj(c_n) q_n),
 
-        with f, d_x f, d_y f = ``apply(c, gradient=True)``. With
+        with f, d_x f, d_y f = ``apply(c, gradient=True, k=k)``. With
         D1 = s_x + i s_y, D2 = s_x - i s_y and the order shift of ``apply``,
 
             p_n = w_n sum_x [s Phi_n + (w/2)(D1 Phi_{n-1} - D2 Phi_{n+1})],
@@ -437,25 +443,34 @@ class DiskModes:
 
         w_n = eps_n/(2 pi w J_n'(w)) and Phi_{-1} = -conj Phi_1. One real
         product [Re Phi; Im Phi] [s, D1, D2] gives both Phi @ x = re + i im and
-        conj(Phi) @ x = re - i im. ``table`` is [Re Phi; Im Phi] for
-        Phi_0..Phi_{nmax+1} at the points, (2(nmax + 2), P), when the caller
-        has built it already; otherwise it is built here over all points at once.
+        conj(Phi) @ x = re - i im. The band shares one e^{in theta} table, and
+        each group of ``_BAND_GROUP`` frequencies one ``bessel_j_table`` over
+        all their w|x|. The sources are read one frequency at a time, so
+        a caller can build each triple as it is needed.
         """
-        n, k = self.nmax, self.nmax + 2
-        if table is None:
-            bessel = bessel_j_table(k - 1, self.omega * self._radii)[:, self._column]
-            phases = _angular_table(self._thetas, k - 1)
-            table = np.vstack([bessel * phases.real, bessel * phases.imag])
-        sources = np.hstack([s, s_x + 1j * s_y, s_x - 1j * s_y])
-        prod = (table @ sources.view(float)).view(complex)
-        direct, conj = prod[:k] + 1j * prod[k:], prod[:k] - 1j * prod[k:]
-        a, d1, d2 = np.hsplit(direct, 3)
-        b, e1, e2 = np.hsplit(conj, 3)
-        half = 0.5 * self.omega
-        p = a[: n + 1] + half * (np.vstack([-e1[1:2], d1[:n]]) - d2[1:])
-        q = b[: n + 1] + half * (np.vstack([-d2[1:2], e2[:n]]) - e1[1:])
-        weights = self._weights[:, None]
-        return weights * p, weights * q
+        angular = _angular_table(self._thetas, max(self.nmax) + 1)
+        planes = np.stack([angular.real, angular.imag])  # cos and sin n theta
+        # each point's own radius, not the distinct ones: curve nodes seldom share one
+        radii = self._radii[self._column]
+        for k, (s, s_x, s_y) in enumerate(sources):
+            if k % _BAND_GROUP == 0:
+                group = slice(k, k + _BAND_GROUP)
+                arguments = np.outer(self.omegas[group], radii)
+                r = max(self.nmax[group]) + 2
+                bessel = bessel_j_table(r - 1, arguments.ravel()).reshape(r, *arguments.shape)
+            n, r = self.nmax[k], self.nmax[k] + 2
+            # [Re Phi; Im Phi] for Phi_0..Phi_{n+1}
+            table = (bessel[:r, k % _BAND_GROUP] * planes[:, :r]).reshape(2 * r, -1)
+            columns = np.hstack([s, s_x + 1j * s_y, s_x - 1j * s_y])
+            prod = (table @ columns.view(float)).view(complex)
+            direct, conj = prod[:r] + 1j * prod[r:], prod[:r] - 1j * prod[r:]
+            a, d1, d2 = np.hsplit(direct, 3)
+            b, e1, e2 = np.hsplit(conj, 3)
+            half = 0.5 * self.omegas[k]
+            p = a[: n + 1] + half * (np.vstack([-e1[1:2], d1[:n]]) - d2[1:])
+            q = b[: n + 1] + half * (np.vstack([-d2[1:2], e2[:n]]) - e1[1:])
+            weights = self._weights[k][:, None]
+            yield weights * p, weights * q
 
 
 def boundary_kernel_tables(
@@ -470,7 +485,7 @@ def boundary_kernel_tables(
     when ``gradient`` is set.
     """
     modes = DiskModes(omega, points)
-    return modes.apply(boundary_phases(modes.nmax, boundary_angles), gradient)
+    return modes.apply(boundary_phases(modes.nmax[0], boundary_angles), gradient)
 
 
 def boundary_kernel_gradients(
@@ -530,28 +545,14 @@ def synthesize(
     grid: BoundaryGrid,
     m_nodes: int = 400,
 ) -> BoundaryDataset:
-    """Synthesize clean boundary traces for one or more thin inclusions.
+    """Clean traces (N, L, K) of one or more thin inclusions, each on ``m_nodes`` curve nodes.
 
-    Parameters
-    ----------
-    inclusions : ThinInclusion or sequence of ThinInclusion
-    incident : IncidentSet
-    grid : BoundaryGrid
-    m_nodes : int
-        Curve quadrature nodes (default 400; keep this at least twice any
-        node count used on the inversion side).
-
-    Returns
-    -------
-    BoundaryDataset
-        Clean traces of shape (N, L, K).
-
-    Notes
-    -----
-    Each frequency takes the curve's monopole and dipole sources through
-    ``DiskModes.transpose`` to coefficient rows p_n, q_n per direction; the
-    trace at boundary angle phi_b is (1/2) sum_n (p_n e^{-in phi_b} +
-    q_n e^{in phi_b}), exact for any N, also where nmax exceeds N.
+    Keep ``m_nodes`` at least twice any node count used on the inversion
+    side. One ``DiskModes`` per inclusion covers the band on its nodes, and
+    its ``transpose`` takes each frequency's monopole and dipole sources to
+    coefficient rows p_n, q_n per direction; the trace at boundary angle
+    phi_b is (1/2) sum_n (p_n e^{-in phi_b} + q_n e^{in phi_b}), exact for
+    any N, also where nmax exceeds N.
     """
     if isinstance(inclusions, ThinInclusion):
         inclusions = [inclusions]
@@ -565,36 +566,21 @@ def synthesize(
     traces = np.zeros((grid.n_points, directions.shape[0], incident.n_frequencies), dtype=complex)
     for inc in inclusions:
         disc = discretize(inc.curve, m_nodes)
-        nodes = disc.nodes
-        # each frequency's order, weights and refusals
-        modes = [DiskModes(omega, nodes) for omega in incident.omegas]
-        top = max(m.nmax for m in modes) + 1
-        phases = boundary_phases(top - 1, grid.angles)
-        angular = _angular_table(np.arctan2(nodes[:, 1], nodes[:, 0]), top)
-        planes = np.stack([angular.real, angular.imag])  # cos and sin n theta, (2, top + 1, M)
-        radii = np.hypot(nodes[:, 0], nodes[:, 1])
-        along = nodes @ directions.T  # d_l . x per node, (M, L)
+        modes = DiskModes(incident.omegas, disc.nodes)
+        phases = boundary_phases(max(modes.nmax), grid.angles)
+        along = disc.nodes @ directions.T  # d_l . x per node, (M, L)
         w = inc.h * disc.weights[:, None]
         monopole = inc.permittivity_contrast() * w
-        # the dipole alpha (d.t) t + beta (d.n) n per node and direction, one (M, L) per axis
+        # the dipole alpha (d.t) t + beta (d.n) n per axis, node and direction, (2, M, L)
         tangential = inc.tangential_contrast() * w * (disc.tangents @ directions.T)
         normal = inc.normal_contrast() * w * (disc.normals @ directions.T)
-        dipole_x = disc.tangents[:, 0:1] * tangential + disc.normals[:, 0:1] * normal
-        dipole_y = disc.tangents[:, 1:2] * tangential + disc.normals[:, 1:2] * normal
-        for lo in range(0, len(modes), _BAND_GROUP):
-            group = modes[lo : lo + _BAND_GROUP]
-            rows = max(m.nmax for m in group) + 2
-            arguments = np.outer([m.omega for m in group], radii)
-            bessel = bessel_j_table(rows - 1, arguments.ravel()).reshape(rows, *arguments.shape)
-            for k, m in enumerate(group, start=lo):
-                # [Re Phi; Im Phi] for Phi_0..Phi_{nmax+1}, Phi_n = J_n(w|x|) e^{in theta}
-                table = bessel[: m.nmax + 2, k - lo] * planes[:, : m.nmax + 2]
-                u = np.exp(1j * m.omega * along)
-                coupled = (1j * m.omega) * u
-                sources = (m.omega**2 * monopole * u, coupled * dipole_x, coupled * dipole_y)
-                p, q = m.transpose(*sources, table.reshape(-1, radii.size))
-                e = phases[: m.nmax + 1]
-                traces[:, :, k] += 0.5 * (e.T @ p + e.T.conj() @ q)
+        dipole = disc.tangents.T[:, :, None] * tangential + disc.normals.T[:, :, None] * normal
+        # each frequency's sources, built as transpose reads them
+        waves = ((w, np.exp(1j * w * along)) for w in incident.omegas)
+        sources = ((w**2 * monopole * u, *(1j * w * u * dipole)) for w, u in waves)
+        for k, (p, q) in enumerate(modes.transpose(sources)):
+            e = phases[: modes.nmax[k] + 1]
+            traces[:, :, k] += 0.5 * (e.T @ p + e.T.conj() @ q)
     return BoundaryDataset(traces=traces, grid=grid, incident=incident)
 
 
@@ -693,11 +679,17 @@ def load_dataset(path) -> BoundaryDataset:
     if len(rows) != n_b * L * K:
         raise ConfigError(f"expected {n_b * L * K} rows, found {len(rows)}")
     traces = np.zeros((n_b, L, K), dtype=complex)
+    seen = np.zeros(traces.shape, dtype=bool)
     for row in rows:
         if len(row) != 5:
             raise ConfigError(f"malformed dataset row: {' '.join(row)}")
-        n, l, k = int(row[0]), int(row[1]), int(row[2])
-        traces[n, l, k] = complex(float(row[3]), float(row[4]))
+        index = int(row[0]), int(row[1]), int(row[2])
+        if not all(0 <= i < size for i, size in zip(index, traces.shape)):
+            raise ConfigError(f"dataset row index out of range: {' '.join(row)}")
+        if seen[index]:
+            raise ConfigError(f"repeated dataset row: {' '.join(row)}")
+        seen[index] = True
+        traces[index] = complex(float(row[3]), float(row[4]))
     incident = IncidentSet(standard_directions(L), omegas)
     return BoundaryDataset(
         traces=traces,

@@ -77,7 +77,7 @@ def adjoint_field_batch(
     if traces.ndim != 2 or traces.shape[0] != grid.n_points:
         raise ValueError(f"traces must have shape (N={grid.n_points}, L)")
     modes = DiskModes(omega, points)
-    fields = modes.apply(_trace_modes(traces, grid, modes.nmax), gradient)
+    fields = modes.apply(_trace_modes(traces, grid, modes.nmax[0]), gradient)
     if not gradient:
         return fields.view(complex)
     v, gx, gy = (f.view(complex) for f in fields)
@@ -141,11 +141,16 @@ def td_component_maps(
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
-    omega = float(data.incident.omegas[k_index])
+    modes = DiskModes(data.incident.omegas[k_index], lattice.points)
+    return _component_maps(data, lattice, k_index, modes, 0)
+
+
+def _component_maps(data: BoundaryDataset, lattice: Lattice, k: int, modes: DiskModes, j: int):
+    """``td_component_maps`` of the data's frequency k, from frequency j of ``modes``."""
+    omega = modes.omegas[j]
     directions = data.incident.directions
-    modes = DiskModes(omega, lattice.points)
-    coefficients = _trace_modes(data.traces[:, :, k_index], data.grid, modes.nmax)
-    v, d = modes.apply(coefficients, directions=np.repeat(directions, 2, axis=0))
+    coefficients = _trace_modes(data.traces[:, :, k], data.grid, modes.nmax[j])
+    v, d = modes.apply(coefficients, directions=np.repeat(directions, 2, axis=0), k=j)
     u = lattice.plane_waves(omega, directions)
     eps_vals = np.einsum("pk,pk->p", v, u.view(float))
     u *= 1j
@@ -187,14 +192,16 @@ def etd_multi(
 ) -> ImageMap:
     """Multi-frequency map: the mean of the per-frequency normalized maps.
 
-    The frequencies are imaged one after another and summed in frequency
-    order; BLAS already spreads each frequency's matmuls over the cores. With
-    a single frequency this reduces bitwise to the single-frequency map.
+    One ``DiskModes`` covers the band on the lattice. The frequencies are
+    imaged one after another, each as ``etd_single`` images it, and summed in
+    frequency order; BLAS spreads each frequency's matmuls over the cores.
+    With a single frequency this reduces bitwise to the single-frequency map.
     """
     n_k = data.incident.n_frequencies
+    modes = DiskModes(data.incident.omegas, lattice.points)
     acc = np.zeros(lattice.points.shape[0])
     for k in range(n_k):
-        acc += etd_single(data, lattice, k).inside_values
+        acc += normalized_combination(*_component_maps(data, lattice, k, modes, k)).inside_values
     return from_point_values(lattice, acc / float(n_k))
 
 

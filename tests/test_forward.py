@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from thinimage import forward
 from thinimage.errors import (
     ConfigError,
     DataStateError,
@@ -271,10 +272,11 @@ class TestDiskModes:
         thetas = rng.uniform(-math.pi, math.pi, radii.size)
         pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
         modes = DiskModes(OMEGA_HI, pts)
-        c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
+        shape = (modes.nmax[0] + 1, 3)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         fields = modes.apply(c, gradient=True)
         refs = np.zeros((3, radii.size, 3))
-        n = np.arange(modes.nmax + 1)
+        n = np.arange(modes.nmax[0] + 1)
         eps = np.where(n == 0, 1.0, 2.0)
         for i, (r, t) in enumerate(zip(radii, thetas)):
             terms = (eps / (2.0 * math.pi * OMEGA_HI * sp.jvp(n, OMEGA_HI)))[:, None] * c[n]
@@ -297,7 +299,8 @@ class TestDiskModes:
         thetas = rng.uniform(-math.pi, math.pi, radii.size)
         pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
         modes = DiskModes(OMEGA_HI, pts)
-        c = rng.standard_normal((modes.nmax + 1, 3)) + 1j * rng.standard_normal((modes.nmax + 1, 3))
+        shape = (modes.nmax[0] + 1, 3)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for m in (20, 64):
             zeroed = c.copy()
             zeroed[m + 1 :] = 0.0
@@ -323,7 +326,8 @@ class TestDiskModes:
     def test_directional_derivative_combines_the_gradient(self):
         rng = np.random.default_rng(41)
         modes = DiskModes(OMEGA_HI, make_lattice(40).points)
-        c = rng.standard_normal((modes.nmax + 1, 6)) + 1j * rng.standard_normal((modes.nmax + 1, 6))
+        shape = (modes.nmax[0] + 1, 6)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         directions = standard_directions(6)
         value, along = modes.apply(c, directions=directions)
         v, gx, gy = modes.apply(c, gradient=True)
@@ -346,12 +350,43 @@ class TestDiskModes:
         def rand(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        c = rand(modes.nmax + 1, 5)
+        c = rand(modes.nmax[0] + 1, 5)
         sources = rand(radii.size, 5), rand(radii.size, 5), rand(radii.size, 5)
         lhs = sum(np.sum(src * f, axis=0) for src, f in zip(sources, modes.apply(c, gradient=True)))
-        p, q = modes.transpose(*sources)
+        [(p, q)] = modes.transpose([sources])
         rhs = 0.5 * np.sum(c * p + c.conj() * q, axis=0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
+
+    def test_band_gives_what_each_frequency_gives_alone(self):
+        # every frequency of a 16-frequency band against a DiskModes of that
+        # frequency alone: the same order, apply bit for bit (value, gradient,
+        # directional derivative) and transpose to 1e-14, not bitwise, because
+        # the band's Bessel table for a group of frequencies starts its
+        # recurrence above the group's top order (measured <= 1e-15)
+        rng = np.random.default_rng(47)
+        radii = np.concatenate([[0.0, 0.95], rng.uniform(0.0, 0.95, 60)])
+        thetas = rng.uniform(-math.pi, math.pi, radii.size)
+        pts = radii[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
+        omegas = frequency_band(16)
+        band = DiskModes(omegas, pts)
+
+        def rand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        sources = [tuple(rand(radii.size, 3) for _ in range(3)) for _ in omegas]
+        directions = standard_directions(4)
+        pairs = list(band.transpose(sources))
+        assert len(pairs) == omegas.size
+        for k, omega in enumerate(omegas):
+            alone = DiskModes(omega, pts)
+            assert band.nmax[k] == alone.nmax[0]
+            c = rand(alone.nmax[0] + 1, 4)
+            for kw in ({}, {"gradient": True}, {"directions": directions}):
+                got = np.atleast_3d(band.apply(c, k=k, **kw))
+                assert np.array_equal(got, np.atleast_3d(alone.apply(c, **kw))), (k, kw)
+            [ref] = alone.transpose([sources[k]])
+            for got, want in zip(pairs[k], ref):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), k
 
     def test_angular_table_matches_exponentials(self):
         # exp(1j n theta) itself carries about 1e-13 of argument rounding at order 600
@@ -365,6 +400,21 @@ def small_inclusion(**kw):
 
 
 class TestSynthesize:
+    def test_one_disk_modes_per_inclusion(self, monkeypatch):
+        # each inclusion's curve nodes get one mode series for the whole band
+        built = []
+
+        class Counted(DiskModes):
+            def __init__(self, omegas, points):
+                built.append(np.size(omegas))
+                super().__init__(omegas, points)
+
+        monkeypatch.setattr(forward, "DiskModes", Counted)
+        incident = IncidentSet(standard_directions(2), frequency_band(16))
+        pair = [small_inclusion(), ThinInclusion(curve=builtin_curve("sigma2"))]
+        synthesize(pair, incident, boundary_grid(16), m_nodes=40)
+        assert built == [16, 16]
+
     def test_against_per_pair_reference(self):
         # Independent slow path: direct quadrature with the general kernel
         # evaluator, one boundary point and node pair at a time.
@@ -599,6 +649,37 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match=r"finite or \+inf"):
             load_dataset(path)
         assert not BoundaryDataset(data.traces, data.grid, data.incident, snr_db=15.0).is_clean
+
+    @staticmethod
+    def _with_row(tmp_path, n, row):
+        # a dataset of 16 nodes, 2 directions and 1 frequency with node n's
+        # direction-1 row replaced by ``row``
+        rng = np.random.default_rng(5)
+        traces = rng.standard_normal((16, 2, 1)) + 1j * rng.standard_normal((16, 2, 1))
+        incident = IncidentSet(standard_directions(2), np.array([OMEGA_LO]))
+        path = tmp_path / "rows.txt"
+        save_dataset(BoundaryDataset(traces, boundary_grid(16), incident), path)
+        lines = path.read_text().splitlines()
+        lines = [row if line.startswith(f"{n} 1 0 ") else line for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_negative_node_index_rejected(self, tmp_path):
+        # n = -1 used to wrap to the last node and leave node 0 at zero
+        path = self._with_row(tmp_path, 0, "-1 1 0 1.0 2.0")
+        with pytest.raises(ConfigError, match="out of range: -1 1 0 1.0 2.0"):
+            load_dataset(path)
+
+    def test_repeated_row_rejected(self, tmp_path):
+        # the row count still matches, but one entry would stay at zero
+        path = self._with_row(tmp_path, 0, "1 1 0 1.0 2.0")
+        with pytest.raises(ConfigError, match="repeated dataset row: 1 1 0"):
+            load_dataset(path)
+
+    def test_node_index_past_the_grid_rejected(self, tmp_path):
+        path = self._with_row(tmp_path, 0, "16 1 0 1.0 2.0")
+        with pytest.raises(ConfigError, match="out of range: 16 1 0 1.0 2.0"):
+            load_dataset(path)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "broken.txt"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from thinimage import forward, imaging
 from thinimage.errors import ConfigError, FlatMapError, GeometryError
 from thinimage.forward import (
     BoundaryDataset,
@@ -256,6 +257,26 @@ class TestMultiFrequency:
         assert np.array_equal(
             etd_multi(data, lattice).values, etd_single(data, lattice).values
         )
+
+    def test_one_disk_modes_per_call(self, clean16, monkeypatch):
+        # the lattice gets one mode series for the whole band
+        built = []
+
+        class Counted(forward.DiskModes):
+            def __init__(self, omegas, points):
+                built.append(np.size(omegas))
+                super().__init__(omegas, points)
+
+        monkeypatch.setattr(imaging, "DiskModes", Counted)
+        etd_multi(clean16, make_lattice(32))
+        assert built == [16]
+
+    def test_band_map_is_the_mean_of_the_single_maps(self, clean16):
+        lattice = make_lattice(32)
+        acc = np.zeros(lattice.points.shape[0])
+        for k in range(16):
+            acc += etd_single(clean16, lattice, k).inside_values
+        assert np.array_equal(etd_multi(clean16, lattice).inside_values, acc / 16.0)
 
     def test_multi_map_bounded(self, multi_map):
         assert np.max(np.abs(multi_map.values)) <= 1.0
