@@ -11,13 +11,17 @@ with one fixed noise seed (the noise sweep's scene, untraced), and L4/K16 on
 a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
 15 dB noise. The layers:
 
-- ``DiskModes`` construction for the band on the lattice, as ``etd_multi``
-  builds it (one object for the band; on a tree from before the band API,
-  one per frequency);
+- ``Lattice.orbits``: the nodes grouped under the square's symmetries,
+  computed afresh (a tree from before the wedge has no such layer);
+- ``DiskModes`` construction for the band on the lattice's orbits, as
+  ``etd_multi`` builds it (one object for the band; on a tree from before
+  the band API, one per frequency; on a tree from before the wedge, on the
+  points alone);
 - ``DiskModes.apply`` over the lattice at the top frequency, on the
   coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
-  for the N-point grid), value alone (the Bessel and angular tables and one
-  product per block of points) and with the gradient;
+  for the N-point grid), value alone (the Bessel and angular tables on the
+  representatives, one product per block for every variant and the scatter
+  to the nodes) and with the gradient;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
 - ``td_component_maps``: both raw sensitivity maps at the top frequency,
   the adjoint together with the sums against the incident waves;
@@ -84,10 +88,12 @@ def scene_layers(n_directions: int, size: int) -> dict:
     noisy = forward.add_awgn(forward.synthesize(inclusions, incident, grid), SNR_DB, NOISE_SEED)
     omega = float(incident.omegas[-1])
     traces = noisy.traces[:, :, -1]
+    # a tree from before the wedge has no Lattice.orbits, and its DiskModes takes no orbits
+    wedge = (lattice.orbits,) if hasattr(type(lattice), "orbits") else ()
     if "omegas" in inspect.signature(forward.DiskModes).parameters:
 
         def band():
-            return forward.DiskModes(incident.omegas, lattice.points)
+            return forward.DiskModes(incident.omegas, lattice.points, *wedge)
 
         modes = band()
         top, nmax = {"k": N_FREQUENCIES - 1}, modes.nmax[-1]
@@ -102,7 +108,9 @@ def scene_layers(n_directions: int, size: int) -> dict:
     rng = np.random.default_rng(NOISE_SEED)
     shape = (min(nmax, grid.n_points // 2) + 1, 2 * n_directions)
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    layers = {"Lattice.orbits": lambda: type(lattice).orbits.func(lattice)} if wedge else {}
     return {
+        **layers,
         "DiskModes(band)": band,
         "DiskModes.apply": lambda: modes.apply(coefficients, **top),
         "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True, **top),

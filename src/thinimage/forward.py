@@ -326,8 +326,9 @@ def boundary_phases(nmax: int, angles: np.ndarray) -> np.ndarray:
 # table for the whole band raised the noise sweep's peak RSS by about 8 MB).
 _BAND_GROUP = 4
 
-# Points per table block: fastest of 256..4096 on 128^2 and 256^2 lattices (workspaces ~1 MB).
-_POINT_BLOCK = 1024
+# Product rows per table block, 256 representatives in all 8 variants: etd_multi ran
+# 7-19% faster than with 1,024 on 128^2 and 256^2 lattices, and 4,096 gained under 4%.
+_POINT_BLOCK = 2048
 
 
 class DiskModes:
@@ -341,18 +342,26 @@ class DiskModes:
     gets its own ``nmax[k]``, from the one series tolerance
     ``_DEFAULT_SERIES_TOL`` at the largest radius, cut where J_n'(w) underflows.
 
+    ``orbits`` (a ``maps.Orbits``, as ``Lattice.orbits`` gives it) groups
+    the points under the rotations and reflections of the square; the angles
+    and radii are then kept for the representatives only. Without it every
+    point is its own representative in the identity variant.
+
     ``apply`` runs frequency k: it sums every point to one order and takes
-    the points in input order, ``_POINT_BLOCK`` at a time, gathering their
-    rows from one ``bessel_j_table`` per call over the distinct radii.
-    Besides the values it gives their x and y gradients or, in one product
-    with two blocks of columns instead of three, the derivative of each
-    column along its own unit vector (the adjoint of the imaging maps).
+    the representatives ``_POINT_BLOCK`` product rows at a time (one row per
+    variant present), gathering their rows from one ``bessel_j_table`` per
+    call over their distinct radii, and copies each point's row from its
+    representative's. Besides the values it gives their x and y gradients
+    or, in one product with two blocks of columns instead of three, the
+    derivative of each column along its own unit vector (the adjoint of the
+    imaging maps).
 
     ``transpose`` runs the whole band the other way, from sources at the
-    points to coefficients; ``synthesize`` takes its traces from it.
+    points to coefficients; ``synthesize`` takes its traces from it. It needs
+    every point as its own representative.
     """
 
-    def __init__(self, omegas, points):
+    def __init__(self, omegas, points, orbits=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         radii = np.hypot(pts[:, 0], pts[:, 1])
         rmax = float(np.max(radii))
@@ -368,11 +377,25 @@ class DiskModes:
             eps_n = np.where(np.arange(n + 1) == 0, 1.0, 2.0)
             self.nmax.append(n)
             self._weights.append(eps_n / (2.0 * math.pi * omega * jnp[: n + 1]))
-        self._thetas = np.arctan2(pts[:, 1], pts[:, 0])
-        # one Bessel column per distinct radius: a square lattice repeats each about six times
-        self._radii, self._column = np.unique(radii, return_inverse=True)
+        if orbits is None:
+            every = np.arange(radii.size)
+            orbits = every, every, np.zeros(radii.size, dtype=np.int8)
+        representatives, rows, variants = orbits
+        self._thetas = np.arctan2(pts[representatives, 1], pts[representatives, 0])
+        # one Bessel column per distinct radius of the representatives
+        self._radii, self._column = np.unique(radii[representatives], return_inverse=True)
+        # a block's product has one row per representative and variant present;
+        # _nodes groups the points by representative, _first[i] is where
+        # representative i's points start in it, and _product_rows gives each
+        # one's row in its block's product
+        self._variants, position = np.unique(variants, return_inverse=True)
+        self._block = _POINT_BLOCK // self._variants.size
+        self._nodes = np.argsort(rows, kind="stable")
+        self._first = np.searchsorted(rows[self._nodes], np.arange(self._thetas.size + 1))
+        product_rows = (rows % self._block) * self._variants.size + position
+        self._product_rows = product_rows[self._nodes]
 
-    def apply(self, c: np.ndarray, gradient: bool = False, directions=None, k: int = 0):
+    def apply(self, c: np.ndarray, gradient: bool = False, directions=None, k: int = 0, out=None):
         """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax[k].
 
         ``k`` picks the frequency of the band. The rows of ``c`` set the
@@ -384,11 +407,22 @@ class DiskModes:
         unit vector ``directions[j]`` when ``directions`` (shape (C, 2)) is
         given. With a_n = eps_n c_n/(2 pi w J_n'(w)), the derivatives shift
         the coefficients by one order, d_x Phi_n = (w/2)(Phi_{n-1} - Phi_{n+1})
-        and d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so each block of points
-        takes one table Phi_0..Phi_{n+1} and one real matmul
-        [Re Phi; Im Phi]^T [Re b; -Im b] for all its columns: b = [a, d_x a,
-        d_y a] for the gradients (3C) and b = [a, dx d_x a + dy d_y a] for the
-        directional derivative (2C).
+        and d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so the series is
+        Re sum_n Phi_n b_n in every column: b = [a, d_x a, d_y a] for the
+        gradients (3C) and b = [a, dx d_x a + dy d_y a] for the directional
+        derivative (2C). ``out``, if given, is the C-contiguous (P, C), (P, 3C)
+        or (P, 2C) real array the columns are written to, and the results are
+        views of it.
+
+        At x = g y, Phi_n(x) is i^{jn} Phi_n(y) for a rotation by j quarter
+        turns and i^{jn} conj Phi_n(y) for a reflection, and
+        Re(conj Phi b) = Re(Phi conj b): each variant's rows are those of its
+        representative against the coefficients i^{jn} b_n or their
+        conjugates, exact sign flips and re/im swaps. So each block of
+        representatives takes one table Phi_0..Phi_{n+1} and one real matmul
+        [Re Phi; Im Phi]^T [Re b_g; -Im b_g] for all its columns in every
+        variant g present, and each point's row is copied from its
+        representative's row of its variant.
         """
         if gradient and directions is not None:
             raise ValueError("ask for the gradient or for directional derivatives, not both")
@@ -407,22 +441,38 @@ class DiskModes:
                 coef = np.hstack([coef, d_x, d_y])
             else:
                 coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
-        rhs = np.vstack([coef.real, -coef.imag])
-        r, points = n + 2, self._thetas.size  # r table rows, Phi_0..Phi_{n+1}
+        r, columns = n + 2, coef.shape[1]  # r table rows, Phi_0..Phi_{n+1}
+        # [Re b_g; -Im b_g] per variant g = j + 4 f: b_g = i^{jn} b_n, conjugated if f = 1
+        rhs = np.empty((2 * r, self._variants.size * columns))
+        turns = np.array([1, 1j, -1, -1j])
+        for i, g in enumerate(self._variants):
+            turned = coef * turns[g % 4 * np.arange(r) % 4, None]
+            span = slice(i * columns, (i + 1) * columns)
+            rhs[:r, span], rhs[r:, span] = turned.real, turned.imag if g >= 4 else -turned.imag
+        shape = (self._nodes.size, columns)
+        fields = np.empty(shape) if out is None else out
+        if fields.shape != shape:
+            raise ValueError(f"out must have shape {shape}")
+        # each row of fields as one void element, so the scatter copies rows, not numbers
+        row = np.dtype((np.void, fields.itemsize * columns))
         bessel = bessel_j_table(r - 1, omega * self._radii)
-        size = min(points, _POINT_BLOCK)
-        # table workspaces for one block; a short last block uses their leading part
+        reps, size = self._thetas.size, min(self._thetas.size, self._block)
+        # workspaces for one block; a short last block uses their leading part
         phase_work, table_work = np.empty(r * size, dtype=complex), np.empty(2 * r * size)
-        fields = np.empty((points, rhs.shape[1]))
-        for lo in range(0, points, size):
-            m = min(size, points - lo)
+        product_work = np.empty(size * rhs.shape[1])
+        for lo in range(0, reps, size):
+            m = min(size, reps - lo)
             phases = _angular_table(self._thetas[lo : lo + m], r - 1, phase_work[: r * m].reshape(r, m))
             table = table_work[: 2 * r * m].reshape(2 * r, m)
             # the block's Bessel columns; "clip" lets take write to out unbuffered (indices are valid)
             np.take(bessel, self._column[lo : lo + m], axis=1, out=table[:r], mode="clip")
             np.multiply(table[:r], phases.imag, out=table[r:])
             table[:r] *= phases.real
-            np.matmul(table.T, rhs, out=fields[lo : lo + m])
+            product = product_work[: m * rhs.shape[1]].reshape(m, -1)
+            np.matmul(table.T, rhs, out=product)
+            block = slice(self._first[lo], self._first[lo + m])
+            copied = product.reshape(-1, columns).view(row)[self._product_rows[block], 0]
+            fields.view(row)[self._nodes[block], 0] = copied
         return tuple(np.hsplit(fields, width)) if width > 1 else fields
 
     def transpose(self, sources):
@@ -448,6 +498,8 @@ class DiskModes:
         all their w|x|. The sources are read one frequency at a time, so
         a caller can build each triple as it is needed.
         """
+        if self._thetas.size != self._nodes.size:
+            raise ValueError("transpose needs every point as its own representative")
         angular = _angular_table(self._thetas, max(self.nmax) + 1)
         planes = np.stack([angular.real, angular.imag])  # cos and sin n theta
         # each point's own radius, not the distinct ones: curve nodes seldom share one
@@ -683,13 +735,17 @@ def load_dataset(path) -> BoundaryDataset:
     for row in rows:
         if len(row) != 5:
             raise ConfigError(f"malformed dataset row: {' '.join(row)}")
-        index = int(row[0]), int(row[1]), int(row[2])
+        try:
+            index = int(row[0]), int(row[1]), int(row[2])
+            value = complex(float(row[3]), float(row[4]))
+        except ValueError as exc:
+            raise ConfigError(f"malformed dataset row: {' '.join(row)} ({exc})") from exc
         if not all(0 <= i < size for i, size in zip(index, traces.shape)):
             raise ConfigError(f"dataset row index out of range: {' '.join(row)}")
         if seen[index]:
             raise ConfigError(f"repeated dataset row: {' '.join(row)}")
         seen[index] = True
-        traces[index] = complex(float(row[3]), float(row[4]))
+        traces[index] = value
     incident = IncidentSet(standard_directions(L), omegas)
     return BoundaryDataset(
         traces=traces,

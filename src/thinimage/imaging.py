@@ -137,20 +137,27 @@ def td_component_maps(
     pair differentiated along its own direction, and each map is a real dot
     product of those pairs with the (Re, Im) pairs of u, or of
     i u = (-Im u, Re u). u is the lattice's plane-wave table
-    (``Lattice.plane_waves``), the one complex (P, L) array here.
+    (``Lattice.plane_waves``), the one complex (P, L) array here. The
+    ``DiskModes`` takes the lattice's orbits, as in ``etd_multi``, so both
+    give the same maps bit for bit.
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
-    modes = DiskModes(data.incident.omegas[k_index], lattice.points)
+    modes = DiskModes(data.incident.omegas[k_index], lattice.points, lattice.orbits)
     return _component_maps(data, lattice, k_index, modes, 0)
 
 
-def _component_maps(data: BoundaryDataset, lattice: Lattice, k: int, modes: DiskModes, j: int):
-    """``td_component_maps`` of the data's frequency k, from frequency j of ``modes``."""
+def _component_maps(
+    data: BoundaryDataset, lattice: Lattice, k: int, modes: DiskModes, j: int, out=None
+):
+    """``td_component_maps`` of the data's frequency k, from frequency j of ``modes``.
+
+    ``out``, if given, is the (P, 4L) array ``DiskModes.apply`` writes v and D to.
+    """
     omega = modes.omegas[j]
     directions = data.incident.directions
     coefficients = _trace_modes(data.traces[:, :, k], data.grid, modes.nmax[j])
-    v, d = modes.apply(coefficients, directions=np.repeat(directions, 2, axis=0), k=j)
+    v, d = modes.apply(coefficients, directions=np.repeat(directions, 2, axis=0), k=j, out=out)
     u = lattice.plane_waves(omega, directions)
     eps_vals = np.einsum("pk,pk->p", v, u.view(float))
     u *= 1j
@@ -192,16 +199,20 @@ def etd_multi(
 ) -> ImageMap:
     """Multi-frequency map: the mean of the per-frequency normalized maps.
 
-    One ``DiskModes`` covers the band on the lattice. The frequencies are
-    imaged one after another, each as ``etd_single`` images it, and summed in
-    frequency order; BLAS spreads each frequency's matmuls over the cores.
-    With a single frequency this reduces bitwise to the single-frequency map.
+    One ``DiskModes`` covers the band on the lattice's orbits
+    (``Lattice.orbits``), so its tables are built on the representatives
+    only, one product per block for all eight variants. The frequencies are
+    imaged one after another into one reused field array, each as
+    ``etd_single`` images it, and summed in frequency order. With a single
+    frequency this reduces bitwise to the single-frequency map.
     """
     n_k = data.incident.n_frequencies
-    modes = DiskModes(data.incident.omegas, lattice.points)
+    modes = DiskModes(data.incident.omegas, lattice.points, lattice.orbits)
+    fields = np.empty((lattice.points.shape[0], 4 * data.incident.n_directions))
     acc = np.zeros(lattice.points.shape[0])
     for k in range(n_k):
-        acc += normalized_combination(*_component_maps(data, lattice, k, modes, k)).inside_values
+        maps = _component_maps(data, lattice, k, modes, k, fields)
+        acc += normalized_combination(*maps).inside_values
     return from_point_values(lattice, acc / float(n_k))
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +22,19 @@ _FLAT_TOL = 1e-14
 _CLIP_RADIUS = 0.95
 
 
+class Orbits(NamedTuple):
+    """Points grouped by a symmetry group of 8 variants g = j + 4 f, f in {0, 1}, j in 0..3.
+
+    Variant g maps x to R^j F^f x, with F (x, y) = (x, -y) and R the quarter
+    turn (x, y) = (-y, x); point p is variant ``variants[p]`` applied to
+    point ``representatives[rows[p]]``.
+    """
+
+    representatives: np.ndarray  # (R,) point indices
+    rows: np.ndarray  # (P,) each point's row in representatives
+    variants: np.ndarray  # (P,) each point's variant
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Square sampling lattice clipped to a disk.
@@ -27,6 +42,9 @@ class Lattice:
     ``mask[iy, ix]`` flags nodes with radius <= clip_radius; ``points`` lists
     the kept nodes, row-major over (iy, ix). ``plane_waves`` is the one source
     of the incident waves on them (imaging maps, model maps, steering vectors).
+    ``orbits`` groups the nodes under the 8 rotations and reflections of the
+    square, for the disk's mode series (``forward.DiskModes``); it is built
+    on first use.
     """
 
     xs: np.ndarray
@@ -61,6 +79,42 @@ class Lattice:
         waves = np.exp(1j * omega * np.outer(self.ys, directions[:, 1]))[iy]
         waves *= np.exp(1j * omega * np.outer(self.xs, directions[:, 0]))[ix]
         return waves
+
+    @cached_property
+    def orbits(self) -> Orbits:
+        """The nodes' ``Orbits`` under the symmetries of the square.
+
+        Nodes are grouped by integer index, cx = 2 ix - (n - 1) and likewise
+        cy, not by float value: ``linspace(-1, 1, n)`` is not exactly
+        antisymmetric. The representatives are the nodes with 0 <= cy <= cx,
+        and a node on an axis or a diagonal takes the first variant that
+        reaches it. A node whose image in that wedge falls outside the clip
+        mask is its own representative.
+        """
+        ny, nx = self.shape
+        iy, ix = np.nonzero(self.mask)
+        cx, cy = 2 * ix - (nx - 1), 2 * iy - (ny - 1)
+        variants = np.empty(cx.size, dtype=np.int8)
+        rep_x, rep_y = np.empty_like(cx), np.empty_like(cy)
+        for g in range(7, -1, -1):  # downwards, so the lowest variant reaching a node wins
+            # invert x -> R^j F^f x: j quarter turns back, then F
+            x, y = cx, cy
+            for _ in range(g % 4):
+                x, y = y, -x
+            if g >= 4:
+                y = -y
+            hit = (0 <= y) & (y <= x)
+            variants[hit], rep_x[hit], rep_y[hit] = g, x[hit], y[hit]
+        index = np.full(self.mask.shape, -1)
+        index[iy, ix] = np.arange(cx.size)
+        rep_nodes = index[(rep_y + ny - 1) // 2, (rep_x + nx - 1) // 2]
+        # a node whose image in the wedge rounding clips (n = 41, 81, 161 of 8..299) stands alone
+        alone = rep_nodes < 0
+        rep_nodes[alone], variants[alone] = np.flatnonzero(alone), 0
+        representatives, rows = np.unique(rep_nodes, return_inverse=True)
+        for arr in (representatives, rows, variants):
+            arr.setflags(write=False)
+        return Orbits(representatives, rows, variants)
 
 
 def make_lattice(n: int = 128) -> Lattice:

@@ -388,6 +388,46 @@ class TestDiskModes:
             for got, want in zip(pairs[k], ref):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), k
 
+    @pytest.mark.parametrize("n", [65, 128])
+    def test_orbits_give_what_the_points_give_alone(self, n):
+        # the lattice's orbits against every node its own representative, on
+        # the adjoint's coefficient rows (N/2 + 1 = 65); image nodes take the
+        # representative's coordinates, which differ from theirs by an ulp
+        rng = np.random.default_rng(53)
+        lattice = make_lattice(n)
+        omegas = frequency_band(16)[[0, 15]]
+        wedge = DiskModes(omegas, lattice.points, lattice.orbits)
+        alone = DiskModes(omegas, lattice.points)
+        assert wedge.nmax == alone.nmax
+        c = rng.standard_normal((65, 6)) + 1j * rng.standard_normal((65, 6))
+        directions = standard_directions(6)
+        for k in (0, 1):
+            for kw in ({}, {"gradient": True}, {"directions": directions}):
+                got = np.atleast_3d(wedge.apply(c, k=k, **kw))
+                ref = np.atleast_3d(alone.apply(c, k=k, **kw))
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (k, kw)
+
+    def test_apply_writes_to_out(self):
+        rng = np.random.default_rng(59)
+        lattice = make_lattice(40)
+        modes = DiskModes(OMEGA_HI, lattice.points, lattice.orbits)
+        c = rng.standard_normal((65, 4)) + 1j * rng.standard_normal((65, 4))
+        directions = standard_directions(4)
+        out = np.full((lattice.points.shape[0], 8), np.nan)
+        value, along = modes.apply(c, directions=directions, out=out)
+        assert np.shares_memory(value, out) and np.shares_memory(along, out)
+        ref = np.hstack(modes.apply(c, directions=directions))
+        assert np.array_equal(out, ref)
+        with pytest.raises(ValueError, match="out must have shape"):
+            modes.apply(c, out=out)
+
+    def test_transpose_refuses_orbits(self):
+        lattice = make_lattice(40)
+        modes = DiskModes(OMEGA_HI, lattice.points, lattice.orbits)
+        sources = [tuple(np.ones((lattice.points.shape[0], 1), dtype=complex) for _ in range(3))]
+        with pytest.raises(ValueError, match="its own representative"):
+            next(modes.transpose(sources))
+
     def test_angular_table_matches_exponentials(self):
         # exp(1j n theta) itself carries about 1e-13 of argument rounding at order 600
         thetas = np.random.default_rng(29).uniform(-math.pi, math.pi, 200)
@@ -679,6 +719,16 @@ class TestDatasetIO:
     def test_node_index_past_the_grid_rejected(self, tmp_path):
         path = self._with_row(tmp_path, 0, "16 1 0 1.0 2.0")
         with pytest.raises(ConfigError, match="out of range: 16 1 0 1.0 2.0"):
+            load_dataset(path)
+
+    def test_malformed_index_token_rejected(self, tmp_path):
+        path = self._with_row(tmp_path, 0, "0.5 1 0 1.0 1.0")
+        with pytest.raises(ConfigError, match="malformed dataset row: 0.5 1 0 1.0 1.0"):
+            load_dataset(path)
+
+    def test_malformed_value_token_rejected(self, tmp_path):
+        path = self._with_row(tmp_path, 0, "0 1 0 abc 1.0")
+        with pytest.raises(ConfigError, match="malformed dataset row: 0 1 0 abc 1.0"):
             load_dataset(path)
 
     def test_malformed_header_rejected(self, tmp_path):

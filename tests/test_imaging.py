@@ -263,13 +263,47 @@ class TestMultiFrequency:
         built = []
 
         class Counted(forward.DiskModes):
-            def __init__(self, omegas, points):
+            def __init__(self, omegas, points, orbits=None):
                 built.append(np.size(omegas))
-                super().__init__(omegas, points)
+                super().__init__(omegas, points, orbits)
 
         monkeypatch.setattr(imaging, "DiskModes", Counted)
         etd_multi(clean16, make_lattice(32))
         assert built == [16]
+
+    def test_orbits_maps_match_the_points_alone(self, clean16, monkeypatch):
+        # the lattice's orbits against a DiskModes that ignores them; the raw
+        # maps peak near 1e4, so they are compared relative to their peaks
+        class Alone(forward.DiskModes):
+            def __init__(self, omegas, points, orbits=None):
+                super().__init__(omegas, points)
+
+        for n in (65, 128):
+            lattice = make_lattice(n)
+            wedge = etd_multi(clean16, lattice).inside_values
+            components = [td_component_maps(clean16, lattice, k) for k in (0, 15)]
+            with monkeypatch.context() as patch:
+                patch.setattr(imaging, "DiskModes", Alone)
+                assert np.max(np.abs(etd_multi(clean16, lattice).inside_values - wedge)) <= 1e-14
+                for k, maps in zip((0, 15), components):
+                    for got, ref in zip(maps, td_component_maps(clean16, lattice, k)):
+                        ref = ref.inside_values
+                        err = np.max(np.abs(got.inside_values - ref))
+                        assert err <= 1e-14 * np.max(np.abs(ref)), (n, k)
+
+    def test_angular_tables_only_on_the_representatives(self, clean16, monkeypatch):
+        # 16 frequencies, each with e^{in theta} columns for the 1,450
+        # representatives of the 128^2 lattice's 11,428 nodes
+        columns = []
+
+        def counted(thetas, nmax, out=None):
+            columns.append(thetas.size)
+            return angular_table(thetas, nmax, out)
+
+        angular_table = forward._angular_table
+        monkeypatch.setattr(forward, "_angular_table", counted)
+        etd_multi(clean16, make_lattice(128))
+        assert 0 < sum(columns) <= 16 * 1450
 
     def test_band_map_is_the_mean_of_the_single_maps(self, clean16):
         lattice = make_lattice(32)

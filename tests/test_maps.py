@@ -54,6 +54,57 @@ class TestLattice:
         assert np.max(np.abs(waves - direct)) < 1e-14
 
 
+def _variant(g, cx, cy):
+    """Variant g = j + 4 f of the square's group on integer coordinates: R^j F^f."""
+    if g >= 4:
+        cy = -cy
+    for _ in range(g % 4):
+        cx, cy = -cy, cx
+    return cx, cy
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("n, count", [(41, None), (65, 388), (128, 1450), (256, 5807)])
+    def test_each_node_is_its_variant_of_its_representative(self, n, count):
+        # integer coordinates cx = 2 ix - (n - 1); at n = 41 rounding clips two
+        # nodes' images in the wedge, and those stand for themselves
+        lat = make_lattice(n)
+        orbits = lat.orbits
+        iy, ix = np.nonzero(lat.mask)
+        cx, cy = 2 * ix - (n - 1), 2 * iy - (n - 1)
+        reps = orbits.representatives[orbits.rows]
+        for g in range(8):
+            hit = orbits.variants == g
+            got = _variant(g, cx[reps[hit]], cy[reps[hit]])
+            assert np.array_equal(got[0], cx[hit]) and np.array_equal(got[1], cy[hit]), g
+        wedge = (0 <= cy) & (cy <= cx)
+        assert np.array_equal(orbits.representatives[orbits.rows[wedge]], np.flatnonzero(wedge))
+        if count is not None:
+            assert orbits.representatives.size == count == np.count_nonzero(wedge)
+
+    def test_origin_axis_and_diagonal_nodes(self):
+        # on 65^2 the origin is a node and stands alone; axis and diagonal
+        # nodes have four images each, interior wedge nodes eight
+        lat = make_lattice(65)
+        orbits = lat.orbits
+        iy, ix = np.nonzero(lat.mask)
+        cx, cy = 2 * ix - 64, 2 * iy - 64
+        sizes = np.bincount(orbits.rows)[orbits.rows]
+        origin = (cx == 0) & (cy == 0)
+        assert np.count_nonzero(origin) == 1 and np.all(sizes[origin] == 1)
+        assert np.all(orbits.variants[origin] == 0)
+        axis_or_diagonal = ((cx == 0) | (cy == 0) | (np.abs(cx) == np.abs(cy))) & ~origin
+        assert np.all(sizes[axis_or_diagonal] == 4)
+        assert np.all(sizes[~axis_or_diagonal & ~origin] == 8)
+
+    def test_built_on_first_use(self):
+        # make_lattice leaves the orbits out, so paths without the mode series
+        # pay nothing, and a lattice builds them once
+        lat = make_lattice(128)
+        assert "orbits" not in vars(lat)
+        assert lat.orbits is lat.orbits
+
+
 class TestImageMap:
     def test_outside_values_zeroed(self):
         lat = make_lattice(16)
