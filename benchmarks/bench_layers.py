@@ -12,11 +12,9 @@ a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
 15 dB noise. The layers:
 
 - ``Lattice.orbits``: the nodes grouped under the square's symmetries,
-  computed afresh (a tree from before the wedge has no such layer);
+  computed afresh;
 - ``DiskModes`` construction for the band on the lattice's orbits, as
-  ``etd_multi`` builds it (one object for the band; on a tree from before
-  the band API, one per frequency; on a tree from before the wedge, on the
-  points alone);
+  ``etd_multi`` builds it;
 - ``DiskModes.apply`` over the lattice at the top frequency, on the
   coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
   for the N-point grid), value alone (the Bessel and angular tables on the
@@ -42,7 +40,6 @@ scipy versions, nproc, medians in seconds) to ``--out``.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -88,38 +85,25 @@ def scene_layers(n_directions: int, size: int) -> dict:
     noisy = forward.add_awgn(forward.synthesize(inclusions, incident, grid), SNR_DB, NOISE_SEED)
     omega = float(incident.omegas[-1])
     traces = noisy.traces[:, :, -1]
-    # a tree from before the wedge has no Lattice.orbits, and its DiskModes takes no orbits
-    wedge = (lattice.orbits,) if hasattr(type(lattice), "orbits") else ()
-    if "omegas" in inspect.signature(forward.DiskModes).parameters:
 
-        def band():
-            return forward.DiskModes(incident.omegas, lattice.points, *wedge)
+    def band():
+        return forward.DiskModes(incident.omegas, lattice.points, lattice.orbits)
 
-        modes = band()
-        top, nmax = {"k": N_FREQUENCIES - 1}, modes.nmax[-1]
-    else:  # a source tree with one DiskModes per frequency
-
-        def band():
-            return [forward.DiskModes(w, lattice.points) for w in incident.omegas]
-
-        modes = band()[-1]
-        top, nmax = {}, modes.nmax
+    modes = band()
+    top = N_FREQUENCIES - 1
     msrs = [forward.assemble_multistatic(noisy, k) for k in range(N_FREQUENCIES)]
     rng = np.random.default_rng(NOISE_SEED)
-    shape = (min(nmax, grid.n_points // 2) + 1, 2 * n_directions)
+    shape = (min(modes.nmax[top], grid.n_points // 2) + 1, 2 * n_directions)
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    layers = {"Lattice.orbits": lambda: type(lattice).orbits.func(lattice)} if wedge else {}
     return {
-        **layers,
+        "Lattice.orbits": lambda: type(lattice).orbits.func(lattice),
         "DiskModes(band)": band,
-        "DiskModes.apply": lambda: modes.apply(coefficients, **top),
-        "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True, **top),
+        "DiskModes.apply": lambda: modes.apply(coefficients, k=top),
+        "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True, k=top),
         "adjoint_field_batch": lambda: imaging.adjoint_field_batch(
             traces, grid, omega, lattice.points, gradient=True
         ),
-        "td_component_maps": lambda: imaging.td_component_maps(
-            noisy, lattice, N_FREQUENCIES - 1
-        ),
+        "td_component_maps": lambda: imaging.td_component_maps(noisy, lattice, top),
         "etd_multi": lambda: imaging.etd_multi(noisy, lattice),
         "multi_kirchhoff_map": lambda: baselines.multi_kirchhoff_map(lattice, msrs),
         "synthesize": lambda: forward.synthesize(inclusions, incident, grid),

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConfigError, DataStateError, GeometryError, ResonanceError, SingularityError
 from .geometry import BoundaryGrid, ThinInclusion, discretize
@@ -192,6 +191,8 @@ def jnp_values(omega: float, nmax: int) -> tuple[np.ndarray, int]:
     J_n' = (J_{n-1} - J_{n+1})/2 from one ``jv`` call over n = -1..nmax+1:
     bit for bit what scipy's ``jvp`` gives, with half its order evaluations.
     """
+    from scipy import special as sp
+
     j = sp.jv(np.arange(-1, nmax + 2), omega)
     vals = (j[:-2] - j[2:]) / 2
     small = np.abs(vals) < _JNP_FLOOR
@@ -228,6 +229,8 @@ def neumann_function(
         The kernel value (imaginary part is a truncation residual; the exact
         kernel is real-valued), and optionally the x-gradient, shape (2,).
     """
+    from scipy import special as sp
+
     xp = np.asarray(x, dtype=float)
     yp = np.asarray(y, dtype=float)
     if xp.shape != (2,) or yp.shape != (2,):

@@ -25,11 +25,14 @@ import math
 import numpy as np
 
 from .errors import ConfigError, FlatMapError
-from .forward import BoundaryDataset, DiskModes, boundary_phases
+from .forward import BoundaryDataset, DiskModes, bessel_j_table, boundary_phases
 from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion
 from .maps import ImageMap, Lattice, from_point_values
 
 _FLAT_TOL = 1e-14
+# arguments per Bessel table in j0_band_integral: a table holds about
+# x_max + 2 sqrt(40 x_max) rows of this many floats
+_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +299,47 @@ def band_kernel_maps(
     return from_point_values(lattice, eps_vals), from_point_values(lattice, mu_vals)
 
 
+def j0_band_integral(t, omega):
+    """Scaled running integral of J0: (1/t) * \\int_0^{omega t} J0(u) du.
+
+    Evaluated as (2/t) * sum_k J_{2k+1}(omega t) (Abramowitz & Stegun
+    11.1.2), summed up to the order ceil(x) + 15 + sqrt(40 x) at the largest
+    argument x = omega t of each chunk, past which the terms vanish; the
+    continuous limit omega is taken at t = 0. The omega-derivative of this
+    quantity is J0(omega t), which is what makes it the radial kernel of
+    frequency-band-summed imaging functions.
+
+    Parameters
+    ----------
+    t : float or ndarray
+        Nonnegative radial distance(s).
+    omega : float
+        Positive frequency.
+
+    Returns
+    -------
+    float for a scalar t, else ndarray of the shape of t
+    """
+    arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("t must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("t must be nonnegative")
+    w = float(omega)
+    if not (math.isfinite(w) and w > 0.0):
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    x = w * arr.reshape(-1)
+    odd_sum = np.empty_like(x)
+    for lo in range(0, x.size, _CHUNK):
+        chunk = x[lo : lo + _CHUNK]
+        top = float(chunk.max())
+        nmax = math.ceil(top) + 15 + int(math.sqrt(40.0 * top))
+        odd_sum[lo : lo + _CHUNK] = bessel_j_table(nmax, chunk)[1::2].sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(arr == 0.0, w, 2.0 * odd_sum.reshape(arr.shape) / arr)
+    return float(out[()]) if arr.ndim == 0 else out
+
+
 def radial_band_maps(
     lattice: Lattice,
     disc: CurveDiscretization,
@@ -314,8 +358,6 @@ def radial_band_maps(
     over the curve alone, without the adjoint's boundary factor or the
     polarization sources.
     """
-    from .special import j0_band_integral
-
     if not omega_hi > omega_lo:
         raise ConfigError("need omega_hi > omega_lo")
     pts = lattice.points

@@ -19,7 +19,7 @@ from .errors import ConfigError, FlatMapError
 from .geometry import CurveDiscretization, distance_to_curve
 
 _FLAT_TOL = 1e-14
-_CLIP_RADIUS = 0.95
+_CLIP_RADIUS = 19 / 20  # make_lattice clips at this ratio in integer coordinates
 
 
 class Orbits(NamedTuple):
@@ -39,8 +39,8 @@ class Orbits(NamedTuple):
 class Lattice:
     """Square sampling lattice clipped to a disk.
 
-    ``mask[iy, ix]`` flags nodes with radius <= clip_radius; ``points`` lists
-    the kept nodes, row-major over (iy, ix). ``plane_waves`` is the one source
+    ``mask[iy, ix]`` flags nodes with radius <= 0.95; ``points`` lists the
+    kept nodes, row-major over (iy, ix). ``plane_waves`` is the one source
     of the incident waves on them (imaging maps, model maps, steering vectors).
     ``orbits`` groups the nodes under the 8 rotations and reflections of the
     square, for the disk's mode series (``forward.DiskModes``); it is built
@@ -51,7 +51,6 @@ class Lattice:
     ys: np.ndarray
     mask: np.ndarray
     points: np.ndarray
-    clip_radius: float
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -60,14 +59,6 @@ class Lattice:
     @property
     def spacing(self) -> float:
         return float(self.xs[1] - self.xs[0])
-
-    def same_geometry(self, other: "Lattice") -> bool:
-        return (
-            self.shape == other.shape
-            and self.clip_radius == other.clip_radius
-            and np.array_equal(self.xs, other.xs)
-            and np.array_equal(self.ys, other.ys)
-        )
 
     def plane_waves(self, omega: float, directions: np.ndarray) -> np.ndarray:
         """e^{i w d_l.z} at the kept nodes, shape (P, L) complex, one column per direction.
@@ -88,8 +79,7 @@ class Lattice:
         cy, not by float value: ``linspace(-1, 1, n)`` is not exactly
         antisymmetric. The representatives are the nodes with 0 <= cy <= cx,
         and a node on an axis or a diagonal takes the first variant that
-        reaches it. A node whose image in that wedge falls outside the clip
-        mask is its own representative.
+        reaches it.
         """
         ny, nx = self.shape
         iy, ix = np.nonzero(self.mask)
@@ -108,9 +98,6 @@ class Lattice:
         index = np.full(self.mask.shape, -1)
         index[iy, ix] = np.arange(cx.size)
         rep_nodes = index[(rep_y + ny - 1) // 2, (rep_x + nx - 1) // 2]
-        # a node whose image in the wedge rounding clips (n = 41, 81, 161 of 8..299) stands alone
-        alone = rep_nodes < 0
-        rep_nodes[alone], variants[alone] = np.flatnonzero(alone), 0
         representatives, rows = np.unique(rep_nodes, return_inverse=True)
         for arr in (representatives, rows, variants):
             arr.setflags(write=False)
@@ -118,17 +105,21 @@ class Lattice:
 
 
 def make_lattice(n: int = 128) -> Lattice:
-    """Build an n-by-n lattice over [-1, 1]^2 clipped to the disk of radius 0.95."""
+    """Build an n-by-n lattice over [-1, 1]^2 clipped to the disk of radius 0.95.
+
+    Node c / (n - 1), c = 2 i - (n - 1), is kept when 400 |c|^2 <= (19 (n - 1))^2
+    in integers: the exact disk, with the square's 8 symmetries for every n.
+    """
     if n < 8:
         raise ConfigError(f"lattice needs at least 8 nodes per side, got {n}")
-    xs = np.linspace(-1.0, 1.0, n)
-    ys = np.linspace(-1.0, 1.0, n)
-    gx, gy = np.meshgrid(xs, ys)
-    mask = np.hypot(gx, gy) <= _CLIP_RADIUS
-    points = np.column_stack([gx[mask], gy[mask]])
-    for arr in (xs, ys, mask, points):
+    xs = ys = np.linspace(-1.0, 1.0, n)
+    c = 2 * np.arange(n) - (n - 1)
+    mask = 400 * (c[:, None] ** 2 + c[None, :] ** 2) <= (19 * (n - 1)) ** 2
+    iy, ix = np.nonzero(mask)
+    points = np.column_stack([xs[ix], ys[iy]])
+    for arr in (xs, mask, points):
         arr.setflags(write=False)
-    return Lattice(xs=xs, ys=ys, mask=mask, points=points, clip_radius=_CLIP_RADIUS)
+    return Lattice(xs=xs, ys=ys, mask=mask, points=points)
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,7 @@ def from_point_values(lattice: Lattice, point_values: np.ndarray) -> ImageMap:
 
 def masked_correlation(a: ImageMap, b: ImageMap) -> float:
     """Pearson correlation of two maps over the inside-mask nodes."""
-    if not a.lattice.same_geometry(b.lattice):
+    if a.lattice.shape != b.lattice.shape:
         raise ConfigError("maps live on different lattices")
     va = a.inside_values
     vb = b.inside_values
@@ -205,7 +196,7 @@ def save_map_csv(imap: ImageMap, path) -> None:
     lines = [
         "# thinimage map v1",
         f"# lattice {imap.lattice.shape[1]} {imap.lattice.shape[0]}",
-        f"# clip_radius {float(imap.lattice.clip_radius)!r}",
+        f"# clip_radius {_CLIP_RADIUS!r}",
         "# columns x y value",
     ]
     pts = imap.lattice.points

@@ -190,7 +190,7 @@ def _closed_disk_first_order_maps(lattice, disc, inclusion, directions, omega):
 
 def test_band_antiderivative_and_tail_decay():
     t0 = time.perf_counter()
-    from thinimage.special import j0_band_integral
+    from thinimage.imaging import j0_band_integral
 
     # 20 x 20 grid of (offset, band) samples against adaptive quadrature
     rng = np.random.default_rng(5)

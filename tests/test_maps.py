@@ -18,19 +18,38 @@ from thinimage.maps import (
 
 
 class TestLattice:
-    def test_default_geometry(self):
+    def test_default_geometry(self, tmp_path):
         lat = make_lattice()
         assert lat.shape == (128, 128)
         assert lat.xs[0] == -1.0 and lat.xs[-1] == 1.0
-        assert lat.clip_radius == 0.95
+        path = tmp_path / "m.csv"
+        save_map_csv(from_point_values(lat, np.ones(lat.points.shape[0])), path)
+        assert "# clip_radius 0.95" in path.read_text().split("\n")
 
     def test_mask_matches_clip(self):
-        lat = make_lattice(32)
-        gx, gy = np.meshgrid(lat.xs, lat.ys)
-        inside = np.hypot(gx, gy) <= 0.95
-        assert np.array_equal(lat.mask, inside)
-        assert lat.points.shape == (int(inside.sum()), 2)
-        assert np.all(np.hypot(lat.points[:, 0], lat.points[:, 1]) <= 0.95)
+        # no node of these sizes lies on the circle, so the float clip of the
+        # node coordinates is a reference for mask and points, bit for bit
+        for n in (32, 65, 128, 256):
+            lat = make_lattice(n)
+            gx, gy = np.meshgrid(lat.xs, lat.ys)
+            inside = np.hypot(gx, gy) <= 0.95
+            assert np.array_equal(lat.mask, inside), n
+            assert np.array_equal(lat.points, np.column_stack([gx[inside], gy[inside]])), n
+            assert np.all(np.hypot(lat.points[:, 0], lat.points[:, 1]) <= 0.95)
+
+    def test_mask_is_the_exact_disk(self):
+        # in integer coordinates c = 2 i - (n - 1) a node is kept exactly when
+        # its radius is within 19/20, and the mask is invariant under the
+        # square's 8 symmetries; a float clip of the node coordinates misses
+        # nodes on the circle at n = 41, 81, 161 and 201, and only one of a
+        # mirror pair at the first three
+        for n in range(8, 300):
+            mask = make_lattice(n).mask
+            c = 2 * np.arange(n) - (n - 1)
+            r2 = c[:, None] ** 2 + c[None, :] ** 2
+            assert np.array_equal(mask, 400 * r2 <= (19 * (n - 1)) ** 2), n
+            for variant in (mask.T, mask[::-1], mask[:, ::-1]):
+                assert np.array_equal(mask, variant), n
 
     def test_kept_fraction_near_disk_area(self):
         lat = make_lattice(128)
@@ -64,10 +83,9 @@ def _variant(g, cx, cy):
 
 
 class TestOrbits:
-    @pytest.mark.parametrize("n, count", [(41, None), (65, 388), (128, 1450), (256, 5807)])
+    @pytest.mark.parametrize("n, count", [(41, 158), (65, 388), (128, 1450), (256, 5807)])
     def test_each_node_is_its_variant_of_its_representative(self, n, count):
-        # integer coordinates cx = 2 ix - (n - 1); at n = 41 rounding clips two
-        # nodes' images in the wedge, and those stand for themselves
+        # integer coordinates cx = 2 ix - (n - 1)
         lat = make_lattice(n)
         orbits = lat.orbits
         iy, ix = np.nonzero(lat.mask)
@@ -79,8 +97,7 @@ class TestOrbits:
             assert np.array_equal(got[0], cx[hit]) and np.array_equal(got[1], cy[hit]), g
         wedge = (0 <= cy) & (cy <= cx)
         assert np.array_equal(orbits.representatives[orbits.rows[wedge]], np.flatnonzero(wedge))
-        if count is not None:
-            assert orbits.representatives.size == count == np.count_nonzero(wedge)
+        assert orbits.representatives.size == count == np.count_nonzero(wedge)
 
     def test_origin_axis_and_diagonal_nodes(self):
         # on 65^2 the origin is a node and stands alone; axis and diagonal

@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from thinimage.forward import bessel_j_table
-from thinimage.special import _CHUNK, j0_band_integral
+from thinimage.imaging import _CHUNK, j0_band_integral
 
 
 class TestBesselJ:
