@@ -26,10 +26,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .baselines import kirchhoff_map, multi_kirchhoff_map, music_map, signal_space_dim
 from .errors import ConfigError, ThinImageError
@@ -38,6 +36,7 @@ from .forward import (
     IncidentSet,
     add_awgn,
     assemble_multistatic,
+    ensure_not_resonant,
     ensure_thin,
     frequency_band,
     resonance_orders,
@@ -50,17 +49,13 @@ from .geometry import (
     ThinInclusion,
     boundary_grid,
     builtin_curve,
-    discretize,
     poly_sin_curve,
 )
-from .imaging import band_kernel_maps, etd_multi, etd_single, normalized_combination
+from .imaging import etd_multi, etd_single, model_maps, normalized_combination
 from .maps import ImageMap, make_lattice, save_map_csv, save_map_pgm
 from .postprocess import discrete_norms, format_fit_report, initial_guesses
 
 _FUNCTIONALS = ("etd_multi", "etd_single", "music", "kirchhoff", "mkm", "oracles")
-# inversion-side quadrature is kept at half synthesize's default node count
-# (400) so model maps never ride the synthesis discretization
-_MODEL_NODES = 200
 _SCAN_RESONANCE_TOL = 1e-4
 
 
@@ -315,6 +310,10 @@ def _config_stage(config: ExperimentConfig):
     incident = None
     if directions is not None and omegas is not None:
         incident = build("incident", IncidentSet, directions, omegas)
+    # synthesize's resonance rule, refused here under incident
+    if incident is not None:
+        for omega in incident.omegas:
+            build("incident", ensure_not_resonant, omega)
     grid = build("grid", boundary_grid, config.boundary_points)
     lattice = build("grid", make_lattice, config.lattice_size)
     # the adjoint resolves trace modes up to the grid's Nyquist order N/2
@@ -328,6 +327,11 @@ def _config_stage(config: ExperimentConfig):
         refuse("noise", f"snr_db must be finite or +inf, got {config.snr_db!r}")
     if config.functional in ("etd_single", "music", "kirchhoff") and not config.k_values:
         refuse("imaging", f"functional {config.functional} needs at least one k_value")
+    # MUSIC splits the directions into a signal and a noise subspace
+    if config.functional == "music" and config.n_directions < 2:
+        refuse(
+            "imaging", f"functional music needs at least 2 directions, got {config.n_directions}"
+        )
     if bad := [k for k in config.k_values if not 0 <= k < config.n_frequencies]:
         top = config.n_frequencies - 1
         refuse("imaging", f"k_values {bad} outside the frequency range 0..{top}")
@@ -380,52 +384,30 @@ def _stage(name: str):
 
 
 def _compute_maps(
-    config: ExperimentConfig,
-    data: BoundaryDataset,
-    lattice,
-    inclusions: list[ThinInclusion],
-    notes: dict,
+    config: ExperimentConfig, data: BoundaryDataset, lattice, inclusions: list[ThinInclusion], notes
 ) -> dict[str, ImageMap]:
-    maps: dict[str, ImageMap] = {}
     if config.functional == "etd_multi":
-        maps["map_etd_multi"] = etd_multi(data, lattice)
-    elif config.functional == "etd_single":
-        for k in config.k_values:
-            maps[f"map_etd_single_k{k:02d}"] = etd_single(data, lattice, k)
-    elif config.functional == "music":
-        saturation = {}
-        for k in config.k_values:
+        return {"map_etd_multi": etd_multi(data, lattice)}
+    if config.functional == "mkm":
+        msrs = [assemble_multistatic(data, k) for k in range(data.incident.n_frequencies)]
+        return {"map_kirchhoff_multi": multi_kirchhoff_map(lattice, msrs)}
+    if config.functional == "oracles":
+        eps_map, mu_map = model_maps(lattice, inclusions, data.incident)
+        combined = normalized_combination(eps_map, mu_map)
+        return {"map_model_eps": eps_map, "map_model_mu": mu_map, "map_model_combined": combined}
+    maps: dict[str, ImageMap] = {}
+    for k in config.k_values:
+        if config.functional == "etd_single":
+            imap = etd_single(data, lattice, k)
+        elif config.functional == "kirchhoff":
+            imap = kirchhoff_map(lattice, assemble_multistatic(data, k))
+        else:  # music
             msr = assemble_multistatic(data, k)
             dim = signal_space_dim(msr, clean=data.is_clean)
             imap, saturated = music_map(lattice, msr, signal_dim=dim)
-            maps[f"map_music_k{k:02d}"] = imap
-            saturation[f"k{k:02d}"] = saturated
             notes.setdefault("music_signal_dim", {})[f"k{k:02d}"] = dim
-        notes["music_saturated"] = saturation
-    elif config.functional == "kirchhoff":
-        for k in config.k_values:
-            maps[f"map_kirchhoff_k{k:02d}"] = kirchhoff_map(lattice, assemble_multistatic(data, k))
-    elif config.functional == "mkm":
-        msrs = [assemble_multistatic(data, k) for k in range(data.incident.n_frequencies)]
-        maps["map_kirchhoff_multi"] = multi_kirchhoff_map(lattice, msrs)
-    else:  # oracles
-        omega_lo = float(data.incident.omegas[0])
-        omega_hi = float(data.incident.omegas[-1])
-        if omega_hi <= omega_lo:
-            omega_hi = omega_lo * (1.0 + 1e-6)
-        dirs = data.incident.directions
-        eps_acc = np.zeros(lattice.shape)
-        mu_acc = np.zeros(lattice.shape)
-        for incl in inclusions:
-            disc = discretize(incl.curve, _MODEL_NODES)
-            eps_map, mu_map = band_kernel_maps(lattice, disc, incl, dirs, omega_lo, omega_hi)
-            eps_acc += eps_map.values
-            mu_acc += mu_map.values
-        eps_total = ImageMap(lattice, eps_acc)
-        mu_total = ImageMap(lattice, mu_acc)
-        maps["map_model_eps"] = eps_total
-        maps["map_model_mu"] = mu_total
-        maps["map_model_combined"] = normalized_combination(eps_total, mu_total)
+            notes.setdefault("music_saturated", {})[f"k{k:02d}"] = saturated
+        maps[f"map_{config.functional}_k{k:02d}"] = imap
     return maps
 
 
@@ -443,8 +425,7 @@ def run(config: ExperimentConfig):
 
     noise_seed = derive_seed(config.seed, "noise")
     with _stage("noise"):
-        if not config.clean:
-            data = add_awgn(data, config.snr_db, noise_seed)
+        data = add_awgn(data, config.snr_db, noise_seed)
 
     with _stage("imaging"):
         maps = _compute_maps(config, data, lattice, inclusions, notes)
@@ -453,29 +434,26 @@ def run(config: ExperimentConfig):
     with _stage("postprocess"):
         if config.functional in ("etd_multi", "etd_single"):
             fits = initial_guesses(next(iter(maps.values())), len(inclusions), config.fit_degree)
+            guesses = {f"guess{i + 1}": fit for i, fit in enumerate(fits)}
             # recompute boundary data from the fitted curves; material
             # parameters are taken from the first configured inclusion
             fitted_inclusions = [
-                replace(inclusions[0], curve=fit.as_parametric(f"guess{i + 1}"))
-                for i, fit in enumerate(fits)
+                replace(inclusions[0], curve=fit.as_parametric(label))
+                for label, fit in guesses.items()
             ]
             # the norms read the first frequency alone, so synthesize only that one
             first = IncidentSet(incident.directions, incident.omegas[:1])
             comp = synthesize(fitted_inclusions, first, grid)
             report = discrete_norms(replace(data, traces=data.traces[:, :, :1], incident=first), comp)
-            for i, fit in enumerate(fits):
-                fit_rows.append((f"guess{i + 1}", fit, report if i == 0 else None))
+            fit_rows = [
+                (label, fit, None if i else report)
+                for i, (label, fit) in enumerate(guesses.items())
+            ]
             notes["fit"] = {
-                f"guess{i + 1}": {
-                    "interval": [fit.a, fit.b],
-                    "coeffs": [float(c) for c in fit.coeffs],
-                }
-                for i, fit in enumerate(fits)
+                label: {"interval": [fit.a, fit.b], "coeffs": [float(c) for c in fit.coeffs]}
+                for label, fit in guesses.items()
             }
-            notes["norms"] = {
-                "n1": report.n1, "n2": report.n2, "n_inf": report.n_inf,
-                "omega": report.omega,
-            }
+            notes["norms"] = asdict(report)
 
     out_dir = Path(config.out_dir)
     with _stage("export"):
@@ -493,9 +471,7 @@ def run(config: ExperimentConfig):
             save_map_pgm(imap, out_dir / f"{name}.pgm")
             record(f"{name}.pgm")
         if fit_rows:
-            (out_dir / "fit_report.txt").write_text(
-                format_fit_report(fit_rows), encoding="ascii"
-            )
+            (out_dir / "fit_report.txt").write_text(format_fit_report(fit_rows), encoding="ascii")
             record("fit_report.txt")
 
         manifest = {
@@ -600,7 +576,7 @@ def main(argv=None) -> int:
             written = export_presets(args.out)
             print(f"wrote {len(written)} presets to {args.out}")
             return 0
-    except ThinImageError as exc:
+    except (ThinImageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

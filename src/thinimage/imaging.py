@@ -25,11 +25,14 @@ import math
 import numpy as np
 
 from .errors import ConfigError, FlatMapError
-from .forward import BoundaryDataset, DiskModes, bessel_j_table, boundary_phases
-from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion
+from .forward import BoundaryDataset, DiskModes, IncidentSet, bessel_j_table, boundary_phases
+from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion, discretize
 from .maps import ImageMap, Lattice, from_point_values
 
 _FLAT_TOL = 1e-14
+# inversion-side quadrature is kept at half synthesize's default node count
+# (400) so model maps never ride the synthesis discretization
+_MODEL_NODES = 200
 # arguments per Bessel table in j0_band_integral: a table holds about
 # x_max + 2 sqrt(40 x_max) rows of this many floats
 _CHUNK = 4096
@@ -297,6 +300,22 @@ def band_kernel_maps(
         eps_vals += kern @ (disc.weights * gamma)
         mu_vals += kern @ (disc.weights * _mu_bracket(disc, inclusion, d))
     return from_point_values(lattice, eps_vals), from_point_values(lattice, mu_vals)
+
+
+def model_maps(lattice: Lattice, inclusions, incident: IncidentSet) -> tuple[ImageMap, ImageMap]:
+    """Oracle model maps: each inclusion's ``band_kernel_maps`` over the band, summed.
+
+    A one-frequency band w is widened to [w, w (1 + 1e-6)].
+    """
+    omega_lo, omega_hi = float(incident.omegas[0]), float(incident.omegas[-1])
+    if omega_hi <= omega_lo:
+        omega_hi = omega_lo * (1.0 + 1e-6)
+    sums = np.zeros((2, lattice.points.shape[0]))
+    for incl in inclusions:
+        disc = discretize(incl.curve, _MODEL_NODES)
+        maps = band_kernel_maps(lattice, disc, incl, incident.directions, omega_lo, omega_hi)
+        sums += [imap.inside_values for imap in maps]
+    return from_point_values(lattice, sums[0]), from_point_values(lattice, sums[1])
 
 
 def j0_band_integral(t, omega):

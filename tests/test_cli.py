@@ -360,6 +360,16 @@ class TestValidate:
                 dict(inclusions=(InclusionSpec(h=0.05),)),
                 "inclusion 1: half-thickness 0.05 too large for the shortest wavelength 0.2000",
             ),
+            (
+                dict(functional="music", n_directions=1),
+                "imaging: functional music needs at least 2 directions, got 1",
+            ),
+            (
+                # omega = 2 pi / lambda lands on j'_{3,1}, the first zero of J_3'
+                dict(n_frequencies=1, lambda_min=0.4307727040557835, lambda_max=0.4307727040557835),
+                "incident: omega = 14.58584829 is next to a Neumann eigenvalue: "
+                "n=3 (|J_n'|=2.22e-16)",
+            ),
         ],
     )
     def test_each_fault_is_refused_by_run_in_the_same_words(self, tmp_path, kwargs, fault):
@@ -565,6 +575,18 @@ class TestMain:
         assert main(["export-presets", "--out", str(out)]) == 0
         assert len(list(out.glob("*.ini"))) == 24
         assert "24 presets" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "export-presets"])
+    def test_output_path_on_a_file_exits_2(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = tmp_path / "exp.ini"
+        write_config(small_config(), path)
+        config = ["--config", str(path)] if command == "run" else []
+        assert main([command, *config, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "File exists" in err
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini")])

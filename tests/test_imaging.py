@@ -28,6 +28,7 @@ from thinimage.imaging import (
     band_kernel_maps,
     etd_multi,
     etd_single,
+    model_maps,
     normalized_combination,
     radial_band_maps,
     single_frequency_kernel_maps,
@@ -393,6 +394,37 @@ class TestKernelModels:
         length = float(np.sum(disc.weights))
         expected = 2.0 * math.pi * (inclusion.eps - inclusion.eps0) * length * (hi - lo)
         assert abs(eps_map.inside_values[center] - expected) < 0.05 * expected
+
+
+class TestModelMaps:
+    def band_maps(self, lattice, inclusion, incident, omega_lo, omega_hi):
+        disc = discretize(inclusion.curve, imaging._MODEL_NODES)
+        return band_kernel_maps(
+            lattice, disc, inclusion, incident.directions, omega_lo, omega_hi
+        )
+
+    def test_two_inclusions_sum_bitwise(self):
+        inclusions = [
+            ThinInclusion(builtin_curve("sigma1")),
+            ThinInclusion(builtin_curve("sigma2"), eps=10.0, mu=10.0),
+        ]
+        incident = IncidentSet(standard_directions(4), frequency_band(4))
+        lattice = make_lattice(32)
+        lo, hi = incident.omegas[0], incident.omegas[-1]
+        parts = [self.band_maps(lattice, incl, incident, lo, hi) for incl in inclusions]
+        maps = model_maps(lattice, inclusions, incident)
+        for j in (0, 1):
+            assert not np.array_equal(parts[0][j].values, parts[1][j].values)
+            np.testing.assert_array_equal(maps[j].values, parts[0][j].values + parts[1][j].values)
+
+    def test_one_frequency_images_a_widened_band(self, sigma1):
+        inclusion = ThinInclusion(sigma1[0])
+        incident = IncidentSet(standard_directions(4), [OMEGA])
+        lattice = make_lattice(32)
+        maps = model_maps(lattice, [inclusion], incident)
+        ref = self.band_maps(lattice, inclusion, incident, OMEGA, OMEGA * (1.0 + 1e-6))
+        for got, want in zip(maps, ref):
+            np.testing.assert_array_equal(got.values, want.values)
 
 
 class TestOracleConsistency:
