@@ -32,14 +32,15 @@ from pathlib import Path
 from .baselines import kirchhoff_map, multi_kirchhoff_map, music_map, signal_space_dim
 from .errors import ConfigError, ThinImageError
 from .forward import (
+    RESONANCE_TOL,
     BoundaryDataset,
     IncidentSet,
     add_awgn,
     assemble_multistatic,
-    ensure_not_resonant,
+    band_resonance_orders,
     ensure_thin,
     frequency_band,
-    resonance_orders,
+    resonance_error,
     save_dataset,
     standard_directions,
     synthesize,
@@ -310,10 +311,11 @@ def _config_stage(config: ExperimentConfig):
     incident = None
     if directions is not None and omegas is not None:
         incident = build("incident", IncidentSet, directions, omegas)
-    # synthesize's resonance rule, refused here under incident
+    # synthesize's resonance rule, refused here under incident, from one table for the band
     if incident is not None:
-        for omega in incident.omegas:
-            build("incident", ensure_not_resonant, omega)
+        for omega, hits in zip(incident.omegas, band_resonance_orders(incident.omegas)):
+            if hits:
+                faults.append(("incident", resonance_error(omega, hits)))
     grid = build("grid", boundary_grid, config.boundary_points)
     lattice = build("grid", make_lattice, config.lattice_size)
     # the adjoint resolves trace modes up to the grid's Nyquist order N/2
@@ -337,6 +339,10 @@ def _config_stage(config: ExperimentConfig):
         refuse("imaging", f"k_values {bad} outside the frequency range 0..{top}")
     if config.fit_degree < 1:
         refuse("imaging", f"fit_degree must be at least 1, got {config.fit_degree}")
+    # export creates the output directory; a file on its path would stop the run only there
+    out_dir = Path(config.out_dir)
+    if files := [p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()]:
+        refuse("output", f"cannot create the output directory {out_dir}: {files[0]} is a file")
     return (inclusions, incident, grid, lattice), faults
 
 
@@ -358,8 +364,12 @@ def validate(config: ExperimentConfig) -> list[str]:
             )
 
     if incident is not None:
-        for omega in incident.omegas:
-            for n, v in resonance_orders(float(omega), _SCAN_RESONANCE_TOL):
+        scans = band_resonance_orders(incident.omegas, _SCAN_RESONANCE_TOL)
+        for omega, hits in zip(incident.omegas, scans):
+            # a frequency the config stage refuses is listed once, as its fault
+            if any(v < RESONANCE_TOL for _, v in hits):
+                continue
+            for n, v in hits:
                 issues.append(
                     f"resonance warning: omega={float(omega):.6f} lies near an "
                     f"interior eigenvalue of order n={n} (|J_n'(omega)|={v:.2e}); "

@@ -35,6 +35,13 @@ def small_config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def _source_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports thinimage from this source tree."""
+    src = str(Path(thinimage.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 def artifact_bytes(out_dir) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
@@ -294,11 +301,19 @@ class TestValidate:
 
     def test_resonance_warning_names_order_and_frequency(self):
         # the first positive stationary point of the order-one cylinder
-        # function sits near 1.8412; a band pinned there must be flagged
-        lam = 2.0 * math.pi / 1.8411837813
+        # function sits near 1.8412; a band pinned 6e-6 above it is not
+        # refused (|J_1'| = 2.6e-6) but must be flagged
+        lam = 2.0 * math.pi / 1.84119
         config = ExperimentConfig(n_frequencies=1, lambda_min=lam, lambda_max=lam)
         lines = [s for s in validate(config) if "resonance" in s]
-        assert lines and "n=1" in lines[0] and "omega=1.841184" in lines[0]
+        assert lines and "n=1" in lines[0] and "omega=1.841190" in lines[0]
+
+    def test_refused_resonance_is_listed_once(self):
+        # a band pinned on 1.8412 is a config fault, not also a warning
+        lam = 2.0 * math.pi / 1.8411837813
+        config = ExperimentConfig(n_frequencies=1, lambda_min=lam, lambda_max=lam)
+        [line] = validate(config)
+        assert line.startswith("incident: omega = 1.841183781 is next to a Neumann eigenvalue: n=1")
 
     def test_thickness_violation(self):
         config = ExperimentConfig(inclusions=(InclusionSpec(h=0.2),))
@@ -365,10 +380,11 @@ class TestValidate:
                 "imaging: functional music needs at least 2 directions, got 1",
             ),
             (
-                # omega = 2 pi / lambda lands on j'_{3,1}, the first zero of J_3'
+                # omega = 2 pi / lambda lands on j'_{3,1}, the first zero of J_3';
+                # |J_3'| there is the Miller table's roundoff (scipy's jvp: 2.22e-16)
                 dict(n_frequencies=1, lambda_min=0.4307727040557835, lambda_max=0.4307727040557835),
                 "incident: omega = 14.58584829 is next to a Neumann eigenvalue: "
-                "n=3 (|J_n'|=2.22e-16)",
+                "n=3 (|J_n'|=1.98e-16)",
             ),
         ],
     )
@@ -519,16 +535,32 @@ class TestPresets:
 
 
 class TestMain:
+    @pytest.mark.parametrize("functional", ["etd_multi", "mkm"])
+    def test_run_loads_no_scipy(self, tmp_path, functional):
+        # a single-inclusion run takes J_n'(w) from the Miller table, so no
+        # scipy module is loaded by the time the command line returns
+        path = tmp_path / "exp.ini"
+        write_config(small_config(functional=functional), path)
+        code = (
+            "import sys; from thinimage.cli import main; "
+            f"code = main(['run', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"
+
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is imported on first use: scipy.special by the J_n' values and
-        # the Neumann function, scipy.ndimage by multi-inclusion ridge
-        # clustering; a fresh interpreter importing the command line loads none
-        src = str(Path(thinimage.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        # scipy is imported on first use: scipy.special by the Neumann
+        # function's Y_n, scipy.ndimage by multi-inclusion ridge clustering;
+        # a fresh interpreter importing the command line loads none
         code = "import sys, thinimage.cli; print('scipy' in sys.modules)"
         result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True,
+            timeout=120,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
@@ -586,7 +618,30 @@ class TestMain:
         assert main([command, *config, "--out", str(taken)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "File exists" in err
+        assert ("stage config:" if command == "run" else "File exists") in err
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_run_output_on_a_file_is_refused_before_synthesis(
+        self, tmp_path, capsys, monkeypatch, below
+    ):
+        # a file at the output path or on its way is an output fault of the
+        # config stage: validate lists it, and run exits 2 before any work
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        fault = f"output: cannot create the output directory {out}: {taken} is a file"
+        assert validate(small_config(out_dir=str(out))) == [fault]
+
+        def synthesize(*args, **kwargs):
+            raise AssertionError("run reached synthesis")
+
+        monkeypatch.setattr("thinimage.cli.synthesize", synthesize)
+        path = tmp_path / "exp.ini"
+        write_config(small_config(), path)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: stage config: " + fault.split(": ", 1)[1] + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
+        assert taken.read_text() == ""
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini")])

@@ -20,11 +20,13 @@ from thinimage.forward import (
     IncidentSet,
     _angular_table,
     add_awgn,
+    band_resonance_orders,
     bessel_j_table,
     boundary_kernel_gradients,
     boundary_kernel_tables,
     ensure_not_resonant,
     frequency_band,
+    jnp_values,
     load_dataset,
     neumann_function,
     resonance_orders,
@@ -90,6 +92,31 @@ class TestResonance:
     def test_bad_omega_rejected(self):
         with pytest.raises(ConfigError):
             resonance_orders(-1.0)
+
+    def test_band_jnp_table_matches_library(self):
+        # one Miller table for the default band against scipy's jvp, up to
+        # the orders a 128^2 lattice sums: within 1e-12 relative below each
+        # frequency's floor cut (4.3e-13 measured), with the same cut orders
+        omegas = frequency_band(16)
+        jnp, cuts = jnp_values(bessel_j_table(501, omegas))
+        for k, omega in enumerate(omegas):
+            ref = sp.jvp(np.arange(501), omega)
+            assert cuts[k] == np.argmax(np.abs(ref) < forward._JNP_FLOOR) - 1, k
+            kept = slice(0, cuts[k] + 1)
+            assert np.max(np.abs(jnp[kept, k] / ref[kept] - 1.0)) < 1e-12, k
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_band_on_an_eigenvalue_refused(self, order):
+        # j'_{1,1} below the band's low edge, j'_{3,1} inside the band
+        root = float(sp.jnp_zeros(order, 1)[0])
+        omegas = np.sort([root, OMEGA_LO, OMEGA_HI])
+        hits = band_resonance_orders(omegas)
+        assert [bool(h) for h in hits] == list(omegas == root)
+        assert [n for n, _ in hits[int(np.flatnonzero(omegas == root)[0])]] == [order]
+        with pytest.raises(ResonanceError, match=f"n={order} "):
+            ensure_not_resonant(root)
+        with pytest.raises(ResonanceError, match=f"n={order} "):
+            DiskModes(omegas, np.array([[0.1, 0.2]]))
 
 
 class TestBesselTable:
@@ -359,10 +386,12 @@ class TestDiskModes:
 
     def test_band_gives_what_each_frequency_gives_alone(self):
         # every frequency of a 16-frequency band against a DiskModes of that
-        # frequency alone: the same order, apply bit for bit (value, gradient,
-        # directional derivative) and transpose to 1e-14, not bitwise, because
-        # the band's Bessel table for a group of frequencies starts its
-        # recurrence above the group's top order (measured <= 1e-15)
+        # frequency alone: the same order, and apply (value, gradient,
+        # directional derivative) and transpose within 2e-13 of their peaks,
+        # not bitwise: the band's J_n'(w) comes from one Bessel table whose
+        # recurrence starts above the band's top order, and the weights
+        # 1/J_n'(w) differ from a one-frequency table's by up to 8.1e-14
+        # relative (measured 7.9e-14 on apply and 8.1e-14 on transpose)
         rng = np.random.default_rng(47)
         radii = np.concatenate([[0.0, 0.95], rng.uniform(0.0, 0.95, 60)])
         thetas = rng.uniform(-math.pi, math.pi, radii.size)
@@ -383,10 +412,11 @@ class TestDiskModes:
             c = rand(alone.nmax[0] + 1, 4)
             for kw in ({}, {"gradient": True}, {"directions": directions}):
                 got = np.atleast_3d(band.apply(c, k=k, **kw))
-                assert np.array_equal(got, np.atleast_3d(alone.apply(c, **kw))), (k, kw)
+                want = np.atleast_3d(alone.apply(c, **kw))
+                assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want)), (k, kw)
             [ref] = alone.transpose([sources[k]])
             for got, want in zip(pairs[k], ref):
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), k
+                assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want)), k
 
     @pytest.mark.parametrize("n", [65, 128])
     def test_orbits_give_what_the_points_give_alone(self, n):

@@ -307,11 +307,15 @@ class TestMultiFrequency:
         assert 0 < sum(columns) <= 16 * 1450
 
     def test_band_map_is_the_mean_of_the_single_maps(self, clean16):
+        # to roundoff, not bitwise: the band's J_n'(w) come from one Bessel
+        # table, each single map's from its own (measured 6.7e-16 here and
+        # 9.5e-16 on 128^2, on maps bounded by 1)
         lattice = make_lattice(32)
         acc = np.zeros(lattice.points.shape[0])
         for k in range(16):
             acc += etd_single(clean16, lattice, k).inside_values
-        assert np.array_equal(etd_multi(clean16, lattice).inside_values, acc / 16.0)
+        band = etd_multi(clean16, lattice).inside_values
+        assert np.max(np.abs(band - acc / 16.0)) <= 4e-15
 
     def test_multi_map_bounded(self, multi_map):
         assert np.max(np.abs(multi_map.values)) <= 1.0
