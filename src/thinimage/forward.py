@@ -13,8 +13,8 @@ eigenvalue of the disk) are rejected. Every J_n and J_n' of the mode series
 comes from one Bessel builder, the Miller table ``bessel_j_table`` (the
 J_n'(w) of a whole band from one table); scipy gives only the free-space
 Hankel kernel and the Y_n' of ``neumann_function``, the point-pair
-reference, and is imported there. For a source point on the boundary the correction collapses, via the
-Wronskian, to the separable real kernel
+reference, and is imported there. For a source point on the boundary the
+correction collapses, via the Wronskian, to the separable real kernel
 
     N(x, y)|_{|y|=1} = (1/2 pi w) * sum_n [J_n(w|x|)/J_n'(w)] e^{in(ax-ay)},
 
