@@ -27,7 +27,12 @@ a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
 - ``multi_kirchhoff_map``: the migration baseline summed over the band, on
   multistatic matrices assembled beforehand (steering vectors and the
   bilinear form, as the ``mkm`` method of ``thinimage run``);
-- ``synthesize``: the clean traces of the scene.
+- ``synthesize``: the clean traces of the scene;
+- ``save_dataset``: the scene's noisy dataset written as text;
+- ``save_map_csv`` and ``save_map_pgm``: the scene's ``etd_multi`` map
+  written as text and as a PGM.
+
+The writers write into a temporary directory that is removed at exit.
 
 Each median is scaled to a nominal host speed with the fixed kernel of
 ``perfbench/run.py`` (``HostSpeed``), run before and after each layer:
@@ -45,6 +50,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -69,12 +75,12 @@ def median_seconds(call) -> float:
     return statistics.median(times)
 
 
-def scene_layers(n_directions: int, size: int) -> dict:
+def scene_layers(n_directions: int, size: int, out: Path) -> dict:
     import numpy as np
 
     from thinimage import baselines, forward, imaging
     from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve
-    from thinimage.maps import make_lattice
+    from thinimage.maps import make_lattice, save_map_csv, save_map_pgm
 
     grid = boundary_grid(128)
     incident = forward.IncidentSet(
@@ -95,6 +101,7 @@ def scene_layers(n_directions: int, size: int) -> dict:
     rng = np.random.default_rng(NOISE_SEED)
     shape = (min(modes.nmax[top], grid.n_points // 2) + 1, 2 * n_directions)
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    imap = imaging.etd_multi(noisy, lattice)
     return {
         "Lattice.orbits": lambda: type(lattice).orbits.func(lattice),
         "DiskModes(band)": band,
@@ -107,6 +114,9 @@ def scene_layers(n_directions: int, size: int) -> dict:
         "etd_multi": lambda: imaging.etd_multi(noisy, lattice),
         "multi_kirchhoff_map": lambda: baselines.multi_kirchhoff_map(lattice, msrs),
         "synthesize": lambda: forward.synthesize(inclusions, incident, grid),
+        "save_dataset": lambda: forward.save_dataset(noisy, out / "dataset.txt"),
+        "save_map_csv": lambda: save_map_csv(imap, out / "map.csv"),
+        "save_map_pgm": lambda: save_map_pgm(imap, out / "map.pgm"),
     }
 
 
@@ -122,11 +132,12 @@ def main(argv=None) -> int:
 
     host = HostSpeed()
     medians, refs = {}, {}
-    for scene, (n_directions, size) in SCENES.items():
-        medians[scene], refs[scene] = {}, {}
-        for layer, call in scene_layers(n_directions, size).items():
-            medians[scene][layer] = median_seconds(call)
-            refs[scene][layer] = host.scale()
+    with tempfile.TemporaryDirectory() as out:
+        for scene, (n_directions, size) in SCENES.items():
+            medians[scene], refs[scene] = {}, {}
+            for layer, call in scene_layers(n_directions, size, Path(out)).items():
+                medians[scene][layer] = median_seconds(call)
+                refs[scene][layer] = host.scale()
     scaled = {
         scene: {layer: t * REF_NOMINAL_S / refs[scene][layer] for layer, t in layers.items()}
         for scene, layers in medians.items()

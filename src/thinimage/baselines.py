@@ -72,6 +72,19 @@ def music_map(
     return from_point_values(lattice, values), saturated
 
 
+def _migration_values(lattice: Lattice, msr: MultistaticMatrix) -> np.ndarray:
+    """|w(z)^H A conj(w(z))| at the kept nodes, w the unit steering vectors.
+
+    With e = ``Lattice.plane_waves`` and w = e / sqrt(L), the form is
+    |conj(e)^T A conj(e)| / L: one (P, L) @ (L, L) product and one row dot.
+    """
+    wc = lattice.plane_waves(msr.omega, msr.directions)
+    np.conjugate(wc, out=wc)
+    values = np.abs(np.einsum("pl,pl->p", wc @ msr.matrix, wc))
+    values /= msr.n_directions
+    return values
+
+
 def kirchhoff_map(
     lattice: Lattice, msr: MultistaticMatrix
 ) -> ImageMap:
@@ -82,19 +95,16 @@ def kirchhoff_map(
     must undo the phase twice or the image splits between a point and its
     mirror through the origin.
     """
-    w = steering_vectors(lattice, msr.omega, msr.directions)
-    wc = w.conj()
-    values = np.abs(np.einsum("pj,jl,pl->p", wc, msr.matrix, wc, optimize=True))
-    return from_point_values(lattice, values)
+    return from_point_values(lattice, _migration_values(lattice, msr))
 
 
 def multi_kirchhoff_map(
     lattice: Lattice, msrs: list[MultistaticMatrix]
 ) -> ImageMap:
-    """Sum of the migration maps of several frequencies."""
+    """Sum of the migration maps of several frequencies, taken on point values."""
     if not msrs:
         raise ConfigError("need at least one matrix")
     acc = np.zeros(lattice.points.shape[0])
     for msr in msrs:
-        acc += kirchhoff_map(lattice, msr).inside_values
+        acc += _migration_values(lattice, msr)
     return from_point_values(lattice, acc)

@@ -42,6 +42,8 @@ RESONANCE_TOL = 1e-8
 # Coefficients beyond this J_n' magnitude floor would overflow; orders past it
 # contribute below ~rho^cap anyway (see _series_order).
 _JNP_FLOOR = 1e-260
+# A |J_n'| below this is table roundoff, not a magnitude (see resonance_error).
+_JNP_ROUNDOFF = 1e-14
 _DEFAULT_SERIES_TOL = 1e-10
 
 
@@ -144,8 +146,16 @@ def resonance_orders(omega: float, threshold: float = RESONANCE_TOL) -> list[tup
 
 
 def resonance_error(omega: float, hits: list[tuple[int, float]]) -> ResonanceError:
-    """The refusal of a frequency whose ``resonance_orders`` are ``hits``."""
-    listing = ", ".join(f"n={n} (|J_n'|={v:.2e})" for n, v in hits)
+    """The refusal of a frequency whose ``resonance_orders`` are ``hits``.
+
+    A |J_n'| below ``_JNP_ROUNDOFF`` prints as that bound: there it is the
+    roundoff of whichever Bessel table read it, so every caller refuses a
+    frequency on an eigenvalue in the same words.
+    """
+    listing = ", ".join(
+        f"n={n} (|J_n'|<{_JNP_ROUNDOFF:.0e})" if v < _JNP_ROUNDOFF else f"n={n} (|J_n'|={v:.2e})"
+        for n, v in hits
+    )
     return ResonanceError(f"omega = {omega:.10g} is next to a Neumann eigenvalue: {listing}")
 
 
@@ -711,13 +721,16 @@ def add_awgn(data: BoundaryDataset, snr_db: float, seed: int) -> BoundaryDataset
 def save_dataset(data: BoundaryDataset, path) -> None:
     """Write a dataset as self-describing columnar text (bit-exact floats).
 
+    Rows run over boundary nodes n, then directions l, then frequencies k.
+    The file is written one boundary node at a time.
+
     Only standard equispaced direction families are representable (the header
     stores just L); anything else is rejected rather than silently dropped.
     """
     if not np.array_equal(data.incident.directions, standard_directions(data.incident.n_directions)):
         raise ConfigError("only standard equispaced direction sets can be serialized")
     n_b, L, K = data.traces.shape
-    lines = [
+    header = [
         "# thinimage boundary dataset v1",
         f"# n_boundary {n_b}",
         f"# n_directions {L}",
@@ -727,15 +740,12 @@ def save_dataset(data: BoundaryDataset, path) -> None:
         "# noise_seed " + ("none" if data.noise_seed is None else str(int(data.noise_seed))),
         "# columns n l k re im",
     ]
-    body = []
-    for n in range(n_b):
-        for l in range(L):
-            for k in range(K):
-                z = data.traces[n, l, k]
-                body.append(f"{n} {l} {k} {float(z.real)!r} {float(z.imag)!r}")
+    lk = [f" {l} {k} " for l in range(L) for k in range(K)]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines + body))
-        fh.write("\n")
+        fh.write("".join(line + "\n" for line in header))
+        for n, node in enumerate(data.traces):
+            re, im = node.real.ravel().tolist(), node.imag.ravel().tolist()
+            fh.write("".join([f"{n}{p}{r!r} {i!r}\n" for p, r, i in zip(lk, re, im)]))
 
 
 def load_dataset(path) -> BoundaryDataset:

@@ -192,20 +192,31 @@ def top_quantile_distance(
 
 
 def save_map_csv(imap: ImageMap, path) -> None:
-    """Write inside-mask nodes as 'x y value' rows (bit-exact floats)."""
-    lines = [
-        "# thinimage map v1",
-        f"# lattice {imap.lattice.shape[1]} {imap.lattice.shape[0]}",
-        f"# clip_radius {_CLIP_RADIUS!r}",
-        "# columns x y value",
-    ]
-    pts = imap.lattice.points
-    vals = imap.inside_values
-    for (x, y), v in zip(pts, vals):
-        lines.append(f"{float(x)!r} {float(y)!r} {float(v)!r}")
+    """Write inside-mask nodes as 'x y value' rows (bit-exact floats).
+
+    Rows follow ``Lattice.points``: row-major over (iy, ix), y increasing,
+    then x. The file is written one lattice row at a time, each coordinate
+    formatted once.
+    """
+    lattice = imap.lattice
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(
+            "# thinimage map v1\n"
+            f"# lattice {lattice.shape[1]} {lattice.shape[0]}\n"
+            f"# clip_radius {_CLIP_RADIUS!r}\n"
+            "# columns x y value\n"
+        )
+        xs = [f"{x!r} " for x in lattice.xs.tolist()]
+        vals = imap.inside_values.tolist()
+        start = 0
+        for y, row in zip(lattice.ys.tolist(), lattice.mask):
+            kept = np.flatnonzero(row).tolist()
+            mid, stop = f"{y!r} ", start + len(kept)
+            fh.write("".join([f"{xs[ix]}{mid}{v!r}\n" for ix, v in zip(kept, vals[start:stop])]))
+            start = stop
+
+
+_GRAY_LEVELS = [str(level) for level in range(256)]
 
 
 def save_map_pgm(imap: ImageMap, path) -> None:
@@ -213,25 +224,19 @@ def save_map_pgm(imap: ImageMap, path) -> None:
 
     Inside values are scaled linearly from [min, max] to [0, 255]; the
     original range is recorded in a header comment so intensities remain
-    interpretable. Outside-mask pixels are 0. Rows run top to bottom (y
-    decreasing), columns left to right.
+    interpretable. Outside-mask pixels are 0, and so is every pixel of a flat
+    map. Rows run top to bottom (y decreasing), columns left to right; the
+    file is written one row at a time.
     """
     vals = imap.inside_values
     vmin = float(np.min(vals))
     vmax = float(np.max(vals))
-    ny, nx = imap.lattice.shape
-    pix = np.zeros((ny, nx), dtype=int)
+    mask = imap.lattice.mask
+    ny, nx = mask.shape
+    pix = np.zeros((ny, nx), dtype=np.intp)
     if vmax > vmin:
-        scaled = (imap.values - vmin) / (vmax - vmin)
-        pix[imap.lattice.mask] = np.rint(255.0 * scaled[imap.lattice.mask]).astype(int)
-    lines = [
-        "P2",
-        f"# value range {vmin!r} {vmax!r}",
-        f"{nx} {ny}",
-        "255",
-    ]
-    for iy in range(ny - 1, -1, -1):
-        lines.append(" ".join(str(int(p)) for p in pix[iy]))
+        pix[mask] = np.rint(255.0 * ((vals - vmin) / (vmax - vmin)))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(f"P2\n# value range {vmin!r} {vmax!r}\n{nx} {ny}\n255\n")
+        for row in pix[::-1].tolist():
+            fh.write(" ".join([_GRAY_LEVELS[p] for p in row]) + "\n")

@@ -9,6 +9,7 @@ from thinimage.errors import ConfigError, DataStateError
 from thinimage.forward import (
     BoundaryDataset,
     IncidentSet,
+    add_awgn,
     assemble_multistatic,
     point_scatterer_matrix,
     standard_directions,
@@ -221,6 +222,17 @@ class TestKirchhoff:
         imap = kirchhoff_map(lattice, msr)
         peak = lattice.points[np.argmax(imap.inside_values)]
         assert np.hypot(*(peak - target)) <= lattice.spacing * math.sqrt(2.0)
+
+    def test_matches_the_steering_vector_form(self):
+        # noisy data at 12 directions, so A is full and non-symmetric
+        incident = IncidentSet(standard_directions(12), np.array([OMEGA]))
+        data = synthesize([ThinInclusion(builtin_curve("sigma1"))], incident, boundary_grid(128))
+        msr = assemble_multistatic(add_awgn(data, 15.0, seed=4))
+        lattice = make_lattice(41)
+        w = steering_vectors(lattice, msr.omega, msr.directions)
+        expected = np.abs(np.einsum("pj,jl,pl->p", w.conj(), msr.matrix, w.conj()))
+        got = kirchhoff_map(lattice, msr).inside_values
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
 
     def test_multi_sum_and_empty_guard(self):
         dirs = standard_directions(8)

@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thinimage
@@ -25,7 +26,9 @@ from thinimage.cli import (
     validate,
     write_config,
 )
-from thinimage.errors import ConfigError, FlatMapError, ThinImageError
+from thinimage.errors import ConfigError, FlatMapError, ResonanceError, ThinImageError
+from thinimage.forward import DiskModes, IncidentSet, standard_directions, synthesize
+from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve
 
 
 def small_config(**kwargs) -> ExperimentConfig:
@@ -295,6 +298,12 @@ class TestWriteConfig:
         assert parse_config(path) == TWO_INCLUSIONS
 
 
+# lambda_min = lambda_max at which omega = 2 pi / lambda lands on j'_{3,1},
+# the first zero of J_3', and the refusal every caller prints there
+ON_J3P_ROOT = 0.4307727040557835
+J3P_ROOT_REFUSAL = "omega = 14.58584829 is next to a Neumann eigenvalue: n=3 (|J_n'|<1e-14)"
+
+
 class TestValidate:
     def test_default_ok(self):
         assert validate(ExperimentConfig()) == ["ok"]
@@ -381,10 +390,9 @@ class TestValidate:
             ),
             (
                 # omega = 2 pi / lambda lands on j'_{3,1}, the first zero of J_3';
-                # |J_3'| there is the Miller table's roundoff (scipy's jvp: 2.22e-16)
-                dict(n_frequencies=1, lambda_min=0.4307727040557835, lambda_max=0.4307727040557835),
-                "incident: omega = 14.58584829 is next to a Neumann eigenvalue: "
-                "n=3 (|J_n'|=1.98e-16)",
+                # |J_3'| there is table roundoff, printed as a bound
+                dict(n_frequencies=1, lambda_min=ON_J3P_ROOT, lambda_max=ON_J3P_ROOT),
+                "incident: " + J3P_ROOT_REFUSAL,
             ),
         ],
     )
@@ -395,6 +403,26 @@ class TestValidate:
             run(config)
         assert str(info.value) == "stage config: " + fault.split(": ", 1)[1]
         assert not (tmp_path / "out").exists()
+
+    def test_an_eigenvalue_is_refused_in_the_same_words_by_every_caller(self, tmp_path):
+        # each caller reads |J_3'| from its own Bessel table, whose roundoff
+        # differs (1.5e-16 to 3.4e-16); the refusal must not
+        band = dict(n_frequencies=1, lambda_min=ON_J3P_ROOT, lambda_max=ON_J3P_ROOT)
+        with pytest.raises(ThinImageError) as info:
+            run(small_config(out_dir=str(tmp_path / "out"), **band))
+        messages = [str(info.value).removeprefix("stage config: ")]
+        omega = 2.0 * math.pi / ON_J3P_ROOT
+        incident = IncidentSet(standard_directions(4), np.array([omega]))
+        sigma1 = [ThinInclusion(builtin_curve("sigma1"))]
+        for refuse in (
+            lambda: synthesize(sigma1, incident, boundary_grid(128)),
+            lambda: DiskModes([omega], np.array([[0.1, 0.2]])),
+            lambda: DiskModes([12.0, omega, 30.0], np.array([[0.1, 0.2]])),
+        ):
+            with pytest.raises(ResonanceError) as info:
+                refuse()
+            messages.append(str(info.value))
+        assert messages == [J3P_ROOT_REFUSAL] * 4
 
     def test_boundary_grid_resolves_top_frequency(self):
         # the default band tops out at omega = 10 pi: 2*omega_max = 62.83

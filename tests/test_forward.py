@@ -659,6 +659,33 @@ class TestNoise:
             add_awgn(clean, -math.inf, seed=1)
 
 
+# Floats whose shortest repr takes each of repr's forms: signed zero, the
+# smallest subnormal, the switch to exponent notation at 1e-4 and 1e16, and
+# the largest finite double.
+EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 9.999999999999999e-05, 1e16, 1.7976931348623157e308)
+
+
+def _per_row_dataset_text(data: BoundaryDataset) -> str:
+    """The dataset text as the earlier writer formed it, one f-string per row."""
+    n_b, L, K = data.traces.shape
+    lines = [
+        "# thinimage boundary dataset v1",
+        f"# n_boundary {n_b}",
+        f"# n_directions {L}",
+        f"# n_frequencies {K}",
+        "# omegas " + " ".join(repr(float(w)) for w in data.incident.omegas),
+        "# snr_db " + ("clean" if data.is_clean else repr(float(data.snr_db))),
+        "# noise_seed " + ("none" if data.noise_seed is None else str(int(data.noise_seed))),
+        "# columns n l k re im",
+    ]
+    for n in range(n_b):
+        for l in range(L):
+            for k in range(K):
+                z = data.traces[n, l, k]
+                lines.append(f"{n} {l} {k} {float(z.real)!r} {float(z.imag)!r}")
+    return "\n".join(lines) + "\n"
+
+
 class TestDatasetIO:
     def test_round_trip_bit_exact_noisy(self, tmp_path):
         data = synthesize(
@@ -689,6 +716,23 @@ class TestDatasetIO:
         assert np.array_equal(back.traces, data.traces)
         assert back.is_clean
         assert back.noise_seed is None
+
+    @pytest.mark.parametrize("snr_db, seed", [(math.inf, None), (15.0, 3)])
+    def test_format_matches_the_per_row_writer(self, tmp_path, snr_db, seed):
+        # 120 nodes, 12 directions and 11 frequencies: every index column has
+        # several widths; the traces carry the edge cases of float repr
+        rng = np.random.default_rng(21)
+        shape = (120, 12, 11)
+        traces = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        edges = np.array(EDGE_FLOATS)
+        flat = traces.reshape(-1)
+        flat[: edges.size] = edges + 1j * edges[::-1]
+        flat[-edges.size :] = -edges - 1j * edges
+        incident = IncidentSet(standard_directions(12), frequency_band(11))
+        data = BoundaryDataset(traces, boundary_grid(120), incident, snr_db, seed)
+        path = tmp_path / "traces.txt"
+        save_dataset(data, path)
+        assert path.read_bytes() == _per_row_dataset_text(data).encode("ascii")
 
     def test_nonstandard_directions_rejected(self, tmp_path):
         ang = np.array([0.1, 1.3])

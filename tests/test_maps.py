@@ -218,6 +218,49 @@ class TestTopQuantileDistance:
             top_quantile_distance(imap, discretize(builtin_curve("sigma1"), 40), quantile=0.0)
 
 
+# Floats whose shortest repr takes each of repr's forms: signed zero, the
+# smallest subnormal, the switch to exponent notation at 1e-4 and 1e16, and
+# the largest finite double.
+EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 9.999999999999999e-05, 1e16, 1.7976931348623157e308)
+
+
+def _per_row_csv_text(imap: ImageMap) -> str:
+    """The map CSV as the earlier writer formed it, one f-string per node."""
+    lines = [
+        "# thinimage map v1",
+        f"# lattice {imap.lattice.shape[1]} {imap.lattice.shape[0]}",
+        "# clip_radius 0.95",
+        "# columns x y value",
+    ]
+    for (x, y), v in zip(imap.lattice.points, imap.inside_values):
+        lines.append(f"{float(x)!r} {float(y)!r} {float(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _per_row_pgm_text(imap: ImageMap) -> str:
+    """The PGM as the earlier writer formed it, one str(int) per pixel."""
+    vals = imap.inside_values
+    vmin, vmax = float(np.min(vals)), float(np.max(vals))
+    ny, nx = imap.lattice.shape
+    pix = np.zeros((ny, nx), dtype=int)
+    if vmax > vmin:
+        scaled = (imap.values - vmin) / (vmax - vmin)
+        pix[imap.lattice.mask] = np.rint(255.0 * scaled[imap.lattice.mask]).astype(int)
+    lines = ["P2", f"# value range {vmin!r} {vmax!r}", f"{nx} {ny}", "255"]
+    for iy in range(ny - 1, -1, -1):
+        lines.append(" ".join(str(int(p)) for p in pix[iy]))
+    return "\n".join(lines) + "\n"
+
+
+def _edge_map(n: int) -> ImageMap:
+    lat = make_lattice(n)
+    vals = np.random.default_rng(n).normal(size=lat.points.shape[0])
+    edges = np.array(EDGE_FLOATS)
+    vals[: edges.size] = edges
+    vals[-edges.size : -1] = -edges[:-1]  # not -max: max - min would overflow
+    return from_point_values(lat, vals)
+
+
 class TestWriters:
     def make_map(self, n=24):
         lat = make_lattice(n)
@@ -283,3 +326,31 @@ class TestWriters:
         save_map_pgm(imap, p1)
         save_map_pgm(imap, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("n", [41, 128])
+    def test_csv_matches_the_per_row_writer(self, tmp_path, n):
+        imap = _edge_map(n)
+        path = tmp_path / "m.csv"
+        save_map_csv(imap, path)
+        assert path.read_bytes() == _per_row_csv_text(imap).encode("ascii")
+
+    @pytest.mark.parametrize("n", [41, 128])
+    def test_pgm_matches_the_per_row_writer(self, tmp_path, n):
+        # the largest double in the map leaves every other pixel at 0; the
+        # same values clipped to [-3, 3] spread over the full gray range
+        imap = _edge_map(n)
+        for values in (imap.inside_values, np.clip(imap.inside_values, -3.0, 3.0)):
+            scaled = from_point_values(imap.lattice, values)
+            path = tmp_path / "m.pgm"
+            save_map_pgm(scaled, path)
+            assert path.read_bytes() == _per_row_pgm_text(scaled).encode("ascii")
+
+    def test_flat_pgm_matches_the_per_row_writer(self, tmp_path):
+        lat = make_lattice(41)
+        imap = from_point_values(lat, np.full(lat.points.shape[0], -0.5))
+        path = tmp_path / "m.pgm"
+        save_map_pgm(imap, path)
+        text = path.read_text()
+        assert path.read_bytes() == _per_row_pgm_text(imap).encode("ascii")
+        assert "# value range -0.5 -0.5" in text
+        assert {int(t) for line in text.split("\n")[4:] for t in line.split()} == {0}
