@@ -18,12 +18,16 @@ a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
 - ``DiskModes.apply`` over the lattice at the top frequency, on the
   coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
   for the N-point grid), value alone (the Bessel and angular tables on the
-  representatives, one product per block for every variant and the scatter
-  to the nodes) and with the gradient;
+  representatives, one product per block for every variant and the copy of
+  each node's row) and with the gradient; this is the path of
+  ``adjoint_field_batch``, not of the maps;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
 - ``td_component_maps``: both raw sensitivity maps at the top frequency,
-  the adjoint together with the sums against the incident waves;
-- ``etd_multi``: the whole multi-frequency map;
+  the adjoint together with the sums against the incident waves; each
+  block's product rows are paired with their nodes' waves as they come
+  (``DiskModes.pair``), with no row copied to the nodes;
+- ``etd_multi``: the whole multi-frequency map, paired per block in the
+  same way;
 - ``multi_kirchhoff_map``: the migration baseline summed over the band, on
   multistatic matrices assembled beforehand (steering vectors and the
   bilinear form, as the ``mkm`` method of ``thinimage run``);
@@ -37,9 +41,14 @@ The writers write into a temporary directory that is removed at exit.
 Each median is scaled to a nominal host speed with the fixed kernel of
 ``perfbench/run.py`` (``HostSpeed``), run before and after each layer:
 ``scaled_median_s`` = ``median_s`` * ``REF_NOMINAL_S`` / ``ref_s``.
+Each scene also records ``etd_multi_peak_mb``, the tracemalloc peak of one
+more ``etd_multi`` call after the timed ones (the orbits warm), in 10^6
+bytes: what numpy allocates at most during the call, apart from the caller's
+data.
+
 ``--src`` imports thinimage from another source tree, so one copy of this
 script times two commits. Each call appends one run (label, host, numpy and
-scipy versions, nproc, medians in seconds) to ``--out``.
+scipy versions, nproc, medians in seconds, the peaks) to ``--out``.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +83,16 @@ def median_seconds(call) -> float:
         call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def peak_bytes(call) -> int:
+    """The tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def scene_layers(n_directions: int, size: int, out: Path) -> dict:
@@ -131,13 +151,15 @@ def main(argv=None) -> int:
     import scipy
 
     host = HostSpeed()
-    medians, refs = {}, {}
+    medians, refs, peaks = {}, {}, {}
     with tempfile.TemporaryDirectory() as out:
         for scene, (n_directions, size) in SCENES.items():
             medians[scene], refs[scene] = {}, {}
-            for layer, call in scene_layers(n_directions, size, Path(out)).items():
+            layers = scene_layers(n_directions, size, Path(out))
+            for layer, call in layers.items():
                 medians[scene][layer] = median_seconds(call)
                 refs[scene][layer] = host.scale()
+            peaks[scene] = peak_bytes(layers["etd_multi"]) / 1e6
     scaled = {
         scene: {layer: t * REF_NOMINAL_S / refs[scene][layer] for layer, t in layers.items()}
         for scene, layers in medians.items()
@@ -156,6 +178,7 @@ def main(argv=None) -> int:
         "scaled_median_s": scaled,
         "median_s": medians,
         "ref_s": refs,
+        "etd_multi_peak_mb": peaks,
     }
     out = Path(args.out)
     runs = json.loads(out.read_text())["runs"] if out.exists() else []

@@ -389,14 +389,16 @@ class DiskModes:
     and radii are then kept for the representatives only. Without it every
     point is its own representative in the identity variant.
 
-    ``apply`` runs frequency k: it sums every point to one order and takes
-    the representatives ``_POINT_BLOCK`` product rows at a time (one row per
-    variant present), gathering their rows from one ``bessel_j_table`` per
-    call over their distinct radii, and copies each point's row from its
-    representative's. Besides the values it gives their x and y gradients
-    or, in one product with two blocks of columns instead of three, the
-    derivative of each column along its own unit vector (the adjoint of the
-    imaging maps).
+    Each frequency k runs one block loop: it sums every point to one order
+    and takes the representatives ``_POINT_BLOCK`` product rows at a time
+    (one row per variant present), gathering their rows from one
+    ``bessel_j_table`` per call over their distinct radii. Two methods
+    consume the blocks. ``apply`` copies each point's row from its
+    representative's, for the values and, on request, their x and y
+    gradients. ``pair`` (the imaging maps) reduces each block's rows at once
+    to two sums per point against the incident waves at those points: the
+    values, and the derivative of each column along its own unit vector,
+    from one product with two blocks of columns instead of three.
 
     ``transpose`` runs the whole band the other way, from sources at the
     points to coefficients; ``synthesize`` takes its traces from it. It needs
@@ -438,8 +440,12 @@ class DiskModes:
         self._first = np.searchsorted(rows[self._nodes], np.arange(self._thetas.size + 1))
         product_rows = (rows % self._block) * self._variants.size + position
         self._product_rows = product_rows[self._nodes]
+        # the point at each product row, counted over all blocks; a variant that
+        # no point of its representative takes reads point 0
+        self._row_points = np.zeros(self._thetas.size * self._variants.size, dtype=np.intp)
+        self._row_points[rows * self._variants.size + position] = np.arange(rows.size)
 
-    def apply(self, c: np.ndarray, gradient: bool = False, directions=None, k: int = 0, out=None):
+    def apply(self, c: np.ndarray, gradient: bool = False, k: int = 0):
         """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax[k].
 
         ``k`` picks the frequency of the band. The rows of ``c`` set the
@@ -447,45 +453,101 @@ class DiskModes:
         with its rows past m set to zero gives.
 
         Returns the (P, C) real values, followed by their x and y gradients
-        when ``gradient`` is set, or by the derivative of column j along the
-        unit vector ``directions[j]`` when ``directions`` (shape (C, 2)) is
-        given. With a_n = eps_n c_n/(2 pi w J_n'(w)), the derivatives shift
-        the coefficients by one order, d_x Phi_n = (w/2)(Phi_{n-1} - Phi_{n+1})
-        and d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so the series is
-        Re sum_n Phi_n b_n in every column: b = [a, d_x a, d_y a] for the
-        gradients (3C) and b = [a, dx d_x a + dy d_y a] for the directional
-        derivative (2C). ``out``, if given, is the C-contiguous (P, C), (P, 3C)
-        or (P, 2C) real array the columns are written to, and the results are
-        views of it.
-
-        At x = g y, Phi_n(x) is i^{jn} Phi_n(y) for a rotation by j quarter
-        turns and i^{jn} conj Phi_n(y) for a reflection, and
-        Re(conj Phi b) = Re(Phi conj b): each variant's rows are those of its
-        representative against the coefficients i^{jn} b_n or their
-        conjugates, exact sign flips and re/im swaps. So each block of
-        representatives takes one table Phi_0..Phi_{n+1} and one real matmul
-        [Re Phi; Im Phi]^T [Re b_g; -Im b_g] for all its columns in every
-        variant g present, and each point's row is copied from its
-        representative's row of its variant.
+        when ``gradient`` is set. With a_n = eps_n c_n/(2 pi w J_n'(w)), the
+        derivatives shift the coefficients by one order,
+        d_x Phi_n = (w/2)(Phi_{n-1} - Phi_{n+1}) and
+        d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so the series is
+        Re sum_n Phi_n b_n in every column, b = [a, d_x a, d_y a] for the
+        gradients (3C). Each point's row is copied from its representative's
+        row of its variant in the block's product (see ``_products``).
         """
-        if gradient and directions is not None:
-            raise ValueError("ask for the gradient or for directional derivatives, not both")
-        omega = self.omegas[k]
-        width = 3 if gradient else 1 if directions is None else 2
+        coef, d_x, d_y = self._coefficients(c, k)
+        if gradient:
+            coef = np.hstack([coef, d_x, d_y])
+        columns = coef.shape[1]
+        fields = np.empty((self._nodes.size, columns))
+        # each row of fields as one void element, so the scatter copies rows, not numbers
+        row = np.dtype((np.void, fields.itemsize * columns))
+        for lo, m, product in self._products(coef, k):
+            block = slice(self._first[lo], self._first[lo + m])
+            copied = product.view(row)[self._product_rows[block], 0]
+            fields.view(row)[self._nodes[block], 0] = copied
+        return tuple(np.hsplit(fields, 3)) if gradient else fields
+
+    def pair(self, c: np.ndarray, directions: np.ndarray, waves, k: int = 0):
+        """Each point's sums of the series and its directional derivatives against waves.
+
+        For c of shape (m+1, C), C even, f = ``apply(c, k=k)``, D the
+        derivatives of f's column j along the unit vector ``directions[j]``
+        (shape (C, 2); b = [a, dx d_x a + dy d_y a]), and u the complex
+        (P, C/2) waves as real (P, C) pairs (Re u, Im u), with i u as
+        (-Im u, Re u), it returns the two (P,) sums
+
+            sum_j f_j u_j   and   sum_j D_j (i u)_j.
+
+        ``waves`` lists factors (table, index): point p's wave row is the
+        product, in order, of the rows table[index[p]]
+        (``maps.Lattice.wave_factors``). Each block of ``_products`` is
+        reduced as it comes, against its points' waves gathered at its
+        product rows into workspaces of one block; no (P, C) array is formed.
+        """
+        coef, d_x, d_y = self._coefficients(c, k)
+        coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
+        columns = c.shape[1]  # the values' columns; the derivatives' follow
+        sums = np.empty((2, self._nodes.size))
+        variants = self._variants.size
+        size = min(self._thetas.size, self._block) * variants
+        u_work = np.empty((size, columns // 2), dtype=complex)
+        factor_work, row_sums = np.empty_like(u_work), np.empty((2, size))
+        (first, first_index), *others = waves
+        for lo, m, product in self._products(coef, k):
+            points = self._row_points[lo * variants : (lo + m) * variants]
+            u, factor = u_work[: points.size], factor_work[: points.size]
+            # "clip" lets take write to out unbuffered (indices are valid)
+            np.take(first, first_index[points], axis=0, out=u, mode="clip")
+            for table, index in others:
+                u *= np.take(table, index[points], axis=0, out=factor, mode="clip")
+            values, along = row_sums[:, : points.size]
+            np.einsum("pk,pk->p", product[:, :columns], u.view(float), out=values)
+            u *= 1j
+            np.einsum("pk,pk->p", product[:, columns:], u.view(float), out=along)
+            block = slice(self._first[lo], self._first[lo + m])
+            sums[:, self._nodes[block]] = row_sums[:, self._product_rows[block]]
+        return sums[0], sums[1]
+
+    def _coefficients(self, c: np.ndarray, k: int):
+        """a_n = eps_n c_n/(2 pi w J_n'(w)) and its shifts d_x a, d_y a, each (n + 2, C).
+
+        Row n of d_x a and d_y a is the coefficient of Phi_n in the x and y
+        derivative of Re sum_n Phi_n a_n; rows run to n + 1, past the order
+        n = min(nmax[k], m) of ``apply``.
+        """
         n = min(self.nmax[k], c.shape[0] - 1)
         a = np.zeros((n + 4, c.shape[1]), dtype=complex)  # a_{-1}..a_{n+2}
         a[1 : n + 2] = self._weights[k][: n + 1, None] * c[: n + 1]
-        coef, above, below = a[1:-1], a[2:], a[:-2].copy()
-        if width > 1:
-            # Phi_{-1} = -conj(Phi_1), so Re(k a_0 Phi_{-1}) = -Re(conj(k a_0) Phi_1)
-            below[1] += below[1].conj()
-            half = 0.5 * omega
-            d_x, d_y = half * (above - below), (1j * half) * (above + below)
-            if gradient:
-                coef = np.hstack([coef, d_x, d_y])
-            else:
-                coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
-        r, columns = n + 2, coef.shape[1]  # r table rows, Phi_0..Phi_{n+1}
+        above, below = a[2:], a[:-2].copy()
+        # Phi_{-1} = -conj(Phi_1), so Re(k a_0 Phi_{-1}) = -Re(conj(k a_0) Phi_1)
+        below[1] += below[1].conj()
+        half = 0.5 * self.omegas[k]
+        return a[1:-1], half * (above - below), (1j * half) * (above + below)
+
+    def _products(self, coef: np.ndarray, k: int):
+        """Re sum_n Phi_n coef_n at frequency k, one block of representatives at a time.
+
+        Yields (lo, m, product) for representatives lo..lo+m-1: ``product``
+        holds a (m V, C) row per representative and variant present, row
+        i V + g for representative lo + i in the g-th variant present, valid
+        until the next block. At x = g y, Phi_n(x) is i^{jn} Phi_n(y) for a
+        rotation by j quarter turns and i^{jn} conj Phi_n(y) for a
+        reflection, and Re(conj Phi b) = Re(Phi conj b): each variant's rows
+        are those of its representative against the coefficients i^{jn} b_n
+        or their conjugates, exact sign flips and re/im swaps. So each block
+        takes one table Phi_0..Phi_{n+1} and one real matmul
+        [Re Phi; Im Phi]^T [Re b_g; -Im b_g] for all its columns in every
+        variant g present.
+        """
+        omega = self.omegas[k]
+        r, columns = coef.shape  # r table rows, Phi_0..Phi_{n+1}
         # [Re b_g; -Im b_g] per variant g = j + 4 f: b_g = i^{jn} b_n, conjugated if f = 1
         rhs = np.empty((2 * r, self._variants.size * columns))
         turns = np.array([1, 1j, -1, -1j])
@@ -493,12 +555,6 @@ class DiskModes:
             turned = coef * turns[g % 4 * np.arange(r) % 4, None]
             span = slice(i * columns, (i + 1) * columns)
             rhs[:r, span], rhs[r:, span] = turned.real, turned.imag if g >= 4 else -turned.imag
-        shape = (self._nodes.size, columns)
-        fields = np.empty(shape) if out is None else out
-        if fields.shape != shape:
-            raise ValueError(f"out must have shape {shape}")
-        # each row of fields as one void element, so the scatter copies rows, not numbers
-        row = np.dtype((np.void, fields.itemsize * columns))
         bessel = bessel_j_table(r - 1, omega * self._radii)
         reps, size = self._thetas.size, min(self._thetas.size, self._block)
         # workspaces for one block; a short last block uses their leading part
@@ -514,10 +570,7 @@ class DiskModes:
             table[:r] *= phases.real
             product = product_work[: m * rhs.shape[1]].reshape(m, -1)
             np.matmul(table.T, rhs, out=product)
-            block = slice(self._first[lo], self._first[lo + m])
-            copied = product.reshape(-1, columns).view(row)[self._product_rows[block], 0]
-            fields.view(row)[self._nodes[block], 0] = copied
-        return tuple(np.hsplit(fields, width)) if width > 1 else fields
+            yield lo, m, product.reshape(-1, columns)
 
     def transpose(self, sources):
         """The transpose of ``apply`` over the band: sources at the points to coefficient pairs.

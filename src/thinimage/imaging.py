@@ -83,24 +83,34 @@ def adjoint_field_batch(
     if traces.ndim != 2 or traces.shape[0] != grid.n_points:
         raise ValueError(f"traces must have shape (N={grid.n_points}, L)")
     modes = DiskModes(omega, points)
-    fields = modes.apply(_trace_modes(traces, grid, modes.nmax[0]), gradient)
+    coefficients = _trace_modes(traces, grid, _trace_phases(grid, modes), modes.nmax[0])
+    fields = modes.apply(coefficients, gradient)
     if not gradient:
         return fields.view(complex)
     v, gx, gy = (f.view(complex) for f in fields)
     return v, np.stack([gx, gy], axis=-1)
 
 
-def _trace_modes(traces: np.ndarray, grid: BoundaryGrid, nmax: int) -> np.ndarray:
+def _trace_phases(grid: BoundaryGrid, modes: DiskModes) -> np.ndarray:
+    """The boundary phases e^{-in phi_b} ``_trace_modes`` reads at every frequency of ``modes``."""
+    return boundary_phases(min(max(modes.nmax), grid.n_points // 2), grid.angles)
+
+
+def _trace_modes(
+    traces: np.ndarray, grid: BoundaryGrid, phases: np.ndarray, nmax: int
+) -> np.ndarray:
     """Mode projections of the traces' real and imaginary parts, (min(nmax, N/2) + 1, 2L).
 
     Column 2l holds (2 pi/N) sum_b Re(tr_bl) e^{-in phi_b} in row n, column
     2l + 1 the same of Im(tr_bl); for even N the Nyquist row N/2 is halved
     (see ``adjoint_field_batch``). The kernel is real, so the fields of the
     two columns are the real and imaginary parts of direction l's field.
+    ``phases`` (``_trace_phases``) is shared by a band: each frequency reads
+    its leading rows.
     """
     top = min(nmax, grid.n_points // 2)
     columns = np.ascontiguousarray(traces, dtype=complex).view(float)
-    coefficients = grid.weight * (boundary_phases(top, grid.angles) @ columns)
+    coefficients = grid.weight * (phases[: top + 1] @ columns)
     if 2 * top == grid.n_points:
         coefficients[top] *= 0.5
     return coefficients
@@ -139,36 +149,38 @@ def td_component_maps(
         eps = sum_l (Re v_l Re u_l + Im v_l Im u_l),
         mu = w sum_l (Im D_l Re u_l - Re D_l Im u_l).
 
-    One ``DiskModes.apply`` gives v and D as real (Re, Im) column pairs, each
-    pair differentiated along its own direction, and each map is a real dot
-    product of those pairs with the (Re, Im) pairs of u, or of
-    i u = (-Im u, Re u). u is the lattice's plane-wave table
-    (``Lattice.plane_waves``), the one complex (P, L) array here. The
-    ``DiskModes`` takes the lattice's orbits, as in ``etd_multi``, so both
-    give the same maps bit for bit.
+    One ``DiskModes.pair`` gives both sums: v and D come as real (Re, Im)
+    column pairs, each pair differentiated along its own direction, and each
+    block of its product rows is summed against the (Re, Im) pairs of u, or
+    of i u = (-Im u, Re u), at those rows' nodes, as the block comes. u is
+    gathered from the lattice's per-axis phase tables
+    (``Lattice.wave_factors``); neither the fields nor u is ever formed on
+    the whole lattice. The ``DiskModes`` takes the lattice's orbits, as in
+    ``etd_multi``, so both give the same maps bit for bit.
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
     modes = DiskModes(data.incident.omegas[k_index], lattice.points, lattice.orbits)
-    return _component_maps(data, lattice, k_index, modes, 0)
+    return _component_maps(data, lattice, k_index, modes, 0, _trace_phases(data.grid, modes))
 
 
 def _component_maps(
-    data: BoundaryDataset, lattice: Lattice, k: int, modes: DiskModes, j: int, out=None
+    data: BoundaryDataset, lattice: Lattice, k: int, modes: DiskModes, j: int, phases: np.ndarray
 ):
     """``td_component_maps`` of the data's frequency k, from frequency j of ``modes``.
 
-    ``out``, if given, is the (P, 4L) array ``DiskModes.apply`` writes v and D to.
+    ``phases`` is ``_trace_phases`` of the data's grid and ``modes``.
     """
     omega = modes.omegas[j]
     directions = data.incident.directions
-    coefficients = _trace_modes(data.traces[:, :, k], data.grid, modes.nmax[j])
-    v, d = modes.apply(coefficients, directions=np.repeat(directions, 2, axis=0), k=j, out=out)
-    u = lattice.plane_waves(omega, directions)
-    eps_vals = np.einsum("pk,pk->p", v, u.view(float))
-    u *= 1j
-    mu_vals = omega * np.einsum("pk,pk->p", d, u.view(float))
-    return from_point_values(lattice, eps_vals), from_point_values(lattice, mu_vals)
+    coefficients = _trace_modes(data.traces[:, :, k], data.grid, phases, modes.nmax[j])
+    eps_vals, mu_vals = modes.pair(
+        coefficients,
+        np.repeat(directions, 2, axis=0),
+        lattice.wave_factors(omega, directions),
+        k=j,
+    )
+    return from_point_values(lattice, eps_vals), from_point_values(lattice, omega * mu_vals)
 
 
 def normalized_combination(eps_map: ImageMap, mu_map: ImageMap) -> ImageMap:
@@ -207,17 +219,20 @@ def etd_multi(
 
     One ``DiskModes`` covers the band on the lattice's orbits
     (``Lattice.orbits``), so its tables are built on the representatives
-    only, one product per block for all eight variants. The frequencies are
-    imaged one after another into one reused field array, each as
-    ``etd_single`` images it, and summed in frequency order. With a single
-    frequency this reduces bitwise to the single-frequency map.
+    only, one product per block for all eight variants, and one table of
+    boundary phases serves every frequency's trace modes. The frequencies are
+    imaged one after another, each as ``etd_single`` images it: each block's
+    product rows are reduced to their nodes' two map values as they come
+    (``DiskModes.pair``), so no per-node field array and no whole-lattice
+    wave table is formed. The maps are summed in frequency order. With a
+    single frequency this reduces bitwise to the single-frequency map.
     """
     n_k = data.incident.n_frequencies
     modes = DiskModes(data.incident.omegas, lattice.points, lattice.orbits)
-    fields = np.empty((lattice.points.shape[0], 4 * data.incident.n_directions))
+    phases = _trace_phases(data.grid, modes)
     acc = np.zeros(lattice.points.shape[0])
     for k in range(n_k):
-        maps = _component_maps(data, lattice, k, modes, k, fields)
+        maps = _component_maps(data, lattice, k, modes, k, phases)
         acc += normalized_combination(*maps).inside_values
     return from_point_values(lattice, acc / float(n_k))
 

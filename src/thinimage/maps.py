@@ -40,11 +40,15 @@ class Lattice:
     """Square sampling lattice clipped to a disk.
 
     ``mask[iy, ix]`` flags nodes with radius <= 0.95; ``points`` lists the
-    kept nodes, row-major over (iy, ix). ``plane_waves`` is the one source
-    of the incident waves on them (imaging maps, model maps, steering vectors).
-    ``orbits`` groups the nodes under the 8 rotations and reflections of the
-    square, for the disk's mode series (``forward.DiskModes``); it is built
-    on first use.
+    kept nodes, row-major over (iy, ix), and ``node_axes`` gives each one's
+    (iy, ix). The lattice is the one source of the incident waves on them:
+    ``wave_factors`` gives one phase table per axis, which the imaging maps
+    gather from one block of nodes at a time (``forward.DiskModes.pair``),
+    and ``plane_waves`` multiplies them out into the (P, L) table (model
+    maps, steering vectors). ``orbits`` groups the nodes under the 8
+    rotations and reflections of the square, for the disk's mode series
+    (``forward.DiskModes``). ``node_axes`` and ``orbits`` are built on first
+    use.
     """
 
     xs: np.ndarray
@@ -60,15 +64,33 @@ class Lattice:
     def spacing(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def plane_waves(self, omega: float, directions: np.ndarray) -> np.ndarray:
-        """e^{i w d_l.z} at the kept nodes, shape (P, L) complex, one column per direction.
-
-        The waves separate by axis, e^{i w d.z} = e^{i w d_x x} e^{i w d_y y},
-        so the table is the product of one phase table per lattice axis.
-        """
+    @cached_property
+    def node_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(iy, ix): the row and the column of each kept node in ``mask``."""
         iy, ix = np.nonzero(self.mask)
-        waves = np.exp(1j * omega * np.outer(self.ys, directions[:, 1]))[iy]
-        waves *= np.exp(1j * omega * np.outer(self.xs, directions[:, 0]))[ix]
+        for arr in (iy, ix):
+            arr.setflags(write=False)
+        return iy, ix
+
+    def wave_factors(self, omega: float, directions: np.ndarray):
+        """The incident waves e^{i w d_l.z} by lattice axis: ((Y, iy), (X, ix)).
+
+        The waves separate, e^{i w d.z} = e^{i w d_y y} e^{i w d_x x}: Y is
+        the (ny, L) table of e^{i w d_y y} over ``ys`` and X the (nx, L) one
+        of e^{i w d_x x} over ``xs``, one column per direction, and the wave
+        row of node p is Y[iy[p]] * X[ix[p]], with (iy, ix) = ``node_axes``.
+        """
+        iy, ix = self.node_axes
+        return (
+            (np.exp(1j * omega * np.outer(self.ys, directions[:, 1])), iy),
+            (np.exp(1j * omega * np.outer(self.xs, directions[:, 0])), ix),
+        )
+
+    def plane_waves(self, omega: float, directions: np.ndarray) -> np.ndarray:
+        """e^{i w d_l.z} at the kept nodes, shape (P, L) complex, one column per direction."""
+        (y_waves, iy), (x_waves, ix) = self.wave_factors(omega, directions)
+        waves = y_waves[iy]
+        waves *= x_waves[ix]
         return waves
 
     @cached_property
@@ -82,7 +104,7 @@ class Lattice:
         reaches it.
         """
         ny, nx = self.shape
-        iy, ix = np.nonzero(self.mask)
+        iy, ix = self.node_axes
         cx, cy = 2 * ix - (nx - 1), 2 * iy - (ny - 1)
         variants = np.empty(cx.size, dtype=np.int8)
         rep_x, rep_y = np.empty_like(cx), np.empty_like(cy)

@@ -351,18 +351,29 @@ class TestDiskModes:
                 assert np.array_equal(got, ref[:, shuffle] if gradient else ref[shuffle])
 
     def test_directional_derivative_combines_the_gradient(self):
+        # pair against apply(gradient=True) contracted by hand, on the 128^2
+        # lattice (8 variants, 6 blocks) with its orbits and without: the
+        # values against the waves' (Re, Im) pairs and the derivative of
+        # column j along directions[j] against the pairs of i u
         rng = np.random.default_rng(41)
-        modes = DiskModes(OMEGA_HI, make_lattice(40).points)
-        shape = (modes.nmax[0] + 1, 6)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        lattice = make_lattice(128)
         directions = standard_directions(6)
-        value, along = modes.apply(c, directions=directions)
-        v, gx, gy = modes.apply(c, gradient=True)
-        ref = directions[:, 0] * gx + directions[:, 1] * gy
-        assert np.max(np.abs(value - v)) <= 1e-13 * np.max(np.abs(v))
-        assert np.max(np.abs(along - ref)) <= 1e-13 * np.max(np.abs(ref))
-        with pytest.raises(ValueError):
-            modes.apply(c, gradient=True, directions=directions)
+        waves = lattice.plane_waves(OMEGA_HI, directions[::2])
+        for orbits in (None, lattice.orbits):
+            modes = DiskModes(OMEGA_HI, lattice.points, orbits)
+            shape = (modes.nmax[0] + 1, 6)
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            eps, mu = modes.pair(c, directions, lattice.wave_factors(OMEGA_HI, directions[::2]))
+            v, gx, gy = modes.apply(c, gradient=True)
+            along = directions[:, 0] * gx + directions[:, 1] * gy
+            for got, ref in (
+                (eps, np.sum(v * waves.view(float), axis=1)),
+                (mu, np.sum(along * (1j * waves).view(float), axis=1)),
+            ):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), orbits is None
+            # the waves as one (P, L) table give the lattice's factors' bits
+            table = modes.pair(c, directions, [(waves, np.arange(waves.shape[0]))])
+            assert np.array_equal(table, (eps, mu))
 
     def test_transpose_dot_product_identity(self):
         # sum_x [s f + s_x d_x f + s_y d_y f] = (1/2) sum_n (c_n p_n + conj(c_n) q_n)
@@ -386,8 +397,8 @@ class TestDiskModes:
 
     def test_band_gives_what_each_frequency_gives_alone(self):
         # every frequency of a 16-frequency band against a DiskModes of that
-        # frequency alone: the same order, and apply (value, gradient,
-        # directional derivative) and transpose within 2e-13 of their peaks,
+        # frequency alone: the same order, and apply (value, gradient), pair
+        # and transpose within 2e-13 of their peaks,
         # not bitwise: the band's J_n'(w) comes from one Bessel table whose
         # recurrence starts above the band's top order, and the weights
         # 1/J_n'(w) differ from a one-frequency table's by up to 8.1e-14
@@ -404,16 +415,20 @@ class TestDiskModes:
 
         sources = [tuple(rand(radii.size, 3) for _ in range(3)) for _ in omegas]
         directions = standard_directions(4)
+        waves = [(rand(radii.size, 2), np.arange(radii.size))]
         pairs = list(band.transpose(sources))
         assert len(pairs) == omegas.size
         for k, omega in enumerate(omegas):
             alone = DiskModes(omega, pts)
             assert band.nmax[k] == alone.nmax[0]
             c = rand(alone.nmax[0] + 1, 4)
-            for kw in ({}, {"gradient": True}, {"directions": directions}):
+            for kw in ({}, {"gradient": True}):
                 got = np.atleast_3d(band.apply(c, k=k, **kw))
                 want = np.atleast_3d(alone.apply(c, **kw))
                 assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want)), (k, kw)
+            got, want = band.pair(c, directions, waves, k=k), alone.pair(c, directions, waves)
+            for got, want in zip(got, want):
+                assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want)), k
             [ref] = alone.transpose([sources[k]])
             for got, want in zip(pairs[k], ref):
                 assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want)), k
@@ -432,24 +447,29 @@ class TestDiskModes:
         c = rng.standard_normal((65, 6)) + 1j * rng.standard_normal((65, 6))
         directions = standard_directions(6)
         for k in (0, 1):
-            for kw in ({}, {"gradient": True}, {"directions": directions}):
+            for kw in ({}, {"gradient": True}):
                 got = np.atleast_3d(wedge.apply(c, k=k, **kw))
                 ref = np.atleast_3d(alone.apply(c, k=k, **kw))
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (k, kw)
+            waves = lattice.wave_factors(omegas[k], directions[::2])
+            got, ref = wedge.pair(c, directions, waves, k=k), alone.pair(c, directions, waves, k=k)
+            for got, ref in zip(got, ref):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), k
 
-    def test_apply_writes_to_out(self):
+    def test_pair_sums_come_back_in_the_input_order(self):
+        # a shuffled point set, its waves shuffled with it, gives the same
+        # sums, shuffled, bit for bit; the 128^2 lattice spans several blocks
         rng = np.random.default_rng(59)
-        lattice = make_lattice(40)
-        modes = DiskModes(OMEGA_HI, lattice.points, lattice.orbits)
         c = rng.standard_normal((65, 4)) + 1j * rng.standard_normal((65, 4))
         directions = standard_directions(4)
-        out = np.full((lattice.points.shape[0], 8), np.nan)
-        value, along = modes.apply(c, directions=directions, out=out)
-        assert np.shares_memory(value, out) and np.shares_memory(along, out)
-        ref = np.hstack(modes.apply(c, directions=directions))
-        assert np.array_equal(out, ref)
-        with pytest.raises(ValueError, match="out must have shape"):
-            modes.apply(c, out=out)
+        for points in (make_lattice(40).points, make_lattice(128).points):
+            shuffle = rng.permutation(points.shape[0])
+            table = np.exp(1j * rng.uniform(-math.pi, math.pi, (points.shape[0], 2)))
+            modes = DiskModes(OMEGA_HI, points)
+            shuffled = DiskModes(OMEGA_HI, points[shuffle])
+            ref = modes.pair(c, directions, [(table, np.arange(points.shape[0]))])
+            got = shuffled.pair(c, directions, [(table, shuffle)])
+            assert np.array_equal(got, np.stack(ref)[:, shuffle])
 
     def test_transpose_refuses_orbits(self):
         lattice = make_lattice(40)

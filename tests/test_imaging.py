@@ -1,6 +1,7 @@
 """Tests for the imaging maps: adjoint engine, normalized maps, kernel models."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,52 @@ class TestMultiFrequency:
         monkeypatch.setattr(forward, "_angular_table", counted)
         etd_multi(clean16, make_lattice(128))
         assert 0 < sum(columns) <= 16 * 1450
+
+    @pytest.mark.parametrize("n_directions", [16, 6])
+    def test_pairing_matches_the_adjoint_fields(self, grid, sigma1, clean16, n_directions):
+        # td_component_maps and etd_multi on the 128^2 lattice (8 variants, 6
+        # blocks) against adjoint_field_batch paired with explicit
+        # e^{iw d.z}; the square's symmetries map 16 standard directions onto
+        # themselves, 6 not
+        if n_directions == 16:
+            data = clean16
+        else:
+            incident = IncidentSet(standard_directions(n_directions), frequency_band(16))
+            data = synthesize([ThinInclusion(sigma1[0])], incident, grid)
+        lattice = make_lattice(128)
+        directions = data.incident.directions
+        acc = np.zeros(lattice.points.shape[0])
+        for k, omega in enumerate(data.incident.omegas):
+            v, gv = adjoint_field_batch(
+                data.traces[:, :, k], grid, omega, lattice.points, gradient=True
+            )
+            u = np.exp(1j * omega * (lattice.points @ directions.T))
+            gu = (1j * omega) * u[:, :, None] * directions[None, :, :]
+            refs = np.sum(np.real(v * u.conj()), axis=1), np.sum(
+                np.real(gv * gu.conj()), axis=(1, 2)
+            )
+            if k in (0, 15):
+                for got, ref in zip(td_component_maps(data, lattice, k), refs):
+                    err = np.max(np.abs(got.inside_values - ref))
+                    assert err <= 1e-13 * np.max(np.abs(ref)), k
+            acc += 0.5 * (refs[0] / np.max(np.abs(refs[0])) + refs[1] / np.max(np.abs(refs[1])))
+        band = etd_multi(data, lattice).inside_values
+        assert np.max(np.abs(band - acc / 16.0)) <= 1e-13 * np.max(np.abs(band))
+
+    def test_band_map_peak_memory(self, clean16):
+        # tracemalloc peak of a second call on 128^2/L16 at 15 dB, the orbits
+        # warm: 12.0 MB with a (P, 4L) field array and a (P, L) wave table
+        # per frequency, 6.2 MB with each block reduced in place
+        lattice = make_lattice(128)
+        noisy = forward.add_awgn(clean16, 15.0, 8101)
+        etd_multi(noisy, lattice)
+        tracemalloc.start()
+        try:
+            etd_multi(noisy, lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
     def test_band_map_is_the_mean_of_the_single_maps(self, clean16):
         # to roundoff, not bitwise: the band's J_n'(w) come from one Bessel
