@@ -3,7 +3,8 @@
 Run from the root of a source checkout:
 
     python3 benchmarks/bench_layers.py --out BENCH.json --label change
-    python3 benchmarks/bench_layers.py --src /path/to/other/src --out BENCH.json --label parent
+    python3 benchmarks/bench_layers.py --src /path/to/parent/src --label parent \
+        --src src --label change --out BENCH.json
 
 Each layer is timed on its own, as the median of ``REPEATS`` calls, on two
 scenes that ``perfbench/run.py`` does not run: L16/K16 on a 128² lattice
@@ -18,14 +19,16 @@ a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
 - ``DiskModes.apply`` over the lattice at the top frequency, on the
   coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
   for the N-point grid), value alone (the Bessel and angular tables on the
-  representatives, one product per block for every variant and the copy of
-  each node's row) and with the gradient; this is the path of
+  representatives, one product per block for every variant, the block
+  written into one array of all product rows, and each node's row gathered
+  from it) and with the gradient; this is the path of
   ``adjoint_field_batch``, not of the maps;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
 - ``td_component_maps``: both raw sensitivity maps at the top frequency,
   the adjoint together with the sums against the incident waves; each
-  block's product rows are paired with their nodes' waves as they come
-  (``DiskModes.pair``), with no row copied to the nodes;
+  block's product rows are reduced to two sums per row against their
+  nodes' waves as they come (``DiskModes.pair``), and each node takes its
+  row's two sums;
 - ``etd_multi``: the whole multi-frequency map, paired per block in the
   same way;
 - ``multi_kirchhoff_map``: the migration baseline summed over the band, on
@@ -47,13 +50,20 @@ bytes: what numpy allocates at most during the call, apart from the caller's
 data.
 
 ``--src`` imports thinimage from another source tree, so one copy of this
-script times two commits. Each call appends one run (label, host, numpy and
-scipy versions, nproc, medians in seconds, the peaks) to ``--out``.
+script times two commits. Given twice, with one ``--label`` each, it imports
+both trees in one process, each under its own package name, and alternates
+them call by call within each layer (in the order ABBA...), so drift of the
+host lands on both trees alike; the host kernel then runs once per layer
+for both. Each call appends one run per tree (label, host, numpy and scipy
+versions, nproc, medians in seconds, the peaks, and the labels timed
+together) to ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -76,15 +86,6 @@ NOISE_SEED = 7
 REPEATS = 5
 
 
-def median_seconds(call) -> float:
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def peak_bytes(call) -> int:
     """The tracemalloc peak of one call."""
     tracemalloc.start()
@@ -95,19 +96,32 @@ def peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-def scene_layers(n_directions: int, size: int, out: Path) -> dict:
+def load_tree(src: str, name: str):
+    """The thinimage package of source tree ``src``, imported as package ``name``."""
+    init = Path(src).resolve() / "thinimage" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("baselines", "forward", "geometry", "imaging", "maps"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def scene_layers(package, n_directions: int, size: int, out: Path) -> dict:
     import numpy as np
 
-    from thinimage import baselines, forward, imaging
-    from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve
-    from thinimage.maps import make_lattice, save_map_csv, save_map_pgm
+    baselines, forward, imaging = package.baselines, package.forward, package.imaging
+    geometry, maps = package.geometry, package.maps
 
-    grid = boundary_grid(128)
+    grid = geometry.boundary_grid(128)
     incident = forward.IncidentSet(
         forward.standard_directions(n_directions), forward.frequency_band(N_FREQUENCIES)
     )
-    inclusions = [ThinInclusion(builtin_curve("sigma1"))]
-    lattice = make_lattice(size)
+    inclusions = [geometry.ThinInclusion(geometry.builtin_curve("sigma1"))]
+    lattice = maps.make_lattice(size)
     noisy = forward.add_awgn(forward.synthesize(inclusions, incident, grid), SNR_DB, NOISE_SEED)
     omega = float(incident.omegas[-1])
     traces = noisy.traces[:, :, -1]
@@ -135,55 +149,79 @@ def scene_layers(n_directions: int, size: int, out: Path) -> dict:
         "multi_kirchhoff_map": lambda: baselines.multi_kirchhoff_map(lattice, msrs),
         "synthesize": lambda: forward.synthesize(inclusions, incident, grid),
         "save_dataset": lambda: forward.save_dataset(noisy, out / "dataset.txt"),
-        "save_map_csv": lambda: save_map_csv(imap, out / "map.csv"),
-        "save_map_pgm": lambda: save_map_pgm(imap, out / "map.pgm"),
+        "save_map_csv": lambda: maps.save_map_csv(imap, out / "map.csv"),
+        "save_map_pgm": lambda: maps.save_map_pgm(imap, out / "map.pgm"),
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="JSON file the run is appended to")
-    parser.add_argument("--label", required=True, help="name of the measured tree")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to import")
+    parser.add_argument("--out", required=True, help="JSON file the runs are appended to")
+    parser.add_argument(
+        "--label", required=True, action="append", help="name of the measured tree, once per tree"
+    )
+    parser.add_argument(
+        "--src", action="append", help="source tree to import, at most twice (default: this one)"
+    )
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    sources = args.src or [str(ROOT / "src")]
+    if len(sources) > 2 or len(args.label) != len(sources):
+        parser.error("give one or two --src, and one --label per tree")
+    packages = [load_tree(src, f"thinimage_{i}") for i, src in enumerate(sources)]
     import numpy
     import scipy
 
     host = HostSpeed()
-    medians, refs, peaks = {}, {}, {}
+    medians, peaks = [{} for _ in packages], [{} for _ in packages]
+    refs = {}
     with tempfile.TemporaryDirectory() as out:
         for scene, (n_directions, size) in SCENES.items():
-            medians[scene], refs[scene] = {}, {}
-            layers = scene_layers(n_directions, size, Path(out))
-            for layer, call in layers.items():
-                medians[scene][layer] = median_seconds(call)
+            layers = [scene_layers(p, n_directions, size, Path(out)) for p in packages]
+            refs[scene] = {}
+            for tree_medians in medians:
+                tree_medians[scene] = {}
+            for layer in layers[0]:
+                times = [[] for _ in packages]
+                for repeat in range(REPEATS):
+                    order = range(len(packages))
+                    for tree in reversed(order) if repeat % 2 else order:
+                        start = time.perf_counter()
+                        layers[tree][layer]()
+                        times[tree].append(time.perf_counter() - start)
                 refs[scene][layer] = host.scale()
-            peaks[scene] = peak_bytes(layers["etd_multi"]) / 1e6
-    scaled = {
-        scene: {layer: t * REF_NOMINAL_S / refs[scene][layer] for layer, t in layers.items()}
-        for scene, layers in medians.items()
-    }
-    record = {
-        "label": args.label,
-        "time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "host": {
-            "nproc": os.cpu_count(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
-        },
-        "repeats": REPEATS,
-        "scaled_median_s": scaled,
-        "median_s": medians,
-        "ref_s": refs,
-        "etd_multi_peak_mb": peaks,
-    }
+                for tree, tree_times in enumerate(times):
+                    medians[tree][scene][layer] = statistics.median(tree_times)
+            for tree, tree_layers in enumerate(layers):
+                peaks[tree][scene] = peak_bytes(tree_layers["etd_multi"]) / 1e6
+    records = []
+    for label, tree_medians, tree_peaks in zip(args.label, medians, peaks):
+        scaled = {
+            scene: {layer: t * REF_NOMINAL_S / refs[scene][layer] for layer, t in times.items()}
+            for scene, times in tree_medians.items()
+        }
+        records.append(
+            {
+                "label": label,
+                "time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "host": {
+                    "nproc": os.cpu_count(),
+                    "machine": platform.machine(),
+                    "python": platform.python_version(),
+                    "numpy": numpy.__version__,
+                    "scipy": scipy.__version__,
+                },
+                "repeats": REPEATS,
+                "alternated": args.label,
+                "scaled_median_s": scaled,
+                "median_s": tree_medians,
+                "ref_s": refs,
+                "etd_multi_peak_mb": tree_peaks,
+            }
+        )
     out = Path(args.out)
     runs = json.loads(out.read_text())["runs"] if out.exists() else []
-    out.write_text(json.dumps({"runs": [*runs, record]}, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
+    out.write_text(json.dumps({"runs": [*runs, *records]}, indent=2) + "\n")
+    print(json.dumps(records, indent=2))
     return 0
 
 

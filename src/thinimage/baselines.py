@@ -72,19 +72,6 @@ def music_map(
     return from_point_values(lattice, values), saturated
 
 
-def _migration_values(lattice: Lattice, msr: MultistaticMatrix) -> np.ndarray:
-    """|w(z)^H A conj(w(z))| at the kept nodes, w the unit steering vectors.
-
-    With e = ``Lattice.plane_waves`` and w = e / sqrt(L), the form is
-    |conj(e)^T A conj(e)| / L: one (P, L) @ (L, L) product and one row dot.
-    """
-    wc = lattice.plane_waves(msr.omega, msr.directions)
-    np.conjugate(wc, out=wc)
-    values = np.abs(np.einsum("pl,pl->p", wc @ msr.matrix, wc))
-    values /= msr.n_directions
-    return values
-
-
 def kirchhoff_map(
     lattice: Lattice, msr: MultistaticMatrix
 ) -> ImageMap:
@@ -95,16 +82,25 @@ def kirchhoff_map(
     must undo the phase twice or the image splits between a point and its
     mirror through the origin.
     """
-    return from_point_values(lattice, _migration_values(lattice, msr))
+    return multi_kirchhoff_map(lattice, [msr])
 
 
 def multi_kirchhoff_map(
     lattice: Lattice, msrs: list[MultistaticMatrix]
 ) -> ImageMap:
-    """Sum of the migration maps of several frequencies, taken on point values."""
+    """Sum of the migration maps of several frequencies, taken on point values.
+
+    With e = ``Lattice.plane_waves`` and w = e / sqrt(L), each frequency's
+    form is |conj(e)^T A conj(e)| / L at the kept nodes: one (P, L) @ (L, L)
+    product and one row dot.
+    """
     if not msrs:
         raise ConfigError("need at least one matrix")
     acc = np.zeros(lattice.points.shape[0])
     for msr in msrs:
-        acc += _migration_values(lattice, msr)
+        wc = lattice.plane_waves(msr.omega, msr.directions)
+        np.conjugate(wc, out=wc)
+        values = np.abs(np.einsum("pl,pl->p", wc @ msr.matrix, wc))
+        values /= msr.n_directions
+        acc += values
     return from_point_values(lattice, acc)

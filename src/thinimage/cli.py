@@ -33,6 +33,7 @@ from .baselines import kirchhoff_map, multi_kirchhoff_map, music_map, signal_spa
 from .errors import ConfigError, ThinImageError
 from .forward import (
     RESONANCE_TOL,
+    SYNTHESIS_NODES,
     BoundaryDataset,
     IncidentSet,
     add_awgn,
@@ -50,6 +51,7 @@ from .geometry import (
     ThinInclusion,
     boundary_grid,
     builtin_curve,
+    discretize,
     poly_sin_curve,
 )
 from .imaging import etd_multi, etd_single, model_maps, normalized_combination
@@ -302,10 +304,11 @@ def _config_stage(config: ExperimentConfig):
     omegas = build(
         "incident", frequency_band, config.n_frequencies, config.lambda_min, config.lambda_max
     )
-    # synthesize's thickness rule, refused here under each inclusion
-    if omegas is not None:
-        for i, incl in enumerate(inclusions, start=1):
-            if incl is not None:
+    # synthesize's curve and thickness rules, refused here under each inclusion
+    for i, incl in enumerate(inclusions, start=1):
+        if incl is not None:
+            build(f"inclusion {i}", discretize, incl.curve, SYNTHESIS_NODES)
+            if omegas is not None:
                 build(f"inclusion {i}", ensure_thin, incl, omegas[-1])
     directions = build("incident", standard_directions, config.n_directions)
     incident = None

@@ -45,6 +45,8 @@ _JNP_FLOOR = 1e-260
 # A |J_n'| below this is table roundoff, not a magnitude (see resonance_error).
 _JNP_ROUNDOFF = 1e-14
 _DEFAULT_SERIES_TOL = 1e-10
+# curve nodes per inclusion in synthesize
+SYNTHESIS_NODES = 400
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +159,6 @@ def resonance_error(omega: float, hits: list[tuple[int, float]]) -> ResonanceErr
         for n, v in hits
     )
     return ResonanceError(f"omega = {omega:.10g} is next to a Neumann eigenvalue: {listing}")
-
-
-def ensure_not_resonant(omega: float) -> None:
-    if hits := resonance_orders(omega):
-        raise resonance_error(omega, hits)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +389,15 @@ class DiskModes:
     Each frequency k runs one block loop: it sums every point to one order
     and takes the representatives ``_POINT_BLOCK`` product rows at a time
     (one row per variant present), gathering their rows from one
-    ``bessel_j_table`` per call over their distinct radii. Two methods
-    consume the blocks. ``apply`` copies each point's row from its
-    representative's, for the values and, on request, their x and y
-    gradients. ``pair`` (the imaging maps) reduces each block's rows at once
-    to two sums per point against the incident waves at those points: the
-    values, and the derivative of each column along its own unit vector,
-    from one product with two blocks of columns instead of three.
+    ``bessel_j_table`` per call over their distinct radii. The product rows
+    are numbered once over all blocks, and each point has one row. Two
+    methods consume the blocks. ``apply`` fills one array of all product
+    rows, for the values and, on request, their x and y gradients, and
+    gathers each point's row from it. ``pair`` (the imaging maps) reduces
+    each block's rows at once to two sums per row against the incident waves
+    at the rows' points, the values and the derivative of each column along
+    its own unit vector, from one product with two blocks of columns instead
+    of three; each point then takes its row's two sums.
 
     ``transpose`` runs the whole band the other way, from sources at the
     points to coefficients; ``synthesize`` takes its traces from it. It needs
@@ -430,20 +429,14 @@ class DiskModes:
         self._thetas = np.arctan2(pts[representatives, 1], pts[representatives, 0])
         # one Bessel column per distinct radius of the representatives
         self._radii, self._column = np.unique(radii[representatives], return_inverse=True)
-        # a block's product has one row per representative and variant present;
-        # _nodes groups the points by representative, _first[i] is where
-        # representative i's points start in it, and _product_rows gives each
-        # one's row in its block's product
+        # product rows counted over all blocks: row i V + g holds representative i
+        # in the g-th of the V variants present. _point_rows is each point's row,
+        # _row_points the point at each row (point 0 where no point takes it)
         self._variants, position = np.unique(variants, return_inverse=True)
         self._block = _POINT_BLOCK // self._variants.size
-        self._nodes = np.argsort(rows, kind="stable")
-        self._first = np.searchsorted(rows[self._nodes], np.arange(self._thetas.size + 1))
-        product_rows = (rows % self._block) * self._variants.size + position
-        self._product_rows = product_rows[self._nodes]
-        # the point at each product row, counted over all blocks; a variant that
-        # no point of its representative takes reads point 0
+        self._point_rows = rows * self._variants.size + position
         self._row_points = np.zeros(self._thetas.size * self._variants.size, dtype=np.intp)
-        self._row_points[rows * self._variants.size + position] = np.arange(rows.size)
+        self._row_points[self._point_rows] = np.arange(rows.size)
 
     def apply(self, c: np.ndarray, gradient: bool = False, k: int = 0):
         """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax[k].
@@ -458,20 +451,16 @@ class DiskModes:
         d_x Phi_n = (w/2)(Phi_{n-1} - Phi_{n+1}) and
         d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so the series is
         Re sum_n Phi_n b_n in every column, b = [a, d_x a, d_y a] for the
-        gradients (3C). Each point's row is copied from its representative's
-        row of its variant in the block's product (see ``_products``).
+        gradients (3C). The blocks of ``_products`` fill one array of every
+        product row, and each point takes its row from it.
         """
         coef, d_x, d_y = self._coefficients(c, k)
         if gradient:
             coef = np.hstack([coef, d_x, d_y])
-        columns = coef.shape[1]
-        fields = np.empty((self._nodes.size, columns))
-        # each row of fields as one void element, so the scatter copies rows, not numbers
-        row = np.dtype((np.void, fields.itemsize * columns))
-        for lo, m, product in self._products(coef, k):
-            block = slice(self._first[lo], self._first[lo + m])
-            copied = product.view(row)[self._product_rows[block], 0]
-            fields.view(row)[self._nodes[block], 0] = copied
+        fields = np.empty((self._row_points.size, coef.shape[1]))
+        for block, product in self._products(coef, k):
+            fields[block] = product
+        fields = fields[self._point_rows]
         return tuple(np.hsplit(fields, 3)) if gradient else fields
 
     def pair(self, c: np.ndarray, directions: np.ndarray, waves, k: int = 0):
@@ -488,32 +477,29 @@ class DiskModes:
         ``waves`` lists factors (table, index): point p's wave row is the
         product, in order, of the rows table[index[p]]
         (``maps.Lattice.wave_factors``). Each block of ``_products`` is
-        reduced as it comes, against its points' waves gathered at its
-        product rows into workspaces of one block; no (P, C) array is formed.
+        reduced as it comes to two sums per product row, against the waves
+        gathered at its rows' points into workspaces of one block; each point
+        then takes the sums of its row. No (P, C) array is formed.
         """
         coef, d_x, d_y = self._coefficients(c, k)
         coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
         columns = c.shape[1]  # the values' columns; the derivatives' follow
-        sums = np.empty((2, self._nodes.size))
-        variants = self._variants.size
-        size = min(self._thetas.size, self._block) * variants
+        sums = np.empty((2, self._row_points.size))
+        size = min(self._thetas.size, self._block) * self._variants.size
         u_work = np.empty((size, columns // 2), dtype=complex)
-        factor_work, row_sums = np.empty_like(u_work), np.empty((2, size))
+        factor_work = np.empty_like(u_work)
         (first, first_index), *others = waves
-        for lo, m, product in self._products(coef, k):
-            points = self._row_points[lo * variants : (lo + m) * variants]
+        for block, product in self._products(coef, k):
+            points = self._row_points[block]
             u, factor = u_work[: points.size], factor_work[: points.size]
             # "clip" lets take write to out unbuffered (indices are valid)
             np.take(first, first_index[points], axis=0, out=u, mode="clip")
             for table, index in others:
                 u *= np.take(table, index[points], axis=0, out=factor, mode="clip")
-            values, along = row_sums[:, : points.size]
-            np.einsum("pk,pk->p", product[:, :columns], u.view(float), out=values)
+            np.einsum("pk,pk->p", product[:, :columns], u.view(float), out=sums[0, block])
             u *= 1j
-            np.einsum("pk,pk->p", product[:, columns:], u.view(float), out=along)
-            block = slice(self._first[lo], self._first[lo + m])
-            sums[:, self._nodes[block]] = row_sums[:, self._product_rows[block]]
-        return sums[0], sums[1]
+            np.einsum("pk,pk->p", product[:, columns:], u.view(float), out=sums[1, block])
+        return sums[:, self._point_rows]
 
     def _coefficients(self, c: np.ndarray, k: int):
         """a_n = eps_n c_n/(2 pi w J_n'(w)) and its shifts d_x a, d_y a, each (n + 2, C).
@@ -534,10 +520,11 @@ class DiskModes:
     def _products(self, coef: np.ndarray, k: int):
         """Re sum_n Phi_n coef_n at frequency k, one block of representatives at a time.
 
-        Yields (lo, m, product) for representatives lo..lo+m-1: ``product``
-        holds a (m V, C) row per representative and variant present, row
-        i V + g for representative lo + i in the g-th variant present, valid
-        until the next block. At x = g y, Phi_n(x) is i^{jn} Phi_n(y) for a
+        Yields (rows, product) for representatives lo..lo+m-1: ``product``
+        holds their (m V, C) product rows, valid until the next block, and
+        ``rows`` is the slice lo V..(lo+m) V they take among the rows of all
+        blocks (row i V + g for representative i in the g-th of the V
+        variants present). At x = g y, Phi_n(x) is i^{jn} Phi_n(y) for a
         rotation by j quarter turns and i^{jn} conj Phi_n(y) for a
         reflection, and Re(conj Phi b) = Re(Phi conj b): each variant's rows
         are those of its representative against the coefficients i^{jn} b_n
@@ -548,8 +535,9 @@ class DiskModes:
         """
         omega = self.omegas[k]
         r, columns = coef.shape  # r table rows, Phi_0..Phi_{n+1}
+        variants = self._variants.size
         # [Re b_g; -Im b_g] per variant g = j + 4 f: b_g = i^{jn} b_n, conjugated if f = 1
-        rhs = np.empty((2 * r, self._variants.size * columns))
+        rhs = np.empty((2 * r, variants * columns))
         turns = np.array([1, 1j, -1, -1j])
         for i, g in enumerate(self._variants):
             turned = coef * turns[g % 4 * np.arange(r) % 4, None]
@@ -570,7 +558,7 @@ class DiskModes:
             table[:r] *= phases.real
             product = product_work[: m * rhs.shape[1]].reshape(m, -1)
             np.matmul(table.T, rhs, out=product)
-            yield lo, m, product.reshape(-1, columns)
+            yield slice(lo * variants, (lo + m) * variants), product.reshape(-1, columns)
 
     def transpose(self, sources):
         """The transpose of ``apply`` over the band: sources at the points to coefficient pairs.
@@ -595,7 +583,7 @@ class DiskModes:
         all their w|x|. The sources are read one frequency at a time, so
         a caller can build each triple as it is needed.
         """
-        if self._thetas.size != self._nodes.size:
+        if self._thetas.size != self._point_rows.size:
             raise ValueError("transpose needs every point as its own representative")
         angular = _angular_table(self._thetas, max(self.nmax) + 1)
         planes = np.stack([angular.real, angular.imag])  # cos and sin n theta
@@ -692,7 +680,7 @@ def synthesize(
     inclusions,
     incident: IncidentSet,
     grid: BoundaryGrid,
-    m_nodes: int = 400,
+    m_nodes: int = SYNTHESIS_NODES,
 ) -> BoundaryDataset:
     """Clean traces (N, L, K) of one or more thin inclusions, each on ``m_nodes`` curve nodes.
 

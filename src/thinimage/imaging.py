@@ -31,7 +31,7 @@ from .maps import ImageMap, Lattice, from_point_values
 
 _FLAT_TOL = 1e-14
 # inversion-side quadrature is kept at half synthesize's default node count
-# (400) so model maps never ride the synthesis discretization
+# (forward.SYNTHESIS_NODES) so model maps never ride the synthesis discretization
 _MODEL_NODES = 200
 # arguments per Bessel table in j0_band_integral: a table holds about
 # x_max + 2 sqrt(40 x_max) rows of this many floats

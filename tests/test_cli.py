@@ -394,6 +394,11 @@ class TestValidate:
                 dict(n_frequencies=1, lambda_min=ON_J3P_ROOT, lambda_max=ON_J3P_ROOT),
                 "incident: " + J3P_ROOT_REFUSAL,
             ),
+            (
+                # synthesize's own curve discretization leaves the clearance disk
+                dict(inclusions=(InclusionSpec(curve="custom", x_shift=0.6, y_poly=(0.3,)),)),
+                "inclusion 1: curve violates the boundary clearance: max |x| = 1.1395 > 0.9",
+            ),
         ],
     )
     def test_each_fault_is_refused_by_run_in_the_same_words(self, tmp_path, kwargs, fault):

@@ -24,7 +24,6 @@ from thinimage.forward import (
     bessel_j_table,
     boundary_kernel_gradients,
     boundary_kernel_tables,
-    ensure_not_resonant,
     frequency_band,
     jnp_values,
     load_dataset,
@@ -80,11 +79,10 @@ class TestResonance:
 
     def test_ensure_raises_with_order_named(self):
         with pytest.raises(ResonanceError, match="n=1"):
-            ensure_not_resonant(J1P_FIRST_ZERO)
+            DiskModes(J1P_FIRST_ZERO, np.array([[0.1, 0.2]]))
 
     def test_band_frequencies_all_clear(self):
-        for w in frequency_band(16):
-            ensure_not_resonant(float(w))
+        assert band_resonance_orders(frequency_band(16)) == [[]] * 16
 
     def test_clean_frequency_passes(self):
         assert resonance_orders(OMEGA_LO) == []
@@ -114,7 +112,7 @@ class TestResonance:
         assert [bool(h) for h in hits] == list(omegas == root)
         assert [n for n, _ in hits[int(np.flatnonzero(omegas == root)[0])]] == [order]
         with pytest.raises(ResonanceError, match=f"n={order} "):
-            ensure_not_resonant(root)
+            DiskModes(root, np.array([[0.1, 0.2]]))
         with pytest.raises(ResonanceError, match=f"n={order} "):
             DiskModes(omegas, np.array([[0.1, 0.2]]))
 
