@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .baselines import kirchhoff_map, multi_kirchhoff_map, music_map, signal_space_dim
-from .errors import ConfigError, ThinImageError
+from .errors import ConfigError, FitError, GeometryError, RidgeError, ThinImageError
 from .forward import (
     RESONANCE_TOL,
     SYNTHESIS_NODES,
@@ -68,14 +68,12 @@ _CUSTOM = {"custom": True}
 
 @dataclass(frozen=True)
 class InclusionSpec:
-    """Declarative description of one thin inclusion."""
+    """Declarative description of one thin inclusion in the unit background (eps = mu = 1)."""
 
     curve: str = "sigma1"
     h: float = 0.02
     eps: float = 5.0
     mu: float = 5.0
-    eps0: float = 1.0
-    mu0: float = 1.0
     s_min: float = field(default=-0.5, metadata=_CUSTOM)
     s_max: float = field(default=0.5, metadata=_CUSTOM)
     x_shift: float = field(default=0.0, metadata=_CUSTOM)
@@ -101,9 +99,7 @@ class InclusionSpec:
             raise ConfigError(
                 f"unknown curve {self.curve!r}; pick one of {tuple(BUILTIN_CURVES)} or 'custom'"
             )
-        return ThinInclusion(
-            curve, h=self.h, eps=self.eps, mu=self.mu, eps0=self.eps0, mu0=self.mu0
-        )
+        return ThinInclusion(curve, h=self.h, eps=self.eps, mu=self.mu)
 
 
 # [noise] clean = true stands for snr_db = +inf: the file carries clean = true
@@ -304,9 +300,12 @@ def _config_stage(config: ExperimentConfig):
     omegas = build(
         "incident", frequency_band, config.n_frequencies, config.lambda_min, config.lambda_max
     )
-    # synthesize's curve and thickness rules, refused here under each inclusion
+    # an inclusion that equals the background, then synthesize's curve and
+    # thickness rules, refused here under each inclusion
     for i, incl in enumerate(inclusions, start=1):
         if incl is not None:
+            if incl.eps == 1.0 and incl.mu == 1.0:
+                refuse(f"inclusion {i}", "zero contrast: eps = mu = 1 is the background")
             build(f"inclusion {i}", discretize, incl.curve, SYNTHESIS_NODES)
             if omegas is not None:
                 build(f"inclusion {i}", ensure_thin, incl, omegas[-1])
@@ -355,16 +354,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     Every fault run's config stage refuses, as "section: message" in run's
     words, then the warnings that run does not act on.
     """
-    (inclusions, incident, _, _), faults = _config_stage(config)
+    (_, incident, _, _), faults = _config_stage(config)
     issues = [f"{section}: {exc}" for section, exc in faults]
-
-    for i, incl in enumerate(inclusions, start=1):
-        if incl is None:
-            continue
-        if incl.eps == incl.eps0 and incl.mu == incl.mu0:
-            issues.append(
-                f"inclusion {i}: zero contrast against the background yields a flat map"
-            )
 
     if incident is not None:
         scans = band_resonance_orders(incident.omegas, _SCAN_RESONANCE_TOL)
@@ -424,6 +415,43 @@ def _compute_maps(
     return maps
 
 
+def _initial_guess(
+    imap: ImageMap, inclusions: list[ThinInclusion], data: BoundaryDataset, degree: int, notes
+) -> list:
+    """Fit report rows: each fitted curve, the first with its discrepancy norms.
+
+    A map that yields no fit gives no rows and notes.fit_refused; fitted
+    curves that synthesize refuses keep their rows with blank norms and give
+    notes.norms_refused. Either way the run goes on to export.
+    """
+    try:
+        fits = initial_guesses(imap, len(inclusions), degree)
+    except (RidgeError, FitError) as exc:
+        notes["fit_refused"] = str(exc)
+        return []
+    guesses = {f"guess{i + 1}": fit for i, fit in enumerate(fits)}
+    notes["fit"] = {
+        label: {"interval": [fit.a, fit.b], "coeffs": [float(c) for c in fit.coeffs]}
+        for label, fit in guesses.items()
+    }
+    # recompute boundary data from the fitted curves; material parameters are
+    # taken from the first configured inclusion, and the norms read the first
+    # frequency alone, so synthesize only that one
+    fitted = [
+        replace(inclusions[0], curve=fit.as_parametric(label)) for label, fit in guesses.items()
+    ]
+    first = IncidentSet(data.incident.directions, data.incident.omegas[:1])
+    try:
+        comp = synthesize(fitted, first, data.grid)
+    except GeometryError as exc:
+        notes["norms_refused"] = str(exc)
+        report = None
+    else:
+        report = discrete_norms(replace(data, traces=data.traces[:, :, :1], incident=first), comp)
+        notes["norms"] = asdict(report)
+    return [(label, fit, None if i else report) for i, (label, fit) in enumerate(guesses.items())]
+
+
 def run(config: ExperimentConfig):
     """Execute an experiment; returns (output path, manifest dict)."""
     notes: dict = {"functional": config.functional}
@@ -446,27 +474,8 @@ def run(config: ExperimentConfig):
     fit_rows = []
     with _stage("postprocess"):
         if config.functional in ("etd_multi", "etd_single"):
-            fits = initial_guesses(next(iter(maps.values())), len(inclusions), config.fit_degree)
-            guesses = {f"guess{i + 1}": fit for i, fit in enumerate(fits)}
-            # recompute boundary data from the fitted curves; material
-            # parameters are taken from the first configured inclusion
-            fitted_inclusions = [
-                replace(inclusions[0], curve=fit.as_parametric(label))
-                for label, fit in guesses.items()
-            ]
-            # the norms read the first frequency alone, so synthesize only that one
-            first = IncidentSet(incident.directions, incident.omegas[:1])
-            comp = synthesize(fitted_inclusions, first, grid)
-            report = discrete_norms(replace(data, traces=data.traces[:, :, :1], incident=first), comp)
-            fit_rows = [
-                (label, fit, None if i else report)
-                for i, (label, fit) in enumerate(guesses.items())
-            ]
-            notes["fit"] = {
-                label: {"interval": [fit.a, fit.b], "coeffs": [float(c) for c in fit.coeffs]}
-                for label, fit in guesses.items()
-            }
-            notes["norms"] = asdict(report)
+            imap = next(iter(maps.values()))
+            fit_rows = _initial_guess(imap, inclusions, data, config.fit_degree, notes)
 
     out_dir = Path(config.out_dir)
     with _stage("export"):

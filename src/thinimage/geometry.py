@@ -189,35 +189,33 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
 class ThinInclusion:
     """Thin penetrable inclusion: supporting curve, half-thickness, materials.
 
-    The background holds (eps0, mu0) and the inclusion (eps, mu); all four are
-    positive, and the half-thickness h must be small against the incident
-    wavelengths (checked where frequencies are known).
+    The inclusion holds (eps, mu), both positive, in the background of the disk
+    kernel and the incident waves, eps = mu = 1; the half-thickness h must be
+    small against the incident wavelengths (checked where frequencies are known).
     """
 
     curve: ParametricCurve
     h: float = 0.02
     eps: float = 5.0
     mu: float = 5.0
-    eps0: float = 1.0
-    mu0: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.h > 0.0):
             raise ConfigError(f"half-thickness must be positive, got {self.h}")
-        for name in ("eps", "mu", "eps0", "mu0"):
+        for name in ("eps", "mu"):
             if not (getattr(self, name) > 0.0):
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
     def tangential_contrast(self) -> float:
-        """Polarization-tensor eigenvalue along the tangent: 2(1/mu - 1/mu0)."""
-        return 2.0 * (1.0 / self.mu - 1.0 / self.mu0)
+        """Polarization-tensor eigenvalue along the tangent: 2(1/mu - 1)."""
+        return 2.0 * (1.0 / self.mu - 1.0)
 
     def normal_contrast(self) -> float:
-        """Polarization-tensor eigenvalue along the normal: 2(1/mu0 - mu/mu0^2)."""
-        return 2.0 * (1.0 / self.mu0 - self.mu / self.mu0**2)
+        """Polarization-tensor eigenvalue along the normal: 2(1 - mu)."""
+        return 2.0 * (1.0 - self.mu)
 
     def permittivity_contrast(self) -> float:
-        return self.eps - self.eps0
+        return self.eps - 1.0
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class TestAssembly:
         msr, curve = sigma1_msr
         disc = discretize(curve, 600)
         incl = ThinInclusion(curve)
-        gamma = incl.eps - incl.eps0
+        gamma = incl.eps - 1.0
         alpha = incl.tangential_contrast()
         beta = incl.normal_contrast()
         dirs = msr.directions

@@ -26,7 +26,7 @@ from thinimage.cli import (
     validate,
     write_config,
 )
-from thinimage.errors import ConfigError, FlatMapError, ResonanceError, ThinImageError
+from thinimage.errors import ConfigError, ResonanceError, ThinImageError
 from thinimage.forward import DiskModes, IncidentSet, standard_directions, synthesize
 from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve
 
@@ -74,16 +74,12 @@ curve = sigma2
 h = 0.03
 eps = 7.0
 mu = 5.0
-eps0 = 1.0
-mu0 = 1.0
 
 [inclusion.2]
 curve = custom
 h = 0.02
 eps = 5.0
 mu = 5.0
-eps0 = 1.0
-mu0 = 1.0
 s_min = -0.4
 s_max = 0.4
 x_shift = 0.1
@@ -302,6 +298,8 @@ class TestWriteConfig:
 # the first zero of J_3', and the refusal every caller prints there
 ON_J3P_ROOT = 0.4307727040557835
 J3P_ROOT_REFUSAL = "omega = 14.58584829 is next to a Neumann eigenvalue: n=3 (|J_n'|<1e-14)"
+# the refusal of an inclusion with the background's eps = mu = 1
+ZERO_CONTRAST = "zero contrast: eps = mu = 1 is the background"
 
 
 class TestValidate:
@@ -332,6 +330,34 @@ class TestValidate:
     def test_zero_contrast_flagged(self):
         config = ExperimentConfig(inclusions=(InclusionSpec(eps=1.0, mu=1.0),))
         assert any("zero contrast" in s for s in validate(config))
+
+    def test_zero_contrast_beside_a_real_inclusion_is_refused(self, tmp_path, capsys):
+        # the second inclusion would image, but the first is the background
+        config = ExperimentConfig(
+            inclusions=(InclusionSpec(eps=1.0, mu=1.0), InclusionSpec(curve="sigma2"))
+        )
+        assert validate(config) == ["inclusion 1: " + ZERO_CONTRAST]
+        path = tmp_path / "mixed.ini"
+        write_config(config, path)
+        assert main(["validate", "--config", str(path)]) == 2
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: stage config: {ZERO_CONTRAST}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_background_keys_are_refused(self, tmp_path, capsys, command):
+        # the background is fixed at eps = mu = 1; files written with the
+        # former eps0/mu0 keys must be exported again
+        path = tmp_path / "old.ini"
+        path.write_text("[inclusion]\ncurve = sigma1\neps0 = 1.0\nmu0 = 1.0\n")
+        message = "unknown keys in [inclusion]: ['eps0', 'mu0']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, "--config", str(path), *out]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_curve_label(self):
         config = ExperimentConfig(inclusions=(InclusionSpec(curve="sigma9"),))
@@ -399,6 +425,7 @@ class TestValidate:
                 dict(inclusions=(InclusionSpec(curve="custom", x_shift=0.6, y_poly=(0.3,)),)),
                 "inclusion 1: curve violates the boundary clearance: max |x| = 1.1395 > 0.9",
             ),
+            (dict(inclusions=(InclusionSpec(eps=1.0, mu=1.0),)), "inclusion 1: " + ZERO_CONTRAST),
         ],
     )
     def test_each_fault_is_refused_by_run_in_the_same_words(self, tmp_path, kwargs, fault):
@@ -490,13 +517,39 @@ class TestRun:
         out_b, _ = run(config_b)
         assert (out_a / "dataset.txt").read_bytes() != (out_b / "dataset.txt").read_bytes()
 
-    def test_zero_contrast_fails_in_imaging_stage(self, tmp_path):
+    def test_zero_contrast_fails_in_config_stage(self, tmp_path):
         config = small_config(
             inclusions=(InclusionSpec(eps=1.0, mu=1.0),),
             out_dir=str(tmp_path / "out"),
         )
-        with pytest.raises(FlatMapError, match="stage imaging"):
+        with pytest.raises(ConfigError, match="stage config: zero contrast"):
             run(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_norms_keep_the_run(self, tmp_path):
+        # the sigma3_L4_K16 fit at seed 1 leaves the clearance disk
+        # (max |x| = 1.0856), so its re-synthesis is refused; the run still
+        # writes the map and a fit report with blank norms
+        config = replace(preset_configs()["sigma3_L4_K16"], seed=1, out_dir=str(tmp_path / "out"))
+        out_dir, manifest = run(config)
+        names = {p.name for p in out_dir.iterdir()}
+        assert {"map_etd_multi.csv", "map_etd_multi.pgm", "fit_report.txt"} <= names
+        header, row = (out_dir / "fit_report.txt").read_text().splitlines()
+        assert header.split()[-3:] == ["N1", "N2", "Ninf"]
+        assert row.split()[0] == "guess1" and len(row.split()) == len(header.split()) - 3
+        notes = manifest["notes"]
+        assert "boundary clearance" in notes["norms_refused"]
+        assert "fit" in notes and "norms" not in notes
+
+    def test_refused_fit_keeps_the_run(self, tmp_path):
+        # an 8-node lattice leaves one ridge abscissa, too few for a fit
+        config = small_config(lattice_size=8, out_dir=str(tmp_path / "out"))
+        out_dir, manifest = run(config)
+        names = {p.name for p in out_dir.iterdir()}
+        assert names == {"dataset.txt", "map_etd_multi.csv", "map_etd_multi.pgm", "manifest.json"}
+        notes = manifest["notes"]
+        assert notes["fit_refused"] == "need more than 5 distinct abscissae, got 1"
+        assert "fit" not in notes and "norms" not in notes
 
     def test_bad_k_values_fail_in_config_stage(self, tmp_path):
         config = small_config(
@@ -563,7 +616,7 @@ class TestPresets:
         for path in sorted(export_presets(tmp_path), key=lambda p: p.name):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == (
-            "32ad1b870e640d6cda4fa2a8d1ed72b5c3cc509e9f53492edc4a3064d0c8be5f"
+            "82ec59eb592210099be9ec85cc4ee5d811d89c40ea74653de4b51a558cf55adc"
         )
 
 

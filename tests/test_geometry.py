@@ -171,7 +171,7 @@ class TestThinInclusion:
         with pytest.raises(ConfigError):
             ThinInclusion(builtin_curve("sigma1"), eps=-1.0)
         with pytest.raises(ConfigError):
-            ThinInclusion(builtin_curve("sigma1"), mu0=0.0)
+            ThinInclusion(builtin_curve("sigma1"), mu=0.0)
 
 
 class TestBoundaryGrid:
