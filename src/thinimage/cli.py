@@ -196,7 +196,7 @@ def _take(section: dict, key: str, default):
         if kind is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind is tuple:
-            return tuple(item(tok) for tok in raw.split(","))
+            return tuple(item(tok) for tok in raw.split(",")) if raw else ()
         return kind(raw)
     except (KeyError, ValueError):
         expected = f"comma-separated {_EXPECTED[item][1]}" if kind is tuple else _EXPECTED[item][0]
@@ -275,12 +275,14 @@ def write_config(config: ExperimentConfig, path) -> None:
 # validation
 
 def _config_stage(config: ExperimentConfig):
-    """Build what run's config stage needs and collect every fault it refuses.
+    """Build what run's config stage needs and collect every fault and warning.
 
-    Returns (inclusions, incident, grid, lattice), where a part that could not
-    be built is None, and the faults as (section, error) pairs in file order.
+    Returns (parts, faults, warnings): the parts (inclusions, incident, grid,
+    lattice), None where one could not be built; the (section, error) faults
+    run refuses and the (section, message) warnings it does not, in file order.
     """
     faults: list[tuple[str, ThinImageError]] = []
+    warnings: list[tuple[str, str]] = []
 
     def build(section: str, make, *args):
         try:
@@ -313,11 +315,22 @@ def _config_stage(config: ExperimentConfig):
     incident = None
     if directions is not None and omegas is not None:
         incident = build("incident", IncidentSet, directions, omegas)
-    # synthesize's resonance rule, refused here under incident, from one table for the band
+    # synthesize's resonance rule, from one table for the band: a frequency with a
+    # hit below RESONANCE_TOL is refused under incident, any other hit is a warning
     if incident is not None:
-        for omega, hits in zip(incident.omegas, band_resonance_orders(incident.omegas)):
-            if hits:
-                faults.append(("incident", resonance_error(omega, hits)))
+        scans = band_resonance_orders(incident.omegas, _SCAN_RESONANCE_TOL)
+        for omega, hits in zip(incident.omegas, scans):
+            if refused := [(n, v) for n, v in hits if v < RESONANCE_TOL]:
+                faults.append(("incident", resonance_error(omega, refused)))
+                continue
+            warnings.extend(
+                (
+                    "resonance warning",
+                    f"omega={float(omega):.6f} lies near an interior eigenvalue of order n={n} "
+                    f"(|J_n'(omega)|={v:.2e}); the measurement operator is nearly singular there",
+                )
+                for n, v in hits
+            )
     grid = build("grid", boundary_grid, config.boundary_points)
     lattice = build("grid", make_lattice, config.lattice_size)
     # the adjoint resolves trace modes up to the grid's Nyquist order N/2
@@ -329,6 +342,8 @@ def _config_stage(config: ExperimentConfig):
         )
     if not (config.clean or math.isfinite(config.snr_db)):
         refuse("noise", f"snr_db must be finite or +inf, got {config.snr_db!r}")
+    elif config.snr_db <= 0.0:
+        warnings.append(("noise", f"snr_db should be positive, got {config.snr_db:g}"))
     if config.functional in ("etd_single", "music", "kirchhoff") and not config.k_values:
         refuse("imaging", f"functional {config.functional} needs at least one k_value")
     # MUSIC splits the directions into a signal and a noise subspace
@@ -339,41 +354,25 @@ def _config_stage(config: ExperimentConfig):
     if bad := [k for k in config.k_values if not 0 <= k < config.n_frequencies]:
         top = config.n_frequencies - 1
         refuse("imaging", f"k_values {bad} outside the frequency range 0..{top}")
+    if repeats := sorted({k for k in config.k_values if config.k_values.count(k) > 1}):
+        refuse("imaging", f"k_values repeat {repeats}")
     if config.fit_degree < 1:
         refuse("imaging", f"fit_degree must be at least 1, got {config.fit_degree}")
     # export creates the output directory; a file on its path would stop the run only there
     out_dir = Path(config.out_dir)
     if files := [p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()]:
         refuse("output", f"cannot create the output directory {out_dir}: {files[0]} is a file")
-    return (inclusions, incident, grid, lattice), faults
+    return (inclusions, incident, grid, lattice), faults, warnings
+
+
+def _listing(faults, warnings) -> list[str]:
+    """The faults, then the warnings, as "section: message"; ["ok"] when there are none."""
+    return [f"{section}: {message}" for section, message in (*faults, *warnings)] or ["ok"]
 
 
 def validate(config: ExperimentConfig) -> list[str]:
-    """Dry-run diagnostics; returns ["ok"] when nothing is flagged.
-
-    Every fault run's config stage refuses, as "section: message" in run's
-    words, then the warnings that run does not act on.
-    """
-    (_, incident, _, _), faults = _config_stage(config)
-    issues = [f"{section}: {exc}" for section, exc in faults]
-
-    if incident is not None:
-        scans = band_resonance_orders(incident.omegas, _SCAN_RESONANCE_TOL)
-        for omega, hits in zip(incident.omegas, scans):
-            # a frequency the config stage refuses is listed once, as its fault
-            if any(v < RESONANCE_TOL for _, v in hits):
-                continue
-            for n, v in hits:
-                issues.append(
-                    f"resonance warning: omega={float(omega):.6f} lies near an "
-                    f"interior eigenvalue of order n={n} (|J_n'(omega)|={v:.2e}); "
-                    f"the measurement operator is nearly singular there"
-                )
-
-    if not config.clean and config.snr_db <= 0.0:
-        issues.append(f"noise: snr_db should be positive, got {config.snr_db:g}")
-
-    return issues or ["ok"]
+    """Dry-run diagnostics: the listing of run's config stage, in run's words."""
+    return _listing(*_config_stage(config)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +456,7 @@ def run(config: ExperimentConfig):
     notes: dict = {"functional": config.functional}
 
     with _stage("config"):
-        (inclusions, incident, grid, lattice), faults = _config_stage(config)
+        (inclusions, incident, grid, lattice), faults, _ = _config_stage(config)
         if faults:
             raise faults[0][1]
 
@@ -589,11 +588,10 @@ def main(argv=None) -> int:
             print(f"wrote {len(manifest['artifacts']) + 1} artifacts to {out_dir}")
             return 0
         if args.command == "validate":
-            config = _load_config(args)
-            for line in validate(config):
-                print(line)
+            _, faults, warnings = _config_stage(_load_config(args))
+            print("\n".join(_listing(faults, warnings)))
             # a fault run's config stage refuses fails the check; warnings do not
-            return 2 if _config_stage(config)[1] else 0
+            return 2 if faults else 0
         if args.command == "export-presets":
             written = export_presets(args.out)
             print(f"wrote {len(written)} presets to {args.out}")

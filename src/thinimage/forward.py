@@ -132,23 +132,19 @@ def _resonant(omega: float, jnp: np.ndarray, threshold: float) -> list[tuple[int
 def band_resonance_orders(
     omegas, threshold: float = RESONANCE_TOL
 ) -> list[list[tuple[int, float]]]:
-    """``resonance_orders`` for each frequency of a band, from one Bessel table."""
+    """Orders n with |J_n'(omega)| below threshold, for each omega of a band.
+
+    One Bessel table serves the band. Only orders n <= ceil(omega)+1 can carry
+    a zero of J_n' (the disk's Neumann eigenvalues satisfy j'_{n,1} > n), so
+    the scan stops there.
+    """
     omegas = _positive_frequencies(omegas)
     jnp, _ = jnp_values(bessel_j_table(int(math.ceil(float(np.max(omegas)))) + 2, omegas))
     return [_resonant(omega, jnp[:, k], threshold) for k, omega in enumerate(omegas)]
 
 
-def resonance_orders(omega: float, threshold: float = RESONANCE_TOL) -> list[tuple[int, float]]:
-    """Orders n with |J_n'(omega)| below threshold.
-
-    Only orders n <= ceil(omega)+1 can carry a zero of J_n' (the disk's
-    Neumann eigenvalues satisfy j'_{n,1} > n), so the scan stops there.
-    """
-    return band_resonance_orders(omega, threshold)[0]
-
-
 def resonance_error(omega: float, hits: list[tuple[int, float]]) -> ResonanceError:
-    """The refusal of a frequency whose ``resonance_orders`` are ``hits``.
+    """The refusal of a frequency whose ``band_resonance_orders`` entry is ``hits``.
 
     A |J_n'| below ``_JNP_ROUNDOFF`` prints as that bound: there it is the
     roundoff of whichever Bessel table read it, so every caller refuses a

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import thinimage
+from thinimage import cli, forward
 from thinimage.cli import (
     ExperimentConfig,
     InclusionSpec,
@@ -169,6 +170,18 @@ class TestParseConfig:
         parsed = parse_config(path)
         assert parsed.clean and parsed == config
 
+    def test_empty_list_round_trip(self, tmp_path):
+        # etd_multi reads no k_values: the empty list is written as "k_values ="
+        config = ExperimentConfig(k_values=())
+        assert validate(config) == ["ok"]
+        path = tmp_path / "empty.ini"
+        write_config(config, path)
+        assert parse_config(path) == config
+        # an empty y_poly parses too, and the config stage refuses it
+        path.write_text("[inclusion]\ncurve = custom\ny_poly =\n")
+        fault = "inclusion 1: y_poly needs at least one coefficient"
+        assert validate(parse_config(path)) == [fault]
+
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("")
@@ -273,7 +286,8 @@ class TestParseConfig:
         config = ExperimentConfig(snr_db=-math.inf)
         assert not config.clean
         assert config.flat_items()["noise.snr_db"] == -math.inf
-        assert any(s.startswith("noise: snr_db should be positive") for s in validate(config))
+        # a refused snr_db is listed once, as its fault
+        assert validate(config) == ["noise: snr_db must be finite or +inf, got -inf"]
         path = tmp_path / "neg.ini"
         write_config(config, path)
         assert parse_config(path) == config
@@ -426,6 +440,7 @@ class TestValidate:
                 "inclusion 1: curve violates the boundary clearance: max |x| = 1.1395 > 0.9",
             ),
             (dict(inclusions=(InclusionSpec(eps=1.0, mu=1.0),)), "inclusion 1: " + ZERO_CONTRAST),
+            (dict(functional="etd_single", k_values=(0, 2, 0)), "imaging: k_values repeat [0]"),
         ],
     )
     def test_each_fault_is_refused_by_run_in_the_same_words(self, tmp_path, kwargs, fault):
@@ -654,6 +669,27 @@ class TestMain:
     def test_validate_subcommand(self, capsys):
         assert main(["validate"]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+    def test_validate_makes_one_config_pass(self, monkeypatch, capsys):
+        # validate's listing and exit status come from one config stage: one
+        # band scan, one lattice and one discretization of the one inclusion
+        calls = {}
+        for module, name in (
+            (cli, "_config_stage"),
+            (forward, "bessel_j_table"),
+            (cli, "discretize"),
+            (cli, "make_lattice"),
+        ):
+            def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert calls == dict.fromkeys(
+            ("_config_stage", "bessel_j_table", "discretize", "make_lattice"), 1
+        )
 
     def test_validate_with_config(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"

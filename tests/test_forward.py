@@ -28,7 +28,6 @@ from thinimage.forward import (
     jnp_values,
     load_dataset,
     neumann_function,
-    resonance_orders,
     save_dataset,
     standard_directions,
     synthesize,
@@ -74,7 +73,7 @@ class TestIncident:
 
 class TestResonance:
     def test_first_neumann_eigenfrequency_flagged(self):
-        hits = resonance_orders(J1P_FIRST_ZERO)
+        hits = band_resonance_orders(J1P_FIRST_ZERO)[0]
         assert any(n == 1 for n, _ in hits)
 
     def test_ensure_raises_with_order_named(self):
@@ -85,11 +84,11 @@ class TestResonance:
         assert band_resonance_orders(frequency_band(16)) == [[]] * 16
 
     def test_clean_frequency_passes(self):
-        assert resonance_orders(OMEGA_LO) == []
+        assert band_resonance_orders(OMEGA_LO)[0] == []
 
     def test_bad_omega_rejected(self):
         with pytest.raises(ConfigError):
-            resonance_orders(-1.0)
+            band_resonance_orders(-1.0)
 
     def test_band_jnp_table_matches_library(self):
         # one Miller table for the default band against scipy's jvp, up to
