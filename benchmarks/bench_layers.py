@@ -6,11 +6,12 @@ Run from the root of a source checkout:
     python3 benchmarks/bench_layers.py --src /path/to/parent/src --label parent \
         --src src --label change --out BENCH.json
 
-Each layer is timed on its own, as the median of ``REPEATS`` calls, on two
+Each layer is timed on its own, as the median of ``REPEATS`` calls, on three
 scenes that ``perfbench/run.py`` does not run: L16/K16 on a 128² lattice
-with one fixed noise seed (the noise sweep's scene, untraced), and L4/K16 on
-a 256² lattice. Both use the sigma1 curve, a 128-point boundary grid and
-15 dB noise. The layers:
+with one fixed noise seed (the noise sweep's scene, untraced), L4/K16 on a
+256² lattice, and L16/K16 on a 256² lattice, where the lattice and the
+direction count are both large. All use the sigma1 curve, a 128-point
+boundary grid and 15 dB noise. The layers:
 
 - ``Lattice.orbits``: the nodes grouped under the square's symmetries,
   computed afresh;
@@ -79,7 +80,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import REF_NOMINAL_S, HostSpeed  # noqa: E402
 
 # scene: (incident directions, lattice nodes per side)
-SCENES = {"L16K16_128": (16, 128), "L4K16_256": (4, 256)}
+SCENES = {"L16K16_128": (16, 128), "L4K16_256": (4, 256), "L16K16_256": (16, 256)}
 N_FREQUENCIES = 16
 SNR_DB = 15.0
 NOISE_SEED = 7

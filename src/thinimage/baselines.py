@@ -31,14 +31,15 @@ def steering_vectors(lattice: Lattice, omega: float, directions: np.ndarray) -> 
 
 
 def signal_space_dim(msr: MultistaticMatrix, clean: bool = True) -> int:
-    """Number of singular values within a drop tolerance of the largest.
+    """Number of singular values of ``msr.matrix`` within a drop tolerance of the largest.
 
+    The singular values come from one full ``np.linalg.svd`` of the matrix.
     The tolerance is tight for clean data and matched to the 15 dB noise
     floor otherwise. The result is clamped below the matrix size so a noise
     subspace always remains.
     """
     drop_tol = _CLEAN_DROP_TOL if clean else _NOISY_DROP_TOL
-    s = msr.singular_values
+    s = np.linalg.svd(msr.matrix)[1]
     if s.size == 0 or s[0] == 0.0:
         raise DataStateError("matrix carries no signal")
     dim = int(np.count_nonzero(s >= drop_tol * s[0]))
@@ -53,7 +54,8 @@ def music_map(
     """Subspace imaging map and a saturation flag.
 
     Value at z is 1 / || (I - U_M U_M^H) w(z) || with w the unit steering
-    vector and U_M the leading ``signal_dim`` left singular vectors (see
+    vector and U_M the leading ``signal_dim`` left singular vectors of
+    ``msr.matrix``, from one full ``np.linalg.svd`` (see
     ``signal_space_dim`` for a rank decision). Projections that fall
     below 1/_DEFAULT_CEILING are capped there, so values stop at 1e12; the
     flag reports whether any point saturated.
@@ -64,7 +66,7 @@ def music_map(
             f"signal dimension must lie strictly between 0 and {msr.n_directions}"
         )
     w = steering_vectors(lattice, msr.omega, msr.directions)
-    basis = msr.left_vectors[:, :m]
+    basis = np.linalg.svd(msr.matrix)[0][:, :m]
     residual = w - (w @ basis.conj()) @ basis.T
     norms = np.linalg.norm(residual, axis=1)
     saturated = bool(np.any(norms < 1.0 / _DEFAULT_CEILING))

@@ -235,10 +235,14 @@ def parse_config(path) -> ExperimentConfig:
     values = {}
     for row in _LAYOUT:
         section, key, name = raw.get(row[0], {}), row[1], row[-1]
-        value = _take(section, name if row is _CLEAN else key, getattr(base, name))
         if row is _CLEAN and _take(section, key, base.clean):
-            value = math.inf
-        values[name] = value
+            if name in section:
+                raise ConfigError(
+                    f"[noise] gives both clean = true and snr_db = {section[name]}; give one"
+                )
+            values[name] = math.inf
+            continue
+        values[name] = _take(section, name if row is _CLEAN else key, getattr(base, name))
     for name, section in raw.items():
         if section:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(section)}")

@@ -31,7 +31,7 @@ between the curve and the boundary is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -686,6 +686,11 @@ def synthesize(
     coefficient rows p_n, q_n per direction; the trace at boundary angle
     phi_b is (1/2) sum_n (p_n e^{-in phi_b} + q_n e^{in phi_b}), exact for
     any N, also where nmax exceeds N.
+
+    The traces are the first-order thin-layer expansion, which assumes a
+    layer phase k1 h = w sqrt(eps mu) h << 1. ``ensure_thin`` bounds h by the
+    wavelength only: at eps = mu = 5 and h = 0.02, k1 h is 1.26 at w = 4 pi
+    and 3.14 at w = 10 pi, so every preset lies outside that regime.
     """
     if isinstance(inclusions, ThinInclusion):
         inclusions = [inclusions]
@@ -843,25 +848,19 @@ def load_dataset(path) -> BoundaryDataset:
 
 @dataclass(frozen=True)
 class MultistaticMatrix:
-    """Full-aperture observation matrix at one frequency, with its SVD.
+    """Full-aperture observation matrix at one frequency.
 
     Entry (j, l) pairs the scattered trace of incident direction l with the
     normal flux of the plane wave travelling along direction j, integrated
     over the boundary. Observation and incidence share one direction set.
-    The SVD factors are computed from ``matrix`` at construction.
+    No factorization is stored: the subspace baseline takes the SVD of
+    ``matrix`` where it needs one (``baselines.signal_space_dim`` and
+    ``baselines.music_map``).
     """
 
     matrix: np.ndarray
     omega: float
     directions: np.ndarray
-    left_vectors: np.ndarray = field(init=False)
-    singular_values: np.ndarray = field(init=False)
-    right_vectors_h: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        factors = np.linalg.svd(self.matrix)
-        for name, value in zip(("left_vectors", "singular_values", "right_vectors_h"), factors):
-            object.__setattr__(self, name, value)
 
     @property
     def n_directions(self) -> int:
@@ -885,7 +884,6 @@ def assemble_multistatic(data: BoundaryDataset, k_index: int = 0) -> Multistatic
     Returns
     -------
     MultistaticMatrix
-        The matrix together with its singular value decomposition.
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
@@ -899,22 +897,3 @@ def assemble_multistatic(data: BoundaryDataset, k_index: int = 0) -> Multistatic
     matrix = data.grid.weight * (flux.T @ traces)
     return MultistaticMatrix(matrix, omega, directions)
 
-
-def point_scatterer_matrix(
-    points: np.ndarray, amplitudes: np.ndarray, directions: np.ndarray, omega: float
-) -> MultistaticMatrix:
-    """Synthetic observation matrix for a few monopole point scatterers.
-
-    Each scatterer at x_p with amplitude a_p contributes the rank-one block
-    a_p e^{i omega (d_j + d_l) . x_p}; the full matrix is complex symmetric
-    with rank at most the number of points. Useful as a matrix with an
-    exactly known signal space.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if pts.shape[0] != amps.shape[0]:
-        raise ConfigError("need one amplitude per scatterer")
-    phases = np.exp(1j * float(omega) * (dirs @ pts.T))
-    matrix = (phases * amps[None, :]) @ phases.T
-    return MultistaticMatrix(matrix, float(omega), dirs)

@@ -116,19 +116,6 @@ def _trace_modes(
     return coefficients
 
 
-def adjoint_field(
-    traces: np.ndarray,
-    grid: BoundaryGrid,
-    omega: float,
-    z,
-    gradient: bool = False,
-):
-    """Adjoint field (and optionally gradient) at a single interior point."""
-    z = np.asarray(z, dtype=float).reshape(1, 2)
-    fields = adjoint_field_batch(traces, grid, omega, z, gradient)
-    return tuple(f[0] for f in fields) if gradient else fields[0]
-
-
 # ---------------------------------------------------------------------------
 # topological-derivative maps
 

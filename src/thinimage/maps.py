@@ -1,4 +1,4 @@
-"""Sampling lattices, image containers, comparison metrics, and map output.
+"""Sampling lattices, image containers, a localization metric, and map output.
 
 Maps live on a square lattice over [-1, 1]^2 with nodes kept only inside a
 clip radius of 0.95, so evaluation points stay clear of the boundary
@@ -8,17 +8,15 @@ with zeros outside the clip mask; metrics only ever look inside the mask.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, FlatMapError
+from .errors import ConfigError
 from .geometry import CurveDiscretization, distance_to_curve
 
-_FLAT_TOL = 1e-14
 _CLIP_RADIUS = 19 / 20  # make_lattice clips at this ratio in integer coordinates
 
 
@@ -177,21 +175,6 @@ def from_point_values(lattice: Lattice, point_values: np.ndarray) -> ImageMap:
     vals = np.zeros(lattice.shape)
     vals[lattice.mask] = pv
     return ImageMap(lattice=lattice, values=vals)
-
-
-def masked_correlation(a: ImageMap, b: ImageMap) -> float:
-    """Pearson correlation of two maps over the inside-mask nodes."""
-    if a.lattice.shape != b.lattice.shape:
-        raise ConfigError("maps live on different lattices")
-    va = a.inside_values
-    vb = b.inside_values
-    da = va - va.mean()
-    db = vb - vb.mean()
-    na = math.sqrt(float(da @ da))
-    nb = math.sqrt(float(db @ db))
-    if na < _FLAT_TOL or nb < _FLAT_TOL:
-        raise FlatMapError("correlation of a flat map is undefined")
-    return float(da @ db) / (na * nb)
 
 
 def top_quantile_distance(

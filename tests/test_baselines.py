@@ -9,9 +9,10 @@ from thinimage.errors import ConfigError, DataStateError
 from thinimage.forward import (
     BoundaryDataset,
     IncidentSet,
+    MultistaticMatrix,
     add_awgn,
     assemble_multistatic,
-    point_scatterer_matrix,
+    frequency_band,
     standard_directions,
     synthesize,
 )
@@ -28,6 +29,16 @@ from thinimage.maps import make_lattice
 OMEGA = 4.0 * math.pi
 
 
+def monopole_matrix(points, amplitudes, directions, omega):
+    """Observation matrix of point monopoles: a_p e^{i w (d_j + d_l) . x_p} summed over p.
+
+    Complex symmetric, of rank the number of points: a matrix with an
+    exactly known signal space.
+    """
+    phases = np.exp(1j * omega * (directions @ points.T))
+    return MultistaticMatrix((phases * amplitudes) @ phases.T, omega, directions)
+
+
 @pytest.fixture(scope="module")
 def sigma1_msr():
     curve = builtin_curve("sigma1")
@@ -40,9 +51,7 @@ def sigma1_msr():
 @pytest.fixture(scope="module")
 def three_monopoles():
     points = np.array([[0.4, 0.0], [-0.3, 0.2], [0.1, -0.45]])
-    return point_scatterer_matrix(
-        points, np.ones(3), standard_directions(16), 10.0 * math.pi
-    ), points
+    return monopole_matrix(points, np.ones(3), standard_directions(16), 10.0 * math.pi), points
 
 
 class TestAssembly:
@@ -54,7 +63,7 @@ class TestAssembly:
         )
         msr = assemble_multistatic(data)
         assert np.all(msr.matrix == 0.0)
-        assert np.all(msr.singular_values == 0.0)
+        assert np.all(np.linalg.svd(msr.matrix)[1] == 0.0)
 
     def test_clean_matrix_is_complex_symmetric(self, sigma1_msr):
         msr, _ = sigma1_msr
@@ -88,7 +97,7 @@ class TestAssembly:
 
     def test_monopole_matrix_rank(self, three_monopoles):
         msr, _ = three_monopoles
-        s = msr.singular_values
+        s = np.linalg.svd(msr.matrix)[1]
         assert np.all(s[:3] > 1e-10 * s[0])
         assert np.all(s[3:] <= 1e-10 * s[0])
         assert np.allclose(msr.matrix, msr.matrix.T, rtol=0.0, atol=1e-14 * s[0])
@@ -135,7 +144,7 @@ class TestSignalSpace:
         assert signal_space_dim(msr) == 3
 
     def test_single_monopole_gives_one(self):
-        msr = point_scatterer_matrix(
+        msr = monopole_matrix(
             np.array([[0.2, 0.3]]), np.ones(1), standard_directions(8), OMEGA
         )
         assert signal_space_dim(msr) == 1
@@ -144,7 +153,7 @@ class TestSignalSpace:
         # three well-separated scatterers seen from three directions: all
         # three singular values clear both tolerances
         _, points = three_monopoles
-        msr = point_scatterer_matrix(points, np.ones(3), standard_directions(3), 10.0 * math.pi)
+        msr = monopole_matrix(points, np.ones(3), standard_directions(3), 10.0 * math.pi)
         for clean in (True, False):
             assert signal_space_dim(msr, clean=clean) == msr.n_directions - 1 == 2
 
@@ -166,7 +175,7 @@ class TestMusic:
     def test_signal_direction_saturates(self):
         # monopole at the origin: its steering vector is exactly the signal
         # space, so the origin lattice point hits the projector kernel
-        msr = point_scatterer_matrix(
+        msr = monopole_matrix(
             np.array([[0.0, 0.0]]), np.ones(1), standard_directions(8), OMEGA
         )
         lattice = make_lattice(9)
@@ -201,21 +210,20 @@ class TestKirchhoff:
         assert np.all(imap.values == 0.0)
 
     def test_rank_one_identity(self):
-        msr = point_scatterer_matrix(
+        msr = monopole_matrix(
             np.array([[0.25, -0.1]]), np.array([2.0]), standard_directions(8), OMEGA
         )
         lattice = make_lattice(16)
         imap = kirchhoff_map(lattice, msr)
         w = steering_vectors(lattice, msr.omega, msr.directions)
-        s1 = msr.singular_values[0]
-        u1 = msr.left_vectors[:, 0]
-        v1h = msr.right_vectors_h[0]
+        u, s, vh = np.linalg.svd(msr.matrix)
+        s1, u1, v1h = s[0], u[:, 0], vh[0]
         expected = s1 * np.abs(w.conj() @ u1) * np.abs(w @ v1h.conj())
         assert np.allclose(imap.inside_values, expected, rtol=1e-9, atol=1e-12 * s1)
 
     def test_single_scatterer_peak_within_one_cell(self):
         target = np.array([0.25, -0.1])
-        msr = point_scatterer_matrix(
+        msr = monopole_matrix(
             target[None, :], np.ones(1), standard_directions(16), 10.0 * math.pi
         )
         lattice = make_lattice(64)
@@ -234,10 +242,28 @@ class TestKirchhoff:
         got = kirchhoff_map(lattice, msr).inside_values
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
 
+    def test_migration_takes_no_svd(self, monkeypatch):
+        # the migration band reads only the matrices, never a factorization
+        incident = IncidentSet(standard_directions(8), frequency_band(16))
+        rng = np.random.default_rng(5)
+        traces = rng.standard_normal((64, 8, 16)) + 1j * rng.standard_normal((64, 8, 16))
+        data = BoundaryDataset(traces, boundary_grid(64), incident)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        msrs = [assemble_multistatic(data, k) for k in range(16)]
+        multi_kirchhoff_map(make_lattice(16), msrs)
+        assert len(calls) == 0
+
     def test_multi_sum_and_empty_guard(self):
         dirs = standard_directions(8)
-        msr_a = point_scatterer_matrix(np.array([[0.2, 0.0]]), np.ones(1), dirs, OMEGA)
-        msr_b = point_scatterer_matrix(np.array([[0.2, 0.0]]), np.ones(1), dirs, 1.5 * OMEGA)
+        msr_a = monopole_matrix(np.array([[0.2, 0.0]]), np.ones(1), dirs, OMEGA)
+        msr_b = monopole_matrix(np.array([[0.2, 0.0]]), np.ones(1), dirs, 1.5 * OMEGA)
         lattice = make_lattice(16)
         total = multi_kirchhoff_map(lattice, [msr_a, msr_b])
         parts = (

@@ -30,6 +30,7 @@ from thinimage.cli import (
 from thinimage.errors import ConfigError, ResonanceError, ThinImageError
 from thinimage.forward import DiskModes, IncidentSet, standard_directions, synthesize
 from thinimage.geometry import ThinInclusion, boundary_grid, builtin_curve
+from thinimage.postprocess import ChebyshevCurve
 
 
 def small_config(**kwargs) -> ExperimentConfig:
@@ -169,6 +170,20 @@ class TestParseConfig:
         write_config(config, path)
         parsed = parse_config(path)
         assert parsed.clean and parsed == config
+
+    def test_clean_beside_snr_is_refused(self, tmp_path, capsys):
+        # clean = true stands for snr_db = inf, so a second snr_db contradicts it
+        path = tmp_path / "both.ini"
+        path.write_text("[noise]\nclean = true\nsnr_db = 10\n")
+        with pytest.raises(ConfigError, match=r"both clean = true and snr_db = 10"):
+            parse_config(path)
+        for args in (["run", "--out", str(tmp_path / "o")], ["validate"]):
+            assert main([*args, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "snr_db" in err
+        assert not (tmp_path / "o").exists()
+        path.write_text("[noise]\nclean = false\nsnr_db = 10\n")
+        assert parse_config(path) == ExperimentConfig(snr_db=10.0)
 
     def test_empty_list_round_trip(self, tmp_path):
         # etd_multi reads no k_values: the empty list is written as "k_values ="
@@ -541,12 +556,13 @@ class TestRun:
             run(config)
         assert not (tmp_path / "out").exists()
 
-    def test_refused_norms_keep_the_run(self, tmp_path):
-        # the sigma3_L4_K16 fit at seed 1 leaves the clearance disk
-        # (max |x| = 1.0856), so its re-synthesis is refused; the run still
-        # writes the map and a fit report with blank norms
-        config = replace(preset_configs()["sigma3_L4_K16"], seed=1, out_dir=str(tmp_path / "out"))
-        out_dir, manifest = run(config)
+    def test_refused_norms_keep_the_run(self, tmp_path, monkeypatch):
+        # a guess out to |x| = 0.95 leaves the 0.9 clearance disk, so its
+        # re-synthesis is refused; the run still writes the map and a fit
+        # report with blank norms
+        guess = ChebyshevCurve(-0.95, 0.95, np.array([0.0, 0.0]))
+        monkeypatch.setattr(cli, "initial_guesses", lambda *args: [guess])
+        out_dir, manifest = run(small_config(out_dir=str(tmp_path / "out")))
         names = {p.name for p in out_dir.iterdir()}
         assert {"map_etd_multi.csv", "map_etd_multi.pgm", "fit_report.txt"} <= names
         header, row = (out_dir / "fit_report.txt").read_text().splitlines()

@@ -24,7 +24,6 @@ from thinimage.geometry import (
     discretize,
 )
 from thinimage.imaging import (
-    adjoint_field,
     adjoint_field_batch,
     band_kernel_maps,
     etd_multi,
@@ -37,7 +36,6 @@ from thinimage.imaging import (
 )
 from thinimage.maps import (
     make_lattice,
-    masked_correlation,
     top_quantile_distance,
 )
 
@@ -111,7 +109,8 @@ class TestAdjointField:
         radii = (0.0, 0.1, 0.25, 0.4, 0.55, 0.68, 0.78, 0.87, 0.95)
         for i, r in enumerate(radii):
             z = r * np.array([math.cos(0.7 + 1.3 * i), math.sin(0.7 + 1.3 * i)])
-            v, gv = adjoint_field(random_traces, grid, OMEGA, z, gradient=True)
+            v, gv = adjoint_field_batch(random_traces, grid, OMEGA, z[None], gradient=True)
+            v, gv = v[0], gv[0]
             pairs = [neumann_function(z, y, OMEGA, gradient=True) for y in fine]
             kern = np.array([val for val, _ in pairs])
             kern_grad = np.array([g for _, g in pairs])
@@ -126,41 +125,37 @@ class TestAdjointField:
         worst = 0.0
         for _ in range(20):
             z = rng.uniform(-0.65, 0.65, size=2)
-            _, gv = adjoint_field(random_traces, grid, OMEGA, z, gradient=True)
-            fd = np.empty_like(gv)
-            for axis in range(2):
-                dz = np.zeros(2)
-                dz[axis] = step
-                vp = adjoint_field(random_traces, grid, OMEGA, z + dz)
-                vm = adjoint_field(random_traces, grid, OMEGA, z - dz)
-                fd[:, axis] = (vp - vm) / (2.0 * step)
-            worst = max(worst, np.max(np.abs(gv - fd)) / np.max(np.abs(gv)))
+            # z, then z +- step along x and along y
+            stencil = z + step * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
+            v, gv = adjoint_field_batch(random_traces, grid, OMEGA, stencil, gradient=True)
+            fd = np.stack([v[1] - v[2], v[3] - v[4]], axis=-1) / (2.0 * step)
+            worst = max(worst, np.max(np.abs(gv[0] - fd)) / np.max(np.abs(gv[0])))
         assert worst < 1e-5
 
     def test_zero_data_gives_zero(self, grid):
         zero = np.zeros((grid.n_points, 2), dtype=complex)
-        v, gv = adjoint_field(zero, grid, OMEGA, (0.3, -0.1), gradient=True)
+        v, gv = adjoint_field_batch(zero, grid, OMEGA, np.array([[0.3, -0.1]]), gradient=True)
         assert np.all(v == 0.0)
         assert np.all(gv == 0.0)
 
     def test_linearity(self, grid, random_traces):
         rng = np.random.default_rng(13)
         other = rng.standard_normal(random_traces.shape) * 1j
-        z = (0.12, 0.4)
-        v_sum = adjoint_field(random_traces + other, grid, OMEGA, z)
-        v_parts = adjoint_field(random_traces, grid, OMEGA, z) + adjoint_field(
+        z = np.array([[0.12, 0.4]])
+        v_sum = adjoint_field_batch(random_traces + other, grid, OMEGA, z)
+        v_parts = adjoint_field_batch(random_traces, grid, OMEGA, z) + adjoint_field_batch(
             other, grid, OMEGA, z
         )
         assert np.max(np.abs(v_sum - v_parts)) < 1e-12 * np.max(np.abs(v_sum))
 
     def test_center_gradient_is_continuous(self, grid, random_traces):
-        _, g0 = adjoint_field(random_traces, grid, OMEGA, (0.0, 0.0), gradient=True)
-        _, g1 = adjoint_field(random_traces, grid, OMEGA, (1e-7, 0.0), gradient=True)
+        points = np.array([[0.0, 0.0], [1e-7, 0.0]])
+        _, (g0, g1) = adjoint_field_batch(random_traces, grid, OMEGA, points, gradient=True)
         assert np.max(np.abs(g0 - g1)) / np.max(np.abs(g0)) < 1e-4
 
     def test_rim_points_rejected(self, grid, random_traces):
         with pytest.raises(GeometryError):
-            adjoint_field(random_traces, grid, OMEGA, (0.9999, 0.0))
+            adjoint_field_batch(random_traces, grid, OMEGA, np.array([[0.9999, 0.0]]))
 
 
 class TestComponentMaps:
@@ -512,7 +507,7 @@ class TestOracleConsistency:
         from thinimage.maps import from_point_values
 
         mean_map = from_point_values(lattice, acc / band.size)
-        assert masked_correlation(e1, mean_map) >= 0.9
+        assert np.corrcoef(e1.inside_values, mean_map.inside_values)[0, 1] >= 0.9
 
     def test_radial_band_tracks_band_kernel(self, sigma1):
         curve, _ = sigma1
@@ -523,4 +518,4 @@ class TestOracleConsistency:
         lattice = make_lattice(32)
         e1, _ = band_kernel_maps(lattice, disc, inclusion, directions, band[0], band[-1])
         e3, _ = radial_band_maps(lattice, disc, inclusion, directions, band[0], band[-1])
-        assert masked_correlation(e3, e1) >= 0.9
+        assert np.corrcoef(e3.inside_values, e1.inside_values)[0, 1] >= 0.9

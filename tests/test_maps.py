@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from thinimage.errors import ConfigError, FlatMapError
+from thinimage.errors import ConfigError
 from thinimage.forward import standard_directions
 from thinimage.geometry import builtin_curve, discretize
 from thinimage.maps import (
     ImageMap,
     from_point_values,
     make_lattice,
-    masked_correlation,
     save_map_csv,
     save_map_pgm,
     top_quantile_distance,
@@ -144,52 +143,6 @@ class TestImageMap:
         lat = make_lattice(16)
         with pytest.raises(ConfigError):
             from_point_values(lat, np.zeros(3))
-
-
-class TestCorrelation:
-    def test_self_correlation_is_one(self):
-        lat = make_lattice(24)
-        rng = np.random.default_rng(0)
-        imap = from_point_values(lat, rng.normal(size=lat.points.shape[0]))
-        assert masked_correlation(imap, imap) == pytest.approx(1.0, abs=1e-12)
-
-    def test_negated_map_gives_minus_one(self):
-        lat = make_lattice(24)
-        rng = np.random.default_rng(1)
-        pv = rng.normal(size=lat.points.shape[0])
-        a = from_point_values(lat, pv)
-        b = from_point_values(lat, -pv)
-        assert masked_correlation(a, b) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_shift_invariance(self):
-        lat = make_lattice(24)
-        rng = np.random.default_rng(2)
-        pv = rng.normal(size=lat.points.shape[0])
-        a = from_point_values(lat, pv)
-        b = from_point_values(lat, 3.0 * pv + 7.0)
-        assert masked_correlation(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_independent_maps_nearly_uncorrelated(self):
-        lat = make_lattice(32)
-        rng = np.random.default_rng(3)
-        a = from_point_values(lat, rng.normal(size=lat.points.shape[0]))
-        b = from_point_values(lat, rng.normal(size=lat.points.shape[0]))
-        assert abs(masked_correlation(a, b)) < 0.1
-
-    def test_flat_map_raises(self):
-        lat = make_lattice(16)
-        a = from_point_values(lat, np.zeros(lat.points.shape[0]))
-        b = from_point_values(lat, np.arange(lat.points.shape[0], dtype=float))
-        with pytest.raises(FlatMapError):
-            masked_correlation(a, b)
-
-    def test_lattice_mismatch_raises(self):
-        lat1 = make_lattice(16)
-        lat2 = make_lattice(24)
-        m1 = from_point_values(lat1, np.ones(lat1.points.shape[0]))
-        m2 = from_point_values(lat2, np.ones(lat2.points.shape[0]))
-        with pytest.raises(ConfigError):
-            masked_correlation(m1, m2)
 
 
 class TestTopQuantileDistance:
