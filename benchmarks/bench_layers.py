@@ -45,10 +45,15 @@ The writers write into a temporary directory that is removed at exit.
 Each median is scaled to a nominal host speed with the fixed kernel of
 ``perfbench/run.py`` (``HostSpeed``), run before and after each layer:
 ``scaled_median_s`` = ``median_s`` * ``REF_NOMINAL_S`` / ``ref_s``.
-Each scene also records ``etd_multi_peak_mb``, the tracemalloc peak of one
-more ``etd_multi`` call after the timed ones (the orbits warm), in 10^6
-bytes: what numpy allocates at most during the call, apart from the caller's
-data.
+Each scene also records the tracemalloc peak of one more call of three
+layers after the timed ones (the orbits warm), in 10^6 bytes: what numpy
+allocates at most during the call, apart from the caller's data and what the
+layer's objects already hold. ``etd_multi_peak_mb`` is the band's map (its
+``DiskModes`` keeps one e^{in theta} table of the representatives), and
+``adjoint_field_batch_peak_mb`` (gradient) and
+``DiskModes.apply+gradient_peak_mb`` are one frequency on the whole lattice
+and one frequency of the band's ``DiskModes``, whose table the timed calls
+have built.
 
 ``--src`` imports thinimage from another source tree, so one copy of this
 script times two commits. Given twice, with one ``--label`` each, it imports
@@ -85,6 +90,8 @@ N_FREQUENCIES = 16
 SNR_DB = 15.0
 NOISE_SEED = 7
 REPEATS = 5
+# layers whose tracemalloc peak each scene records, as "<layer>_peak_mb"
+PEAK_LAYERS = ("etd_multi", "adjoint_field_batch", "DiskModes.apply+gradient")
 
 
 def peak_bytes(call) -> int:
@@ -193,7 +200,8 @@ def main(argv=None) -> int:
                 for tree, tree_times in enumerate(times):
                     medians[tree][scene][layer] = statistics.median(tree_times)
             for tree, tree_layers in enumerate(layers):
-                peaks[tree][scene] = peak_bytes(tree_layers["etd_multi"]) / 1e6
+                for layer in PEAK_LAYERS:
+                    peaks[tree].setdefault(layer, {})[scene] = peak_bytes(tree_layers[layer]) / 1e6
     records = []
     for label, tree_medians, tree_peaks in zip(args.label, medians, peaks):
         scaled = {
@@ -216,7 +224,7 @@ def main(argv=None) -> int:
                 "scaled_median_s": scaled,
                 "median_s": tree_medians,
                 "ref_s": refs,
-                "etd_multi_peak_mb": tree_peaks,
+                **{f"{layer}_peak_mb": tree_peaks[layer] for layer in PEAK_LAYERS},
             }
         )
     out = Path(args.out)

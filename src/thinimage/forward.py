@@ -169,41 +169,60 @@ def bessel_j_table(nmax: int, x) -> np.ndarray:
     is needed, which is the access pattern of all mode sums here. The
     recurrence starts well above both nmax and the largest argument: below
     the turning order n = x it no longer converges to J_n.
+
+    Each step is two multiplies and a subtract, written straight into the
+    output row once n <= nmax. A column is rescaled by 1e-250 (it alone: growth
+    rates differ wildly across arguments, and a global rescale would flush
+    slow-growing columns to zero) when it passes 1e250, but the abs-and-max
+    scan for that runs only when a running bound, max(2n/x) |J_n|max +
+    |J_{n+1}|max padded for rounding, says some column could have. An
+    argument so small that one step by 2n/x could overflow a rescaled column
+    takes the leading series term (x/2)^n/n!, exact to double precision
+    there, as x = 0 takes J_0 = 1.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x) & (x >= 0.0)):
         raise ValueError("bessel_j_table requires finite x >= 0")
-    out = np.zeros((nmax + 1, x.size))
-    zero = x == 0.0
-    inv_x = 1.0 / np.where(zero, 1.0, x)
+    out = np.empty((nmax + 1, x.size))
     top = max(nmax, int(math.ceil(float(np.max(x, initial=0.0)))))
     start = top + 15 + int(math.sqrt(40.0 * max(top, 1)))
-    jp, scratch = np.zeros(x.size), np.empty(x.size)
-    jc = np.full(x.size, 1e-30)
+    # 2 start/x times a column of 1e250 stays below 1e308 for x >= 2e-58 start
+    tiny = x < 2e-58 * start
+    inv_x = 1.0 / np.where(tiny, 1.0, x)
+    step = 2.0 * float(np.max(inv_x, initial=0.0))
+    jc, jp, spare = np.full(x.size, 1e-30), np.zeros(x.size), np.empty(x.size)
+    scratch = np.empty(x.size)
+    bound, bound_next = 1e-30, 0.0  # of max |J_n| and max |J_{n+1}|
     even_sum = np.full(x.size, 1e-30 if start % 2 == 0 else 0.0)
     for n in range(start, 0, -1):
-        # J_{n-1} = (2n/x) J_n - J_{n+1}, written over the J_{n+1} buffer
+        # J_{n-1} = (2n/x) J_n - J_{n+1}, into its output row or, above nmax, the spare buffer
         np.multiply(np.multiply(2.0 * n, inv_x, out=scratch), jc, out=scratch)
-        np.subtract(scratch, jp, out=jp)
-        jp, jc = jc, jp
-        if n - 1 <= nmax:
-            out[n - 1] = jc
-        if (n - 1) % 2 == 0 and n - 1 > 0:
+        row = out[n - 1] if n - 1 <= nmax else spare
+        np.subtract(scratch, jp, out=row)
+        spare, jp, jc = jp, jc, row
+        if n - 1 > 0 and (n - 1) % 2 == 0:
             even_sum += jc
-        np.abs(jc, out=scratch)
-        if scratch.max(initial=0.0) > 1e250:
-            # Rescale only the offending points; growth rates differ wildly
-            # across arguments and a global rescale would flush slow-growing
-            # columns to zero.
-            big = scratch > 1e250
-            jc[big] *= 1e-250
-            jp[big] *= 1e-250
-            even_sum[big] *= 1e-250
-            out[:, big] *= 1e-250
+        bound, bound_next = (n * step * bound + bound_next) * (1.0 + 1e-12), bound
+        if bound > 1e250:
+            np.abs(jc, out=scratch)
+            big = np.flatnonzero(scratch > 1e250)
+            if big.size:
+                # the stored rows n-1..nmax hold jc, and jp unless n > nmax
+                if n - 1 <= nmax:
+                    out[n - 1 :, big] *= 1e-250
+                else:
+                    jc[big] *= 1e-250
+                if n > nmax:
+                    jp[big] *= 1e-250
+                even_sum[big] *= 1e-250
+                np.abs(jc, out=scratch)
+            bound = float(scratch.max(initial=0.0))
     # Normalization J0 + 2*sum_{k>=1} J_{2k} = 1 (even_sum excludes J0).
     out /= jc + 2.0 * even_sum
-    out[:, zero] = 0.0
-    out[0, zero] = 1.0
+    if tiny.any():
+        terms = np.ones((nmax + 1, int(np.count_nonzero(tiny))))
+        terms[1:] = 0.5 * x[tiny] / np.arange(1.0, nmax + 1)[:, None]
+        out[:, tiny] = np.cumprod(terms, axis=0)
     return out
 
 
@@ -395,6 +414,14 @@ class DiskModes:
     its own unit vector, from one product with two blocks of columns instead
     of three; each point then takes its row's two sums.
 
+    The angles e^{in theta} do not depend on the frequency. A band keeps the
+    (r, R) complex table of its R representatives once it is built, r the
+    most rows any call has asked for, and every block and ``transpose`` read
+    it: r = N/2 + 2 = 66 rows of the 1,450 representatives of a 128² lattice
+    hold 1.5 MB (6.1 MB at 256²). One frequency builds the rows per block and
+    keeps nothing, since nothing would reuse them, and on arbitrary points
+    (the adjoint on a whole lattice) a kept table would cover every point.
+
     ``transpose`` runs the whole band the other way, from sources at the
     points to coefficients; ``synthesize`` takes its traces from it. It needs
     every point as its own representative.
@@ -423,6 +450,7 @@ class DiskModes:
             orbits = every, every, np.zeros(radii.size, dtype=np.int8)
         representatives, rows, variants = orbits
         self._thetas = np.arctan2(pts[representatives, 1], pts[representatives, 0])
+        self._angular = np.empty((0, self._thetas.size), dtype=complex)  # see _angular_rows
         # one Bessel column per distinct radius of the representatives
         self._radii, self._column = np.unique(radii[representatives], return_inverse=True)
         # product rows counted over all blocks: row i V + g holds representative i
@@ -513,6 +541,19 @@ class DiskModes:
         half = 0.5 * self.omegas[k]
         return a[1:-1], half * (above - below), (1j * half) * (above + below)
 
+    def _angular_rows(self, r: int) -> np.ndarray:
+        """e^{in theta} of every representative, n = 0..r-1, as an (r, R) complex table.
+
+        A band keeps the table it builds and rebuilds it only when a call
+        asks for more rows than it holds; one frequency builds it afresh.
+        """
+        if self._angular.shape[0] >= r:
+            return self._angular[:r]
+        table = _angular_table(self._thetas, r - 1)
+        if self.omegas.size > 1:
+            self._angular = table
+        return table
+
     def _products(self, coef: np.ndarray, k: int):
         """Re sum_n Phi_n coef_n at frequency k, one block of representatives at a time.
 
@@ -527,7 +568,9 @@ class DiskModes:
         or their conjugates, exact sign flips and re/im swaps. So each block
         takes one table Phi_0..Phi_{n+1} and one real matmul
         [Re Phi; Im Phi]^T [Re b_g; -Im b_g] for all its columns in every
-        variant g present.
+        variant g present. A band reads each block's e^{in theta} rows from
+        its kept table (``_angular_rows``); one frequency builds them per
+        block into a workspace of one block.
         """
         omega = self.omegas[k]
         r, columns = coef.shape  # r table rows, Phi_0..Phi_{n+1}
@@ -541,12 +584,16 @@ class DiskModes:
             rhs[:r, span], rhs[r:, span] = turned.real, turned.imag if g >= 4 else -turned.imag
         bessel = bessel_j_table(r - 1, omega * self._radii)
         reps, size = self._thetas.size, min(self._thetas.size, self._block)
+        kept = self._angular_rows(r) if self.omegas.size > 1 else None
         # workspaces for one block; a short last block uses their leading part
-        phase_work, table_work = np.empty(r * size, dtype=complex), np.empty(2 * r * size)
-        product_work = np.empty(size * rhs.shape[1])
+        phase_work = np.empty(r * size, dtype=complex) if kept is None else None
+        table_work, product_work = np.empty(2 * r * size), np.empty(size * rhs.shape[1])
         for lo in range(0, reps, size):
             m = min(size, reps - lo)
-            phases = _angular_table(self._thetas[lo : lo + m], r - 1, phase_work[: r * m].reshape(r, m))
+            if kept is None:
+                phases = _angular_table(self._thetas[lo : lo + m], r - 1, phase_work[: r * m].reshape(r, m))
+            else:
+                phases = kept[:, lo : lo + m]
             table = table_work[: 2 * r * m].reshape(2 * r, m)
             # the block's Bessel columns; "clip" lets take write to out unbuffered (indices are valid)
             np.take(bessel, self._column[lo : lo + m], axis=1, out=table[:r], mode="clip")
@@ -574,14 +621,15 @@ class DiskModes:
 
         w_n = eps_n/(2 pi w J_n'(w)) and Phi_{-1} = -conj Phi_1. One real
         product [Re Phi; Im Phi] [s, D1, D2] gives both Phi @ x = re + i im and
-        conj(Phi) @ x = re - i im. The band shares one e^{in theta} table, and
-        each group of ``_BAND_GROUP`` frequencies one ``bessel_j_table`` over
-        all their w|x|. The sources are read one frequency at a time, so
-        a caller can build each triple as it is needed.
+        conj(Phi) @ x = re - i im. The band shares one e^{in theta} table,
+        read from ``_angular_rows`` (kept there for a band), and each group
+        of ``_BAND_GROUP`` frequencies one ``bessel_j_table`` over all their
+        w|x|. The sources are read one frequency at a time, so a caller can
+        build each triple as it is needed.
         """
         if self._thetas.size != self._point_rows.size:
             raise ValueError("transpose needs every point as its own representative")
-        angular = _angular_table(self._thetas, max(self.nmax) + 1)
+        angular = self._angular_rows(max(self.nmax) + 2)
         planes = np.stack([angular.real, angular.imag])  # cos and sin n theta
         # each point's own radius, not the distinct ones: curve nodes seldom share one
         radii = self._radii[self._column]

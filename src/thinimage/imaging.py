@@ -148,15 +148,17 @@ def td_component_maps(
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
     modes = DiskModes(data.incident.omegas[k_index], lattice.points, lattice.orbits)
-    return _component_maps(data, lattice, k_index, modes, 0, _trace_phases(data.grid, modes))
+    values = _component_values(data, lattice, k_index, modes, 0, _trace_phases(data.grid, modes))
+    return tuple(from_point_values(lattice, v) for v in values)
 
 
-def _component_maps(
+def _component_values(
     data: BoundaryDataset, lattice: Lattice, k: int, modes: DiskModes, j: int, phases: np.ndarray
 ):
-    """``td_component_maps`` of the data's frequency k, from frequency j of ``modes``.
+    """The two point-value arrays of ``td_component_maps`` at the data's frequency k.
 
-    ``phases`` is ``_trace_phases`` of the data's grid and ``modes``.
+    They come from frequency j of ``modes``; ``phases`` is ``_trace_phases``
+    of the data's grid and ``modes``.
     """
     omega = modes.omegas[j]
     directions = data.incident.directions
@@ -167,7 +169,7 @@ def _component_maps(
         lattice.wave_factors(omega, directions),
         k=j,
     )
-    return from_point_values(lattice, eps_vals), from_point_values(lattice, omega * mu_vals)
+    return eps_vals, omega * mu_vals
 
 
 def normalized_combination(eps_map: ImageMap, mu_map: ImageMap) -> ImageMap:
@@ -177,15 +179,19 @@ def normalized_combination(eps_map: ImageMap, mu_map: ImageMap) -> ImageMap:
     somewhere. A component that is essentially zero everywhere cannot be
     scaled and raises FlatMapError.
     """
-    ev = eps_map.inside_values
-    mv = mu_map.inside_values
+    values = _normalized(eps_map.inside_values, mu_map.inside_values)
+    return from_point_values(eps_map.lattice, values)
+
+
+def _normalized(ev: np.ndarray, mv: np.ndarray) -> np.ndarray:
+    """The point values of ``normalized_combination``."""
     emax = float(np.max(np.abs(ev)))
     mmax = float(np.max(np.abs(mv)))
     if emax < _FLAT_TOL or mmax < _FLAT_TOL:
         raise FlatMapError(
             "a sensitivity component is identically flat; check contrasts and data"
         )
-    return from_point_values(eps_map.lattice, 0.5 * (ev / emax + mv / mmax))
+    return 0.5 * (ev / emax + mv / mmax)
 
 
 def etd_single(
@@ -211,16 +217,16 @@ def etd_multi(
     imaged one after another, each as ``etd_single`` images it: each block's
     product rows are reduced to their nodes' two map values as they come
     (``DiskModes.pair``), so no per-node field array and no whole-lattice
-    wave table is formed. The maps are summed in frequency order. With a
-    single frequency this reduces bitwise to the single-frequency map.
+    wave table is formed. The normalized point values are summed in frequency
+    order, with no map built per frequency. With a single frequency this
+    reduces bitwise to the single-frequency map.
     """
     n_k = data.incident.n_frequencies
     modes = DiskModes(data.incident.omegas, lattice.points, lattice.orbits)
     phases = _trace_phases(data.grid, modes)
     acc = np.zeros(lattice.points.shape[0])
     for k in range(n_k):
-        maps = _component_maps(data, lattice, k, modes, k, phases)
-        acc += normalized_combination(*maps).inside_values
+        acc += _normalized(*_component_values(data, lattice, k, modes, k, phases))
     return from_point_values(lattice, acc / float(n_k))
 
 

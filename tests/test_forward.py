@@ -126,6 +126,32 @@ class TestBesselTable:
             mixed = np.abs(tab - ref) / (np.abs(ref) + 1.0)
             assert np.max(mixed) < 1e-12
 
+    @pytest.mark.parametrize("omega", [OMEGA_LO, OMEGA_HI])
+    @pytest.mark.parametrize("nmax", [130, 143])
+    def test_relative_accuracy_across_rescales(self, omega, nmax):
+        # the small arguments pass 1e250 and are rescaled 9-13 times per
+        # table, mostly after rows are stored; a mixed absolute bound would
+        # not see a mis-scaled row below 1e-12
+        x = omega * np.array([1e-7, 0.004, 0.0229, 0.5, 0.95])
+        tab = bessel_j_table(nmax, x)
+        ref = sp.jv(np.arange(nmax + 1)[:, None], x[None, :])
+        keep = np.abs(ref) > 1e-250
+        rel = np.abs(tab[keep] - ref[keep]) / np.abs(ref[keep])
+        assert np.max(rel) < 1e-11
+
+    def test_tiny_positive_arguments(self):
+        # one step by 2n/x > 1e58 can overflow a rescaled column, so these
+        # arguments take the leading series term (x/2)^n/n!
+        x = np.array([1e-60, 1e-100, 1e-300, 1e-50])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            tab = bessel_j_table(40, x)
+        assert np.all(np.isfinite(tab))
+        ref = sp.jv(np.arange(41)[:, None], x[None, :])
+        keep = np.abs(ref) > 1e-250
+        assert np.all(tab[0] == 1.0)
+        assert np.max(np.abs(tab[keep] - ref[keep]) / np.abs(ref[keep])) < 1e-13
+        assert np.max(np.abs(tab[~keep])) <= 1e-250
+
     def test_relative_accuracy_at_tiny_magnitudes(self):
         x = np.array([OMEGA_LO * 0.3])
         tab = bessel_j_table(80, x)

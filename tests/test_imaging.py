@@ -288,9 +288,11 @@ class TestMultiFrequency:
                         err = np.max(np.abs(got.inside_values - ref))
                         assert err <= 1e-14 * np.max(np.abs(ref)), (n, k)
 
-    def test_angular_tables_only_on_the_representatives(self, clean16, monkeypatch):
-        # 16 frequencies, each with e^{in theta} columns for the 1,450
-        # representatives of the 128^2 lattice's 11,428 nodes
+    def test_angular_tables_only_on_the_representatives(self, grid, clean16, monkeypatch):
+        # the band builds one e^{in theta} table, over the 1,450
+        # representatives of the 128^2 lattice's 11,428 nodes, and every
+        # frequency reads it; one frequency on the whole lattice, as the
+        # adjoint runs, keeps nothing and builds its rows one block at a time
         columns = []
 
         def counted(thetas, nmax, out=None):
@@ -299,8 +301,12 @@ class TestMultiFrequency:
 
         angular_table = forward._angular_table
         monkeypatch.setattr(forward, "_angular_table", counted)
-        etd_multi(clean16, make_lattice(128))
-        assert 0 < sum(columns) <= 16 * 1450
+        lattice = make_lattice(128)
+        etd_multi(clean16, lattice)
+        assert columns == [1450]
+        columns.clear()
+        adjoint_field_batch(clean16.traces[:, :, 0], grid, clean16.incident.omegas[0], lattice.points)
+        assert len(columns) > 1 and max(columns) <= forward._POINT_BLOCK
 
     @pytest.mark.parametrize("n_directions", [16, 6])
     def test_pairing_matches_the_adjoint_fields(self, grid, sigma1, clean16, n_directions):
