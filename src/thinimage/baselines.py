@@ -21,15 +21,6 @@ _CLEAN_DROP_TOL = 1e-6
 _NOISY_DROP_TOL = 1e-2
 
 
-def steering_vectors(lattice: Lattice, omega: float, directions: np.ndarray) -> np.ndarray:
-    """Unit steering vectors e^{i omega d.z}/sqrt(L), one row per kept lattice node.
-
-    Each row of ``Lattice.plane_waves`` holds L entries of unit modulus, so
-    dividing by sqrt(L) gives the (P, L) complex rows unit Euclidean norm.
-    """
-    return lattice.plane_waves(omega, directions) / np.sqrt(directions.shape[0])
-
-
 def signal_space_dim(msr: MultistaticMatrix, clean: bool = True) -> int:
     """Number of singular values of ``msr.matrix`` within a drop tolerance of the largest.
 
@@ -65,7 +56,7 @@ def music_map(
         raise ConfigError(
             f"signal dimension must lie strictly between 0 and {msr.n_directions}"
         )
-    w = steering_vectors(lattice, msr.omega, msr.directions)
+    w = lattice.plane_waves(msr.omega, msr.directions) / np.sqrt(msr.n_directions)
     basis = np.linalg.svd(msr.matrix)[0][:, :m]
     residual = w - (w @ basis.conj()) @ basis.T
     norms = np.linalg.norm(residual, axis=1)

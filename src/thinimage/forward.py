@@ -104,11 +104,11 @@ def frequency_band(
         raise ConfigError(f"need at least one frequency, got {n_frequencies}")
     if not (0.0 < lambda_min <= lambda_max):
         raise ConfigError("wavelength band must satisfy 0 < lambda_min <= lambda_max")
-    lo = 2.0 * math.pi / lambda_max
-    hi = 2.0 * math.pi / lambda_min
-    if n_frequencies == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, n_frequencies)
+    if n_frequencies > 1 and lambda_min == lambda_max:
+        raise ConfigError(
+            f"{n_frequencies} frequencies need lambda_min < lambda_max, got both {lambda_min!r}"
+        )
+    return np.linspace(2.0 * math.pi / lambda_max, 2.0 * math.pi / lambda_min, n_frequencies)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +226,10 @@ def bessel_j_table(nmax: int, x) -> np.ndarray:
     return out
 
 
-def _series_order(omega: float, rho: float, tol: float) -> int:
+def _series_order(omega: float, rho: float) -> int:
     """Truncation order of a kernel series with geometric tail ratio rho, with a floor."""
     rho = min(max(rho, 0.05), 0.999)
-    tail = int(math.ceil(math.log(1.0 / tol) / math.log(1.0 / rho)))
+    tail = int(math.ceil(math.log(1.0 / _DEFAULT_SERIES_TOL) / math.log(1.0 / rho)))
     return max(30, int(math.ceil(2 * omega)) + 20, int(math.ceil(omega)) + 10 + tail)
 
 
@@ -296,7 +296,7 @@ def neumann_function(
 
     # with one point on the rim, only the other radius makes the series decay
     rho = max(rx * ry, ry if rx >= 0.98 else 0.0, rx if ry >= 0.98 else 0.0)
-    trunc = _series_order(omega, rho, _DEFAULT_SERIES_TOL)
+    trunc = _series_order(omega, rho)
     # one table: J_n(w) for the J_n'(w), and J_n(w|x|), J_n(w|y|)
     tab = bessel_j_table(trunc + 1, omega * np.array([1.0, rx, ry]))
     jnp, [cut] = jnp_values(tab[:, :1])
@@ -434,7 +434,7 @@ class DiskModes:
         if rmax > 0.999:
             raise GeometryError(f"interior points must satisfy |x| < 1 (max {rmax:.4f})")
         self.omegas = _positive_frequencies(omegas)
-        tops = [_series_order(omega, rmax, _DEFAULT_SERIES_TOL) for omega in self.omegas]
+        tops = [_series_order(omega, rmax) for omega in self.omegas]
         # one J_n' table for the band: each frequency's resonance check, cut and weights
         jnp, cuts = jnp_values(bessel_j_table(max(tops) + 2, self.omegas))
         self.nmax, self._weights = [], []

@@ -38,8 +38,10 @@ class ParametricCurve:
     dfy: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        if not (self.s_min < self.s_max):
-            raise GeometryError(f"empty parameter range [{self.s_min}, {self.s_max}]")
+        if not (-math.inf < self.s_min < self.s_max < math.inf):
+            raise GeometryError(
+                f"parameter range [{self.s_min}, {self.s_max}] must be finite and non-empty"
+            )
 
     def points(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -110,15 +112,13 @@ class CurveDiscretization:
     """
 
     curve: ParametricCurve
-    params: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     tangents: np.ndarray
     normals: np.ndarray
-    total_length: float
 
     def __post_init__(self) -> None:
-        for arr in (self.params, self.nodes, self.weights, self.tangents, self.normals):
+        for arr in (self.nodes, self.weights, self.tangents, self.normals):
             arr.setflags(write=False)
 
 
@@ -139,9 +139,9 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
     Raises
     ------
     GeometryError
-        If the parameterization is degenerate (vanishing velocity), the node
-        chain self-intersects, or the curve leaves the clearance region
-        |x| <= 1 - 0.1.
+        If a node or a velocity is not finite, the parameterization is
+        degenerate (vanishing velocity), the node chain self-intersects, or the
+        curve leaves the clearance region |x| <= 1 - 0.1.
     """
     if m_nodes < 8:
         raise ConfigError(f"m_nodes must be at least 8, got {m_nodes}")
@@ -154,6 +154,9 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
 
     pts = curve.points(s)
     vel = curve.velocity(s)
+    # NaN fails every comparison below, so it would pass them all
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vel))):
+        raise GeometryError("curve has a non-finite node or velocity")
     speed = np.hypot(vel[:, 0], vel[:, 1])
     if np.any(speed < 1e-12):
         bad = s[np.argmin(speed)]
@@ -176,12 +179,10 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
 
     return CurveDiscretization(
         curve=curve,
-        params=s,
         nodes=pts,
         weights=weights,
         tangents=tangents,
         normals=normals,
-        total_length=float(np.sum(weights)),
     )
 
 
@@ -189,7 +190,7 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
 class ThinInclusion:
     """Thin penetrable inclusion: supporting curve, half-thickness, materials.
 
-    The inclusion holds (eps, mu), both positive, in the background of the disk
+    The inclusion holds finite positive (eps, mu) in the background of the disk
     kernel and the incident waves, eps = mu = 1; the half-thickness h must be
     small against the incident wavelengths (checked where frequencies are known).
     """
@@ -203,8 +204,8 @@ class ThinInclusion:
         if not (self.h > 0.0):
             raise ConfigError(f"half-thickness must be positive, got {self.h}")
         for name in ("eps", "mu"):
-            if not (getattr(self, name) > 0.0):
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     def tangential_contrast(self) -> float:
         """Polarization-tensor eigenvalue along the tangent: 2(1/mu - 1)."""

@@ -43,32 +43,20 @@ class Lattice:
     ``wave_factors`` gives one phase table per axis, which the imaging maps
     gather from one block of nodes at a time (``forward.DiskModes.pair``),
     and ``plane_waves`` multiplies them out into the (P, L) table (model
-    maps, steering vectors). ``orbits`` groups the nodes under the 8
-    rotations and reflections of the square, for the disk's mode series
-    (``forward.DiskModes``). ``node_axes`` and ``orbits`` are built on first
-    use.
+    maps, MUSIC's steering vectors, migration). ``orbits`` groups the nodes
+    under the 8 rotations and reflections of the square, for the disk's mode
+    series (``forward.DiskModes``); it alone is built on first use.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     mask: np.ndarray
     points: np.ndarray
+    node_axes: tuple[np.ndarray, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.ys.size, self.xs.size)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.xs[1] - self.xs[0])
-
-    @cached_property
-    def node_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(iy, ix): the row and the column of each kept node in ``mask``."""
-        iy, ix = np.nonzero(self.mask)
-        for arr in (iy, ix):
-            arr.setflags(write=False)
-        return iy, ix
 
     def wave_factors(self, omega: float, directions: np.ndarray):
         """The incident waves e^{i w d_l.z} by lattice axis: ((Y, iy), (X, ix)).
@@ -137,9 +125,9 @@ def make_lattice(n: int = 128) -> Lattice:
     mask = 400 * (c[:, None] ** 2 + c[None, :] ** 2) <= (19 * (n - 1)) ** 2
     iy, ix = np.nonzero(mask)
     points = np.column_stack([xs[ix], ys[iy]])
-    for arr in (xs, mask, points):
+    for arr in (xs, mask, points, iy, ix):
         arr.setflags(write=False)
-    return Lattice(xs=xs, ys=ys, mask=mask, points=points)
+    return Lattice(xs=xs, ys=ys, mask=mask, points=points, node_axes=(iy, ix))
 
 
 @dataclass(frozen=True)

@@ -463,7 +463,7 @@ def test_against_subspace_and_migration_baselines():
     msr = MultistaticMatrix(phases @ phases.T, OMEGA_HI, directions)
     locate = make_lattice(64)
     imap, _ = music_map(locate, msr, signal_dim=3)
-    cell = locate.spacing * math.sqrt(2.0)
+    cell = (locate.xs[1] - locate.xs[0]) * math.sqrt(2.0)
     worst_cell = 0.0
     for p in points:
         near = np.hypot(locate.points[:, 0] - p[0], locate.points[:, 1] - p[1]) <= 0.2

@@ -374,6 +374,19 @@ class TestValidate:
         assert capsys.readouterr().err == f"error: stage config: {ZERO_CONTRAST}\n"
         assert not out.exists()
 
+    def test_non_finite_custom_curve_exits_2(self, tmp_path, capsys):
+        # a NaN node radius passes every clearance comparison; it must stop at
+        # the config stage, not in the kernel series of synthesis
+        path = tmp_path / "nan.ini"
+        path.write_text("[inclusion]\ncurve = custom\nx_shift = nan\n")
+        fault = "inclusion 1: curve has a non-finite node or velocity"
+        assert main(["validate", "--config", str(path)]) == 2
+        assert fault in capsys.readouterr().out.splitlines()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: stage config: " + fault.split(": ", 1)[1] + "\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_background_keys_are_refused(self, tmp_path, capsys, command):
         # the background is fixed at eps = mu = 1; files written with the
@@ -456,6 +469,18 @@ class TestValidate:
             ),
             (dict(inclusions=(InclusionSpec(eps=1.0, mu=1.0),)), "inclusion 1: " + ZERO_CONTRAST),
             (dict(functional="etd_single", k_values=(0, 2, 0)), "imaging: k_values repeat [0]"),
+            (
+                dict(inclusions=(InclusionSpec(mu=math.inf),)),
+                "inclusion 1: mu must be positive and finite, got inf",
+            ),
+            (
+                dict(inclusions=(InclusionSpec(curve="custom", y_poly=(0.0, math.nan)),)),
+                "inclusion 1: curve has a non-finite node or velocity",
+            ),
+            (
+                dict(lambda_min=0.3, lambda_max=0.3),
+                "incident: 3 frequencies need lambda_min < lambda_max, got both 0.3",
+            ),
         ],
     )
     def test_each_fault_is_refused_by_run_in_the_same_words(self, tmp_path, kwargs, fault):

@@ -1,6 +1,7 @@
 """Tests for incident fields, the disk Neumann kernel, and data synthesis."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,7 +61,13 @@ class TestIncident:
     def test_single_frequency_is_low_edge(self):
         w = frequency_band(1)
         assert w.shape == (1,)
-        assert w[0] == pytest.approx(OMEGA_LO, rel=1e-15)
+        assert w[0] == 2.0 * math.pi / 0.5
+        assert frequency_band(1, 0.3, 0.3)[0] == 2.0 * math.pi / 0.3
+
+    def test_equal_wavelengths_need_one_frequency(self):
+        message = "4 frequencies need lambda_min < lambda_max, got both 0.3"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            frequency_band(4, 0.3, 0.3)
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ConfigError):

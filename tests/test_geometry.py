@@ -53,13 +53,13 @@ class TestDiscretize:
         # Arc length of (s-0.2, 0.5-0.5 s^2) is \int sqrt(1+s^2) ds.
         disc = discretize(builtin_curve("sigma1"), 200)
         ref = integrate.quad(lambda s: math.sqrt(1 + s * s), -0.5, 0.5)[0]
-        assert disc.total_length == pytest.approx(ref, rel=1e-8)
+        assert disc.weights.sum() == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("label", ["sigma1", "sigma2", "sigma3"])
     def test_refinement_consistency(self, label):
         c = builtin_curve(label)
-        l1 = discretize(c, 200).total_length
-        l2 = discretize(c, 400).total_length
+        l1 = discretize(c, 200).weights.sum()
+        l2 = discretize(c, 400).weights.sum()
         assert abs(l2 - l1) <= 1e-8 * abs(l2)
 
     def test_frames_are_orthonormal(self):
@@ -83,7 +83,7 @@ class TestDiscretize:
     def test_node_count_rounds_up_to_panels(self):
         disc = discretize(builtin_curve("sigma1"), 10)
         assert len(disc.nodes) == 12
-        assert len(disc.weights) == len(disc.params) == 12
+        assert len(disc.weights) == 12
 
     def test_rejects_tiny_node_count(self):
         with pytest.raises(ConfigError):
@@ -129,6 +129,19 @@ class TestDiscretize:
         with pytest.raises(GeometryError, match="self-intersect"):
             discretize(c, 64)
 
+    @pytest.mark.parametrize("keys", [dict(x_shift=math.nan), dict(y_poly=(0.0, math.nan))])
+    def test_non_finite_curve_raises(self, keys):
+        # NaN fails the clearance and speed comparisons, so only a finiteness
+        # check stops it before a kernel series order is taken from it
+        c = poly_sin_curve("custom", -0.5, 0.5, **keys)
+        with pytest.raises(GeometryError, match="non-finite"):
+            discretize(c, 40)
+
+    @pytest.mark.parametrize("s_min, s_max", [(-math.inf, 0.5), (-0.5, math.nan), (0.5, 0.5)])
+    def test_parameter_range_must_be_finite_and_non_empty(self, s_min, s_max):
+        with pytest.raises(GeometryError, match="must be finite and non-empty"):
+            poly_sin_curve("custom", s_min, s_max)
+
     def test_immutable_arrays(self):
         disc = discretize(builtin_curve("sigma1"), 40)
         with pytest.raises(ValueError):
@@ -172,6 +185,9 @@ class TestThinInclusion:
             ThinInclusion(builtin_curve("sigma1"), eps=-1.0)
         with pytest.raises(ConfigError):
             ThinInclusion(builtin_curve("sigma1"), mu=0.0)
+        for name in ("eps", "mu"):
+            with pytest.raises(ConfigError, match=f"{name} must be positive and finite, got inf"):
+                ThinInclusion(builtin_curve("sigma1"), **{name: math.inf})
 
 
 class TestBoundaryGrid:

@@ -71,6 +71,19 @@ class TestLattice:
         assert waves.shape == (lat.points.shape[0], 16)
         assert np.max(np.abs(waves - direct)) < 1e-14
 
+    @pytest.mark.parametrize("n", [8, 9, 128])
+    def test_node_axes_come_with_the_lattice(self, n):
+        # make_lattice fills node_axes from the nonzero pass that builds points
+        lat = make_lattice(n)
+        assert "node_axes" in vars(lat)
+        iy, ix = lat.node_axes
+        ref_iy, ref_ix = np.nonzero(lat.mask)
+        assert np.array_equal(iy, ref_iy) and np.array_equal(ix, ref_ix)
+        assert np.array_equal(lat.points, np.column_stack([lat.xs[ix], lat.ys[iy]]))
+        for arr in (iy, ix):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
 
 def _variant(g, cx, cy):
     """Variant g = j + 4 f of the square's group on integer coordinates: R^j F^f."""
