@@ -6,30 +6,3 @@ single- and multi-frequency topological-derivative maps (plus MUSIC and
 Kirchhoff baselines), and extracts a Chebyshev-parameterized initial guess
 with discrepancy norms against the data.
 """
-
-__version__ = "0.1.0"
-
-from .errors import (
-    ConfigError,
-    DataStateError,
-    FitError,
-    FlatMapError,
-    GeometryError,
-    ResonanceError,
-    RidgeError,
-    SingularityError,
-    ThinImageError,
-)
-
-__all__ = [
-    "ConfigError",
-    "DataStateError",
-    "FitError",
-    "FlatMapError",
-    "GeometryError",
-    "ResonanceError",
-    "RidgeError",
-    "SingularityError",
-    "ThinImageError",
-    "__version__",
-]

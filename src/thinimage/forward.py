@@ -726,7 +726,7 @@ def synthesize(
     grid: BoundaryGrid,
     m_nodes: int = SYNTHESIS_NODES,
 ) -> BoundaryDataset:
-    """Clean traces (N, L, K) of one or more thin inclusions, each on ``m_nodes`` curve nodes.
+    """Clean traces (N, L, K) of a list of thin inclusions, each on ``m_nodes`` curve nodes.
 
     Keep ``m_nodes`` at least twice any node count used on the inversion
     side. One ``DiskModes`` per inclusion covers the band on its nodes, and
@@ -740,8 +740,6 @@ def synthesize(
     wavelength only: at eps = mu = 5 and h = 0.02, k1 h is 1.26 at w = 4 pi
     and 3.14 at w = 10 pi, so every preset lies outside that regime.
     """
-    if isinstance(inclusions, ThinInclusion):
-        inclusions = [inclusions]
     inclusions = list(inclusions)
     if not inclusions:
         raise ConfigError("need at least one inclusion")

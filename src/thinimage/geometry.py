@@ -68,7 +68,8 @@ def poly_sin_curve(
     coeffs = np.asarray(list(y_poly), dtype=float)
     if coeffs.size == 0:
         raise ConfigError("y_poly needs at least one coefficient")
-    dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
+    with np.errstate(over="ignore"):  # discretize refuses a curve with an infinite slope
+        dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
 
     def fy(s):
         return np.polyval(coeffs[::-1], s) + y_sin_amp * np.sin(y_sin_freq * (s + y_sin_phase))
@@ -111,7 +112,6 @@ class CurveDiscretization:
     measure, so sum(weights) approximates the curve length.
     """
 
-    curve: ParametricCurve
     nodes: np.ndarray
     weights: np.ndarray
     tangents: np.ndarray
@@ -152,8 +152,10 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
     s = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).reshape(-1)
     w_param = (half[:, None] * _PANEL_WEIGHTS[None, :]).reshape(-1)
 
-    pts = curve.points(s)
-    vel = curve.velocity(s)
+    with np.errstate(invalid="ignore", over="ignore"):  # the checks below refuse what overflows
+        pts = curve.points(s)
+        vel = curve.velocity(s)
+        r_max = np.max(np.hypot(pts[:, 0], pts[:, 1]))
     # NaN fails every comparison below, so it would pass them all
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vel))):
         raise GeometryError("curve has a non-finite node or velocity")
@@ -165,10 +167,10 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
     normals = np.column_stack([-tangents[:, 1], tangents[:, 0]])
     weights = w_param * speed
 
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    if np.max(radii) > 1.0 - _MIN_CLEARANCE + 1e-12:
+    if r_max > 1.0 - _MIN_CLEARANCE + 1e-12:
+        shown = f"{r_max:.4f}" if r_max < 1e4 else f"{r_max:.4e}"
         raise GeometryError(
-            f"curve violates the boundary clearance: max |x| = {np.max(radii):.4f} > {1.0 - _MIN_CLEARANCE}"
+            f"curve violates the boundary clearance: max |x| = {shown} > {1.0 - _MIN_CLEARANCE}"
         )
 
     # Simple-curve check: non-adjacent nodes (j >= i + 2) must stay more than
@@ -178,7 +180,6 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
         raise GeometryError("curve discretization self-intersects")
 
     return CurveDiscretization(
-        curve=curve,
         nodes=pts,
         weights=weights,
         tangents=tangents,
@@ -246,13 +247,13 @@ def boundary_grid(n_points: int) -> BoundaryGrid:
     return BoundaryGrid(n_points)
 
 
-def distance_to_curve(points, disc: CurveDiscretization) -> np.ndarray | float:
-    """Distance from point(s) to a discretized curve.
+def distance_to_curve(points, disc: CurveDiscretization) -> np.ndarray:
+    """Distances (P,) from (P, 2) points to a discretized curve.
 
     Nearest-node search refined by projection onto the chords adjacent to the
     nearest node, so the result is accurate to O(node spacing squared).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     nodes = disc.nodes
     out = np.empty(len(pts))
     # Chunk the distance matrix to keep memory bounded for large point sets.
@@ -273,6 +274,4 @@ def distance_to_curve(points, disc: CurveDiscretization) -> np.ndarray | float:
             seg = np.hypot(chunk[:, 0] - proj[:, 0], chunk[:, 1] - proj[:, 1])
             best = np.where(valid, np.minimum(best, seg), best)
         out[lo : lo + step] = best
-    if np.asarray(points).ndim == 1:
-        return float(out[0])
     return out

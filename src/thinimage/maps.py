@@ -37,39 +37,36 @@ class Orbits(NamedTuple):
 class Lattice:
     """Square sampling lattice clipped to a disk.
 
-    ``mask[iy, ix]`` flags nodes with radius <= 0.95; ``points`` lists the
-    kept nodes, row-major over (iy, ix), and ``node_axes`` gives each one's
-    (iy, ix). The lattice is the one source of the incident waves on them:
-    ``wave_factors`` gives one phase table per axis, which the imaging maps
-    gather from one block of nodes at a time (``forward.DiskModes.pair``),
-    and ``plane_waves`` multiplies them out into the (P, L) table (model
-    maps, MUSIC's steering vectors, migration). ``orbits`` groups the nodes
-    under the 8 rotations and reflections of the square, for the disk's mode
-    series (``forward.DiskModes``); it alone is built on first use.
+    ``axis`` holds the node coordinates along either axis, so node (iy, ix)
+    sits at (axis[ix], axis[iy]). ``mask[iy, ix]`` flags nodes with radius <=
+    0.95; ``points`` lists the kept nodes, row-major over (iy, ix), and
+    ``node_axes`` gives each one's (iy, ix). The lattice is the one source of
+    the incident waves on them: ``wave_factors`` gives one phase table per
+    axis, which the imaging maps gather from one block of nodes at a time
+    (``forward.DiskModes.pair``), and ``plane_waves`` multiplies them out into
+    the (P, L) table (model maps, MUSIC's steering vectors, migration).
+    ``orbits`` groups the nodes under the 8 rotations and reflections of the
+    square, for the disk's mode series (``forward.DiskModes``); it alone is
+    built on first use.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
+    axis: np.ndarray
     mask: np.ndarray
     points: np.ndarray
     node_axes: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.ys.size, self.xs.size)
 
     def wave_factors(self, omega: float, directions: np.ndarray):
         """The incident waves e^{i w d_l.z} by lattice axis: ((Y, iy), (X, ix)).
 
         The waves separate, e^{i w d.z} = e^{i w d_y y} e^{i w d_x x}: Y is
-        the (ny, L) table of e^{i w d_y y} over ``ys`` and X the (nx, L) one
-        of e^{i w d_x x} over ``xs``, one column per direction, and the wave
-        row of node p is Y[iy[p]] * X[ix[p]], with (iy, ix) = ``node_axes``.
+        the (n, L) table of e^{i w d_y y} and X the (n, L) one of
+        e^{i w d_x x}, both over ``axis``, one column per direction, and the
+        wave row of node p is Y[iy[p]] * X[ix[p]], with (iy, ix) = ``node_axes``.
         """
         iy, ix = self.node_axes
         return (
-            (np.exp(1j * omega * np.outer(self.ys, directions[:, 1])), iy),
-            (np.exp(1j * omega * np.outer(self.xs, directions[:, 0])), ix),
+            (np.exp(1j * omega * np.outer(self.axis, directions[:, 1])), iy),
+            (np.exp(1j * omega * np.outer(self.axis, directions[:, 0])), ix),
         )
 
     def plane_waves(self, omega: float, directions: np.ndarray) -> np.ndarray:
@@ -89,9 +86,9 @@ class Lattice:
         and a node on an axis or a diagonal takes the first variant that
         reaches it.
         """
-        ny, nx = self.shape
+        n = self.axis.size
         iy, ix = self.node_axes
-        cx, cy = 2 * ix - (nx - 1), 2 * iy - (ny - 1)
+        cx, cy = 2 * ix - (n - 1), 2 * iy - (n - 1)
         variants = np.empty(cx.size, dtype=np.int8)
         rep_x, rep_y = np.empty_like(cx), np.empty_like(cy)
         for g in range(7, -1, -1):  # downwards, so the lowest variant reaching a node wins
@@ -105,7 +102,7 @@ class Lattice:
             variants[hit], rep_x[hit], rep_y[hit] = g, x[hit], y[hit]
         index = np.full(self.mask.shape, -1)
         index[iy, ix] = np.arange(cx.size)
-        rep_nodes = index[(rep_y + ny - 1) // 2, (rep_x + nx - 1) // 2]
+        rep_nodes = index[(rep_y + n - 1) // 2, (rep_x + n - 1) // 2]
         representatives, rows = np.unique(rep_nodes, return_inverse=True)
         for arr in (representatives, rows, variants):
             arr.setflags(write=False)
@@ -120,14 +117,14 @@ def make_lattice(n: int = 128) -> Lattice:
     """
     if n < 8:
         raise ConfigError(f"lattice needs at least 8 nodes per side, got {n}")
-    xs = ys = np.linspace(-1.0, 1.0, n)
+    axis = np.linspace(-1.0, 1.0, n)
     c = 2 * np.arange(n) - (n - 1)
     mask = 400 * (c[:, None] ** 2 + c[None, :] ** 2) <= (19 * (n - 1)) ** 2
     iy, ix = np.nonzero(mask)
-    points = np.column_stack([xs[ix], ys[iy]])
-    for arr in (xs, mask, points, iy, ix):
+    points = np.column_stack([axis[ix], axis[iy]])
+    for arr in (axis, mask, points, iy, ix):
         arr.setflags(write=False)
-    return Lattice(xs=xs, ys=ys, mask=mask, points=points, node_axes=(iy, ix))
+    return Lattice(axis=axis, mask=mask, points=points, node_axes=(iy, ix))
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,13 @@ class ImageMap:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.lattice.shape:
-            raise ConfigError(f"values shape {vals.shape} != lattice shape {self.lattice.shape}")
-        if not np.all(np.isfinite(vals[self.lattice.mask])):
+        mask = self.lattice.mask
+        if vals.shape != mask.shape:
+            raise ConfigError(f"values shape {vals.shape} != lattice shape {mask.shape}")
+        if not np.all(np.isfinite(vals[mask])):
             raise ConfigError("map values must be finite inside the mask")
         vals = vals.copy()
-        vals[~self.lattice.mask] = 0.0
+        vals[~mask] = 0.0
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -160,7 +158,7 @@ def from_point_values(lattice: Lattice, point_values: np.ndarray) -> ImageMap:
         raise ConfigError(
             f"expected {lattice.points.shape[0]} point values, got shape {pv.shape}"
         )
-    vals = np.zeros(lattice.shape)
+    vals = np.zeros(lattice.mask.shape)
     vals[lattice.mask] = pv
     return ImageMap(lattice=lattice, values=vals)
 
@@ -195,17 +193,17 @@ def save_map_csv(imap: ImageMap, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
             "# thinimage map v1\n"
-            f"# lattice {lattice.shape[1]} {lattice.shape[0]}\n"
+            f"# lattice {lattice.mask.shape[1]} {lattice.mask.shape[0]}\n"
             f"# clip_radius {_CLIP_RADIUS!r}\n"
             "# columns x y value\n"
         )
-        xs = [f"{x!r} " for x in lattice.xs.tolist()]
+        coords = [f"{c!r} " for c in lattice.axis.tolist()]
         vals = imap.inside_values.tolist()
         start = 0
-        for y, row in zip(lattice.ys.tolist(), lattice.mask):
+        for y, row in zip(coords, lattice.mask):
             kept = np.flatnonzero(row).tolist()
-            mid, stop = f"{y!r} ", start + len(kept)
-            fh.write("".join([f"{xs[ix]}{mid}{v!r}\n" for ix, v in zip(kept, vals[start:stop])]))
+            stop = start + len(kept)
+            fh.write("".join([f"{coords[ix]}{y}{v!r}\n" for ix, v in zip(kept, vals[start:stop])]))
             start = stop
 
 

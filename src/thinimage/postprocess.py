@@ -110,9 +110,8 @@ def _thin_columns(imap: ImageMap, selected: np.ndarray) -> np.ndarray:
     masked = np.where(selected, imap.values, -np.inf)
     rows = np.argmax(masked, axis=0)
     has = np.any(selected, axis=0)
-    xs = imap.lattice.xs[has]
-    ys = imap.lattice.ys[rows[has]]
-    return np.column_stack([xs, ys])
+    axis = imap.lattice.axis
+    return np.column_stack([axis[has], axis[rows[has]]])
 
 
 def extract_ridge(imap: ImageMap, quantile: float = 0.01) -> np.ndarray:

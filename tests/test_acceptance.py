@@ -79,7 +79,7 @@ from thinimage.postprocess import (
     chebyshev_fit,
     clustered_ridges,
     discrete_norms,
-    extract_ridge,
+    initial_guesses,
 )
 
 OMEGA_LO = 2.0 * math.pi / 0.5
@@ -463,7 +463,7 @@ def test_against_subspace_and_migration_baselines():
     msr = MultistaticMatrix(phases @ phases.T, OMEGA_HI, directions)
     locate = make_lattice(64)
     imap, _ = music_map(locate, msr, signal_dim=3)
-    cell = (locate.xs[1] - locate.xs[0]) * math.sqrt(2.0)
+    cell = (locate.axis[1] - locate.axis[0]) * math.sqrt(2.0)
     worst_cell = 0.0
     for p in points:
         near = np.hypot(locate.points[:, 0] - p[0], locate.points[:, 1] - p[1]) <= 0.2
@@ -500,9 +500,8 @@ def test_trace_discrepancy_zero_and_noise_bands():
         noisy = add_awgn(truth, 15.0, seed)
         # what the noise alone leaves: the norms of the noisy data against the truth
         floors.append(discrete_norms(noisy, truth, k_index=0))
-        pts = extract_ridge(etd_multi(noisy, lattice), 0.01)
-        pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= RIDGE_RADIUS]
-        fit = chebyshev_fit(pts, 5)
+        # the run's single-curve initial guess, degree 5
+        (fit,) = initial_guesses(etd_multi(noisy, lattice), 1, 5)
         guess = [ThinInclusion(fit.as_parametric("guess"))]
         comp = synthesize(guess, incident, grid, m_nodes=400)
         rep = discrete_norms(noisy, comp, k_index=0)

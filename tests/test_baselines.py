@@ -197,7 +197,7 @@ class TestMusic:
         msr, points = three_monopoles
         lattice = make_lattice(64)
         imap, _ = music_map(lattice, msr, signal_dim=3)
-        cell = (lattice.xs[1] - lattice.xs[0]) * math.sqrt(2.0)
+        cell = (lattice.axis[1] - lattice.axis[0]) * math.sqrt(2.0)
         for p in points:
             dist = np.hypot(lattice.points[:, 0] - p[0], lattice.points[:, 1] - p[1])
             near = dist <= 0.2
@@ -233,7 +233,7 @@ class TestKirchhoff:
         lattice = make_lattice(64)
         imap = kirchhoff_map(lattice, msr)
         peak = lattice.points[np.argmax(imap.inside_values)]
-        assert np.hypot(*(peak - target)) <= (lattice.xs[1] - lattice.xs[0]) * math.sqrt(2.0)
+        assert np.hypot(*(peak - target)) <= (lattice.axis[1] - lattice.axis[0]) * math.sqrt(2.0)
 
     def test_matches_the_steering_vector_form(self):
         # noisy data at 12 directions, so A is full and non-symmetric

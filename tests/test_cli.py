@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -387,6 +388,26 @@ class TestValidate:
         assert capsys.readouterr().err == "error: stage config: " + fault.split(": ", 1)[1] + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            "y_sin_amp = inf\n",
+            "y_sin_freq = inf\ny_sin_amp = 0.1\n",
+            "s_min = -5\ns_max = 5\ny_poly = 0,0,1e308\n",
+        ],
+        ids=["amp", "freq", "poly"],
+    )
+    def test_overflowing_custom_curve_is_refused_without_warnings(self, tmp_path, capsys, keys):
+        # the curve evaluates to inf or nan; discretize's finiteness check
+        # refuses it, and numpy must not warn about the arithmetic on the way
+        path = tmp_path / "inf.ini"
+        path.write_text("[inclusion]\ncurve = custom\n" + keys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--config", str(path)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("inclusion 1: curve has a non-finite node or velocity\n", "")
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_background_keys_are_refused(self, tmp_path, capsys, command):
         # the background is fixed at eps = mu = 1; files written with the
@@ -480,6 +501,11 @@ class TestValidate:
             (
                 dict(lambda_min=0.3, lambda_max=0.3),
                 "incident: 3 frequencies need lambda_min < lambda_max, got both 0.3",
+            ),
+            (
+                # far past the disk, the radius prints in exponent form, not as 201 digits
+                dict(inclusions=(InclusionSpec(curve="custom", y_poly=(1e200, 1e200)),)),
+                "inclusion 1: curve violates the boundary clearance: max |x| = 1.4993e+200 > 0.9",
             ),
         ],
     )

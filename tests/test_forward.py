@@ -541,7 +541,7 @@ class TestSynthesize:
         inc = small_inclusion()
         incident = IncidentSet(standard_directions(2), np.array([OMEGA_LO]))
         grid = boundary_grid(16)
-        data = synthesize(inc, incident, grid, m_nodes=60)
+        data = synthesize([inc], incident, grid, m_nodes=60)
 
         from thinimage.geometry import discretize
 
@@ -612,14 +612,14 @@ class TestSynthesize:
     def test_zero_contrast_gives_zero_traces(self):
         inc = small_inclusion(eps=1.0, mu=1.0)
         incident = IncidentSet(standard_directions(2), frequency_band(2))
-        data = synthesize(inc, incident, boundary_grid(16), m_nodes=40)
+        data = synthesize([inc], incident, boundary_grid(16), m_nodes=40)
         assert np.all(data.traces == 0.0)
 
     def test_linear_in_thickness(self):
         incident = IncidentSet(standard_directions(2), np.array([OMEGA_LO]))
         grid = boundary_grid(16)
-        a = synthesize(small_inclusion(h=0.01), incident, grid, m_nodes=40)
-        b = synthesize(small_inclusion(h=0.02), incident, grid, m_nodes=40)
+        a = synthesize([small_inclusion(h=0.01)], incident, grid, m_nodes=40)
+        b = synthesize([small_inclusion(h=0.02)], incident, grid, m_nodes=40)
         assert np.allclose(b.traces, 2.0 * a.traces, rtol=1e-12)
 
     def test_multi_inclusion_additivity(self):
@@ -628,8 +628,8 @@ class TestSynthesize:
         inc1 = small_inclusion()
         inc2 = ThinInclusion(curve=builtin_curve("sigma2"))
         both = synthesize([inc1, inc2], incident, grid, m_nodes=40)
-        solo = synthesize(inc1, incident, grid, m_nodes=40).traces + synthesize(
-            inc2, incident, grid, m_nodes=40
+        solo = synthesize([inc1], incident, grid, m_nodes=40).traces + synthesize(
+            [inc2], incident, grid, m_nodes=40
         ).traces
         assert np.allclose(both.traces, solo, rtol=1e-13, atol=0.0)
 
@@ -637,16 +637,16 @@ class TestSynthesize:
         inc = small_inclusion(h=0.05)
         incident = IncidentSet(standard_directions(2), frequency_band(16))
         with pytest.raises(ConfigError):
-            synthesize(inc, incident, boundary_grid(16), m_nodes=40)
+            synthesize([inc], incident, boundary_grid(16), m_nodes=40)
 
     def test_resonant_frequency_rejected(self):
         incident = IncidentSet(standard_directions(2), np.array([J1P_FIRST_ZERO, OMEGA_LO]))
         with pytest.raises(ResonanceError, match="n=1"):
-            synthesize(small_inclusion(), incident, boundary_grid(16), m_nodes=40)
+            synthesize([small_inclusion()], incident, boundary_grid(16), m_nodes=40)
 
     def test_traces_shape_and_cleanliness(self):
         incident = IncidentSet(standard_directions(3), frequency_band(2))
-        data = synthesize(small_inclusion(), incident, boundary_grid(16), 40)
+        data = synthesize([small_inclusion()], incident, boundary_grid(16), 40)
         assert data.traces.shape == (16, 3, 2)
         assert data.is_clean
         assert data.noise_seed is None
@@ -655,7 +655,7 @@ class TestSynthesize:
 @pytest.fixture(scope="module")
 def clean():
     return synthesize(
-        small_inclusion(),
+        [small_inclusion()],
         IncidentSet(standard_directions(4), frequency_band(4)),
         boundary_grid(64),
         m_nodes=120,
@@ -696,7 +696,7 @@ class TestNoise:
     def test_zero_traces_stay_zero(self):
         inc = small_inclusion(eps=1.0, mu=1.0)
         incident = IncidentSet(standard_directions(2), frequency_band(2))
-        clean = synthesize(inc, incident, boundary_grid(16), m_nodes=40)
+        clean = synthesize([inc], incident, boundary_grid(16), m_nodes=40)
         noisy = add_awgn(clean, 15.0, seed=3)
         assert np.all(noisy.traces == 0.0)
 
@@ -739,7 +739,7 @@ def _per_row_dataset_text(data: BoundaryDataset) -> str:
 class TestDatasetIO:
     def test_round_trip_bit_exact_noisy(self, tmp_path):
         data = synthesize(
-            small_inclusion(),
+            [small_inclusion()],
             IncidentSet(standard_directions(3), frequency_band(2)),
             boundary_grid(16),
             m_nodes=40,
@@ -755,7 +755,7 @@ class TestDatasetIO:
 
     def test_round_trip_clean(self, tmp_path):
         data = synthesize(
-            small_inclusion(),
+            [small_inclusion()],
             IncidentSet(standard_directions(2), frequency_band(1)),
             boundary_grid(16),
             m_nodes=40,
@@ -799,7 +799,7 @@ class TestDatasetIO:
         # clean means snr_db == +inf; -inf and NaN are no SNR at all, whether
         # built directly or read back from a dataset header
         data = synthesize(
-            small_inclusion(),
+            [small_inclusion()],
             IncidentSet(standard_directions(2), frequency_band(1)),
             boundary_grid(16),
             m_nodes=40,

@@ -219,25 +219,26 @@ class TestBoundaryGrid:
 class TestDistanceToCurve:
     def test_vertex_distance(self):
         disc = discretize(builtin_curve("sigma1"), 200)
-        assert distance_to_curve(np.array([-0.2, 0.6]), disc) == pytest.approx(0.1, abs=2e-3)
+        assert distance_to_curve(np.array([[-0.2, 0.6]]), disc) == pytest.approx([0.1], abs=2e-3)
 
     def test_on_curve_distance_near_zero(self):
-        disc = discretize(builtin_curve("sigma2"), 300)
-        on = disc.curve.points(np.linspace(-0.49, 0.49, 17))
+        curve = builtin_curve("sigma2")
+        disc = discretize(curve, 300)
+        on = curve.points(np.linspace(-0.49, 0.49, 17))
         d = distance_to_curve(on, disc)
         assert np.max(d) <= 5e-5
 
-    def test_batch_matches_scalar(self):
+    def test_each_row_alone_matches_the_batch(self):
         disc = discretize(builtin_curve("sigma3"), 150)
         pts = np.array([[0.0, 0.5], [-0.3, -0.2], [0.6, 0.1]])
         batch = distance_to_curve(pts, disc)
         for p, expect in zip(pts, batch):
-            assert distance_to_curve(p, disc) == pytest.approx(expect, abs=1e-14)
+            assert distance_to_curve(p[None], disc) == pytest.approx([expect], abs=1e-14)
 
     def test_far_point(self):
         disc = discretize(builtin_curve("sigma1"), 100)
         # Distance from origin bounded below by curve's min radius minus 0.
-        d = distance_to_curve(np.array([0.0, 0.0]), disc)
+        (d,) = distance_to_curve(np.array([[0.0, 0.0]]), disc)
         radii = np.hypot(disc.nodes[:, 0], disc.nodes[:, 1])
         assert d <= np.min(radii)
         assert d == pytest.approx(np.min(radii), abs=1e-3)

@@ -374,8 +374,8 @@ class TestMultiFrequency:
 
     def test_sidelobe_minima_flank_the_curve(self, multi_map):
         # normal line through the curve midpoint (-0.2, 0.5) is vertical
-        xs = np.linspace(-1.0, 1.0, multi_map.lattice.shape[1])
-        ys = np.linspace(-1.0, 1.0, multi_map.lattice.shape[0])
+        xs = np.linspace(-1.0, 1.0, multi_map.lattice.mask.shape[1])
+        ys = np.linspace(-1.0, 1.0, multi_map.lattice.mask.shape[0])
         column = multi_map.values[:, int(np.argmin(np.abs(xs + 0.2)))]
         above = column[(ys > 0.5) & (ys <= 0.68)]
         below = column[(ys < 0.5) & (ys >= 0.32)]

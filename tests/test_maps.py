@@ -19,8 +19,8 @@ from thinimage.maps import (
 class TestLattice:
     def test_default_geometry(self, tmp_path):
         lat = make_lattice()
-        assert lat.shape == (128, 128)
-        assert lat.xs[0] == -1.0 and lat.xs[-1] == 1.0
+        assert lat.mask.shape == (128, 128)
+        assert lat.axis[0] == -1.0 and lat.axis[-1] == 1.0
         path = tmp_path / "m.csv"
         save_map_csv(from_point_values(lat, np.ones(lat.points.shape[0])), path)
         assert "# clip_radius 0.95" in path.read_text().split("\n")
@@ -30,7 +30,7 @@ class TestLattice:
         # node coordinates is a reference for mask and points, bit for bit
         for n in (32, 65, 128, 256):
             lat = make_lattice(n)
-            gx, gy = np.meshgrid(lat.xs, lat.ys)
+            gx, gy = np.meshgrid(lat.axis, lat.axis)
             inside = np.hypot(gx, gy) <= 0.95
             assert np.array_equal(lat.mask, inside), n
             assert np.array_equal(lat.points, np.column_stack([gx[inside], gy[inside]])), n
@@ -79,7 +79,7 @@ class TestLattice:
         iy, ix = lat.node_axes
         ref_iy, ref_ix = np.nonzero(lat.mask)
         assert np.array_equal(iy, ref_iy) and np.array_equal(ix, ref_ix)
-        assert np.array_equal(lat.points, np.column_stack([lat.xs[ix], lat.ys[iy]]))
+        assert np.array_equal(lat.points, np.column_stack([lat.axis[ix], lat.axis[iy]]))
         for arr in (iy, ix):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -137,7 +137,7 @@ class TestOrbits:
 class TestImageMap:
     def test_outside_values_zeroed(self):
         lat = make_lattice(16)
-        imap = ImageMap(lattice=lat, values=np.ones(lat.shape))
+        imap = ImageMap(lattice=lat, values=np.ones(lat.mask.shape))
         assert np.all(imap.values[~lat.mask] == 0.0)
         assert np.all(imap.inside_values == 1.0)
 
@@ -194,7 +194,7 @@ def _per_row_csv_text(imap: ImageMap) -> str:
     """The map CSV as the earlier writer formed it, one f-string per node."""
     lines = [
         "# thinimage map v1",
-        f"# lattice {imap.lattice.shape[1]} {imap.lattice.shape[0]}",
+        f"# lattice {imap.lattice.mask.shape[1]} {imap.lattice.mask.shape[0]}",
         "# clip_radius 0.95",
         "# columns x y value",
     ]
@@ -207,7 +207,7 @@ def _per_row_pgm_text(imap: ImageMap) -> str:
     """The PGM as the earlier writer formed it, one str(int) per pixel."""
     vals = imap.inside_values
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
-    ny, nx = imap.lattice.shape
+    ny, nx = imap.lattice.mask.shape
     pix = np.zeros((ny, nx), dtype=int)
     if vmax > vmin:
         scaled = (imap.values - vmin) / (vmax - vmin)
@@ -268,7 +268,7 @@ class TestWriters:
         assert lines[0] == "P2"
         assert lines[1].startswith("# value range")
         nx, ny = (int(t) for t in lines[2].split())
-        assert (ny, nx) == imap.lattice.shape
+        assert (ny, nx) == imap.lattice.mask.shape
         assert lines[3] == "255"
         pix = [int(t) for ln in lines[4:] for t in ln.split()]
         assert len(pix) == nx * ny
@@ -280,7 +280,7 @@ class TestWriters:
         save_map_pgm(imap, path)
         lines = path.read_text().strip().split("\n")
         pix = np.array([int(t) for ln in lines[4:] for t in ln.split()]).reshape(
-            imap.lattice.shape[::-1][0], -1
+            imap.lattice.mask.shape[::-1][0], -1
         )
         flat = pix[::-1][imap.lattice.mask]
         assert flat.max() == 255

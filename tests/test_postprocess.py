@@ -122,14 +122,14 @@ class TestFit:
 class TestRidge:
     def test_single_bright_pixel(self):
         lattice = make_lattice(32)
-        values = np.zeros(lattice.shape)
+        values = np.zeros(lattice.mask.shape)
         iy, ix = 14, 20
         assert lattice.mask[iy, ix]
         values[iy, ix] = 1.0
         ridge = extract_ridge(ImageMap(lattice, values), quantile=0.01)
         assert ridge.shape == (1, 2)
-        assert ridge[0, 0] == lattice.xs[ix]
-        assert ridge[0, 1] == lattice.ys[iy]
+        assert ridge[0, 0] == lattice.axis[ix]
+        assert ridge[0, 1] == lattice.axis[iy]
 
     def test_kernel_map_ridge_tracks_curve(self):
         curve = builtin_curve("sigma1")
@@ -152,7 +152,7 @@ class TestRidge:
 
     def test_quantile_bounds(self):
         lattice = make_lattice(16)
-        values = np.where(lattice.mask, np.random.default_rng(0).normal(size=lattice.shape), 0.0)
+        values = np.where(lattice.mask, np.random.default_rng(0).normal(size=lattice.mask.shape), 0.0)
         imap = ImageMap(lattice, values)
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ConfigError):
@@ -163,7 +163,7 @@ class TestClusters:
     @staticmethod
     def _two_blob_map():
         lattice = make_lattice(32)
-        values = np.zeros(lattice.shape)
+        values = np.zeros(lattice.mask.shape)
         values[8:11, 6:10] = 1.0
         values[20:23, 20:22] = 1.0
         values[~lattice.mask] = 0.0
@@ -185,7 +185,7 @@ class TestClusters:
         # wins that cluster's column too, so the union covers the plain ridge
         lattice = make_lattice(32)
         rng = np.random.default_rng(3)
-        values = np.where(lattice.mask, rng.random(lattice.shape), 0.0)
+        values = np.where(lattice.mask, rng.random(lattice.mask.shape), 0.0)
         imap = ImageMap(lattice, values)
         merged = {tuple(p) for p in np.vstack(clustered_ridges(imap, quantile=0.02))}
         plain = {tuple(p) for p in extract_ridge(imap, quantile=0.02)}
@@ -198,10 +198,10 @@ class TestInitialGuesses:
         # 1 on the node nearest y = 0.3 - 0.2 x^2 in each column of [x_lo, x_hi]:
         # fewer nodes than the top 1% of the 128^2 lattice, so all are the ridge
         lattice = make_lattice(128)
-        values = np.zeros(lattice.shape)
-        for ix in np.flatnonzero((lattice.xs >= x_lo) & (lattice.xs <= x_hi)):
-            y = 0.3 - 0.2 * lattice.xs[ix] ** 2
-            values[np.argmin(np.abs(lattice.ys - y)), ix] = 1.0
+        values = np.zeros(lattice.mask.shape)
+        for ix in np.flatnonzero((lattice.axis >= x_lo) & (lattice.axis <= x_hi)):
+            y = 0.3 - 0.2 * lattice.axis[ix] ** 2
+            values[np.argmin(np.abs(lattice.axis - y)), ix] = 1.0
         return ImageMap(lattice, values)
 
     def test_one_curve_fits_the_clipped_ridge(self):
@@ -224,7 +224,7 @@ class TestInitialGuesses:
 
     def test_clusters_fitted_largest_first_small_ones_dropped(self):
         lattice = make_lattice(64)
-        values = np.zeros(lattice.shape)
+        values = np.zeros(lattice.mask.shape)
         values[40:42, 20:28] = 1.0  # 8 columns
         values[20, 36:41] = 1.0  # 5 columns
         values[30, 10:14] = 1.0  # 4 columns: under degree + 3 for degree 2
@@ -242,7 +242,7 @@ class TestInitialGuesses:
     def test_no_cluster_of_degree_plus_three_points_is_a_ridge_error(self):
         # two clusters of 4 thinned points each: degree 2 needs 5
         lattice = make_lattice(64)
-        values = np.zeros(lattice.shape)
+        values = np.zeros(lattice.mask.shape)
         values[40, 20:24] = 1.0
         values[20, 36:40] = 1.0
         imap = ImageMap(lattice, values)
