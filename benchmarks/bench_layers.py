@@ -6,12 +6,15 @@ Run from the root of a source checkout:
     python3 benchmarks/bench_layers.py --src /path/to/parent/src --label parent \
         --src src --label change --out BENCH.json
 
-Each layer is timed on its own, as the median of ``REPEATS`` calls, on three
+Each layer is timed on its own, as the median of ``REPEATS`` calls, on four
 scenes that ``perfbench/run.py`` does not run: L16/K16 on a 128² lattice
 with one fixed noise seed (the noise sweep's scene, untraced), L4/K16 on a
-256² lattice, and L16/K16 on a 256² lattice, where the lattice and the
-direction count are both large. All use the sigma1 curve, a 128-point
-boundary grid and 15 dB noise. The layers:
+256² lattice, L16/K16 on a 256² lattice, where the lattice and the
+direction count are both large, and L6/K16 on a 128² lattice, whose six
+directions the square's symmetries do not map onto themselves, so that its
+maps pair each node with its own waves (``DiskModes.pair``), where the other
+scenes pair each lattice orbit through its representative's waves. All use
+the sigma1 curve, a 128-point boundary grid and 15 dB noise. The layers:
 
 - ``Lattice.orbits``: the nodes grouped under the square's symmetries,
   computed afresh;
@@ -20,16 +23,15 @@ boundary grid and 15 dB noise. The layers:
 - ``DiskModes.apply`` over the lattice at the top frequency, on the
   coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
   for the N-point grid), value alone (the Bessel and angular tables on the
-  representatives, one product per block for every variant, the block
-  written into one array of all product rows, and each node's row gathered
+  representatives, one product per block for every variant, written in
+  place into one array of all product rows, and each node's row gathered
   from it) and with the gradient; this is the path of
   ``adjoint_field_batch``, not of the maps;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
 - ``td_component_maps``: both raw sensitivity maps at the top frequency,
   the adjoint together with the sums against the incident waves; each
-  block's product rows are reduced to two sums per row against their
-  nodes' waves as they come (``DiskModes.pair``), and each node takes its
-  row's two sums;
+  block's product rows are reduced to two sums per row as they come
+  (``DiskModes.pair``), and each node takes its row's two sums;
 - ``etd_multi``: the whole multi-frequency map, paired per block in the
   same way;
 - ``multi_kirchhoff_map``: the migration baseline summed over the band, on
@@ -85,7 +87,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import REF_NOMINAL_S, HostSpeed  # noqa: E402
 
 # scene: (incident directions, lattice nodes per side)
-SCENES = {"L16K16_128": (16, 128), "L4K16_256": (4, 256), "L16K16_256": (16, 256)}
+SCENES = {
+    "L16K16_128": (16, 128),
+    "L4K16_256": (4, 256),
+    "L16K16_256": (16, 256),
+    "L6K16_128": (6, 128),
+}
 N_FREQUENCIES = 16
 SNR_DB = 15.0
 NOISE_SEED = 7

@@ -307,14 +307,24 @@ def _config_stage(config: ExperimentConfig):
         "incident", frequency_band, config.n_frequencies, config.lambda_min, config.lambda_max
     )
     # an inclusion that equals the background, then synthesize's curve and
-    # thickness rules, refused here under each inclusion
+    # thickness rules, refused here under each inclusion; last, synthesize's
+    # nodes must resolve the band (a curve with a huge sine frequency would
+    # overflow the traces), a rule for configured curves only, since
+    # synthesize also takes the refitted ones
     for i, incl in enumerate(inclusions, start=1):
         if incl is not None:
             if incl.eps == 1.0 and incl.mu == 1.0:
                 refuse(f"inclusion {i}", "zero contrast: eps = mu = 1 is the background")
-            build(f"inclusion {i}", discretize, incl.curve, SYNTHESIS_NODES)
+            disc = build(f"inclusion {i}", discretize, incl.curve, SYNTHESIS_NODES)
             if omegas is not None:
                 build(f"inclusion {i}", ensure_thin, incl, omegas[-1])
+                half = math.pi / omegas[-1]
+                if disc is not None and (panel := disc.longest_panel) > half:
+                    refuse(
+                        f"inclusion {i}",
+                        f"curve too long for its {SYNTHESIS_NODES} synthesis nodes: a 4-node "
+                        f"panel spans {panel:.4g} > half the shortest wavelength {half:.4f}",
+                    )
     directions = build("incident", standard_directions, config.n_directions)
     incident = None
     if directions is not None and omegas is not None:

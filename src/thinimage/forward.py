@@ -111,6 +111,70 @@ def frequency_band(
     return np.linspace(2.0 * math.pi / lambda_max, 2.0 * math.pi / lambda_min, n_frequencies)
 
 
+# closed_directions moves a direction by at most this: the square's symmetries map
+# the standard sets of 4 | L <= 256 directions onto themselves to within 1.4e-15.
+_DIRECTION_TOL = 1e-14
+
+
+def _direction_images(directions: np.ndarray) -> np.ndarray:
+    """M^T d for every variant g = j + 4 f, M = R^j F^f (``maps.Orbits``): (8, 2, L).
+
+    M^T = M^{-1} is j quarter turns back, then F. The plane wave of
+    direction d at M y is the wave of direction M^T d at y.
+    """
+    images = np.empty((8, 2, directions.shape[0]))
+    for g in range(8):
+        x, y = directions[:, 0], directions[:, 1]
+        for _ in range(g % 4):
+            x, y = y, -x
+        images[g] = x, -y if g >= 4 else y
+    return images
+
+
+def _direction_permutations(images: np.ndarray, directions: np.ndarray, tol: float):
+    """The index of the direction each image lands on, (G, L), or None.
+
+    None unless every image lies within ``tol`` (in each component) of a
+    direction and each of the G image sets is a permutation of the directions.
+    """
+    gap = np.max(np.abs(images[:, :, :, None] - directions.T[:, None, :]), axis=1)
+    nearest = np.argmin(gap, axis=2)
+    if np.max(np.take_along_axis(gap, nearest[:, :, None], axis=2)) > tol:
+        return None
+    if np.any(np.sort(nearest, axis=1) != np.arange(directions.shape[0])):
+        return None
+    return nearest
+
+
+def closed_directions(directions: np.ndarray) -> np.ndarray:
+    """The (L, 2) directions put on a set the square's symmetries map onto itself bit for bit.
+
+    When the 8 rotations and reflections of the square map the set onto
+    itself to within ``_DIRECTION_TOL``, each orbit's first direction, put
+    exactly on an axis or a diagonal that close to it, gives every direction
+    of its orbit as its exact image M^T d, a signed swap of its components;
+    otherwise the directions come back as they are. ``standard_directions``
+    with 4 | L is closed only to rounding (6.7e-16 at L = 16), and
+    ``DiskModes.pair`` reads every orbit variant's waves from its
+    representative's row only for a set that is closed bit for bit.
+    """
+    directions = np.asarray(directions, dtype=float)
+    landing = _direction_permutations(_direction_images(directions), directions, _DIRECTION_TOL)
+    if landing is None:
+        return directions
+    closed = directions.copy()
+    # a direction is its orbit's first when no image lands below it
+    for first in np.flatnonzero(np.min(landing, axis=0) == np.arange(directions.shape[0])):
+        x, y = directions[first]
+        x, y = (0.0 if abs(x) <= _DIRECTION_TOL else x), (0.0 if abs(y) <= _DIRECTION_TOL else y)
+        if abs(abs(x) - abs(y)) <= _DIRECTION_TOL:
+            y = math.copysign(abs(x), y)
+        # the symmetries fixing it now fix it exactly; the lowest variant fills each slot
+        slots, variants = np.unique(landing[:, first], return_index=True)
+        closed[slots] = _direction_images(np.array([[x, y]]))[variants, :, 0]
+    return closed
+
+
 # ---------------------------------------------------------------------------
 # resonance detection
 
@@ -382,6 +446,49 @@ _BAND_GROUP = 4
 # 7-19% faster than with 1,024 on 128^2 and 256^2 lattices, and 4,096 gained under 4%.
 _POINT_BLOCK = 2048
 
+# i^j, the factor of order n = 1 for a variant g = j + 4 f of j quarter turns
+_TURNS = np.array([1, 1j, -1, -1j])
+# The variants g whose half turns g + 2 ``DiskModes.pair`` takes from the same products
+_BASE_VARIANTS = (0, 1, 4, 5)
+
+
+def _variant_rhs(coef: np.ndarray, variants, column_orders=None, halves: bool = False):
+    """The right-hand sides [Re b_g; -Im b_g] of every variant g, side by side.
+
+    For variant g = j + 4 f, b_g = i^{jn} b_n, conjugated if f = 1, where b
+    is ``coef`` (r, C), its columns taken in ``column_orders[i]`` for the
+    i-th variant when given. Returns [(2r, V C)], or with ``halves`` the rows
+    of the even and of the odd orders n, [(2 r_e, V C), (2 r_o, V C)], to
+    meet the tables of ``DiskModes._tables``.
+    """
+    r, columns = coef.shape
+    orders = np.arange(r)
+    selections = (slice(0, r, 2), slice(1, r, 2)) if halves else (slice(None),)
+    parts = [np.empty((2 * orders[rows].size, len(variants) * columns)) for rows in selections]
+    for i, g in enumerate(variants):
+        b = coef if column_orders is None else coef[:, column_orders[i]]
+        turned = b * _TURNS[g % 4 * orders % 4, None]
+        span = slice(i * columns, (i + 1) * columns)
+        for rhs, rows in zip(parts, selections):
+            part = turned[rows]
+            s = part.shape[0]
+            rhs[:s, span], rhs[s:, span] = part.real, part.imag if g >= 4 else -part.imag
+    return parts
+
+
+def _gather_waves(waves, points, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The wave rows of ``points`` into ``out``, each the product of its factors' rows.
+
+    ``waves`` lists factors (table, index), as ``DiskModes.pair`` takes them;
+    ``work`` is a workspace of ``out``'s shape.
+    """
+    (first, first_index), *others = waves
+    # "clip" lets take write to out unbuffered (indices are valid)
+    np.take(first, first_index[points], axis=0, out=out, mode="clip")
+    for table, index in others:
+        out *= np.take(table, index[points], axis=0, out=work, mode="clip")
+    return out
+
 
 class DiskModes:
     """The disk's Neumann kernel for boundary sources, as a mode series over a band.
@@ -406,13 +513,18 @@ class DiskModes:
     (one row per variant present), gathering their rows from one
     ``bessel_j_table`` per call over their distinct radii. The product rows
     are numbered once over all blocks, and each point has one row. Two
-    methods consume the blocks. ``apply`` fills one array of all product
-    rows, for the values and, on request, their x and y gradients, and
-    gathers each point's row from it. ``pair`` (the imaging maps) reduces
-    each block's rows at once to two sums per row against the incident waves
-    at the rows' points, the values and the derivative of each column along
-    its own unit vector, from one product with two blocks of columns instead
-    of three; each point then takes its row's two sums.
+    methods consume the blocks. ``apply`` has each block's product write its
+    rows in place into one array of all product rows, for the values and, on
+    request, their x and y gradients, and gathers each point's row from it.
+    ``pair`` (the imaging maps) reduces each block at once to two sums per
+    row against the incident plane waves, the values and the derivative of
+    each direction's columns along that direction, with two blocks of
+    columns instead of three; each point then takes its row's two sums. On
+    the lattice's orbits, when the square's symmetries map the directions
+    onto themselves bit for bit, every row reduces against its
+    representative's own wave row, and variants g and g + 2 share one
+    product over the even orders and one over the odd orders
+    (``_pair_orbits``).
 
     The angles e^{in theta} do not depend on the frequency. A band keeps the
     (r, R) complex table of its R representatives once it is built, r the
@@ -449,6 +561,7 @@ class DiskModes:
             every = np.arange(radii.size)
             orbits = every, every, np.zeros(radii.size, dtype=np.int8)
         representatives, rows, variants = orbits
+        self._representatives = representatives
         self._thetas = np.arctan2(pts[representatives, 1], pts[representatives, 0])
         self._angular = np.empty((0, self._thetas.size), dtype=complex)  # see _angular_rows
         # one Bessel column per distinct radius of the representatives
@@ -475,55 +588,148 @@ class DiskModes:
         d_x Phi_n = (w/2)(Phi_{n-1} - Phi_{n+1}) and
         d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so the series is
         Re sum_n Phi_n b_n in every column, b = [a, d_x a, d_y a] for the
-        gradients (3C). The blocks of ``_products`` fill one array of every
-        product row, and each point takes its row from it.
+        gradients (3C). Each block's product (``_tables`` against
+        ``_variant_rhs``) writes its rows in place into one array of every
+        product row (``_product_rows``), and each point takes its row from it.
         """
         coef, d_x, d_y = self._coefficients(c, k)
         if gradient:
             coef = np.hstack([coef, d_x, d_y])
-        fields = np.empty((self._row_points.size, coef.shape[1]))
-        for block, product in self._products(coef, k):
-            fields[block] = product
-        fields = fields[self._point_rows]
+        fields = self._product_rows(coef, k)[self._point_rows]
         return tuple(np.hsplit(fields, 3)) if gradient else fields
 
-    def pair(self, c: np.ndarray, directions: np.ndarray, waves, k: int = 0):
-        """Each point's sums of the series and its directional derivatives against waves.
+    def _product_rows(self, coef: np.ndarray, k: int) -> np.ndarray:
+        """Every product row Re sum_n Phi_n coef_n at frequency k, each block's written in place.
 
-        For c of shape (m+1, C), C even, f = ``apply(c, k=k)``, D the
-        derivatives of f's column j along the unit vector ``directions[j]``
-        (shape (C, 2); b = [a, dx d_x a + dy d_y a]), and u the complex
-        (P, C/2) waves as real (P, C) pairs (Re u, Im u), with i u as
-        (-Im u, Re u), it returns the two (P,) sums
+        Its own method so that the right-hand sides and the block tables are
+        freed before ``apply`` gathers each point's row.
+        """
+        [rhs] = _variant_rhs(coef, self._variants)
+        variants = self._variants.size
+        rows = np.empty((self._row_points.size, coef.shape[1]))
+        for lo, m, [table] in self._tables(coef.shape[0], k):
+            np.matmul(table.T, rhs, out=rows[lo * variants : (lo + m) * variants].reshape(m, -1))
+        return rows
+
+    def pair(self, c: np.ndarray, directions: np.ndarray, waves, k: int = 0):
+        """Each point's sums of the series and its directional derivatives against plane waves.
+
+        For c of shape (m+1, 2L), f = ``apply(c, k=k)``, D the derivatives of
+        f's columns 2l and 2l+1 along the unit vector ``directions[l]``
+        (shape (L, 2); b = [a, dx d_x a + dy d_y a]), and u the (P, L) plane
+        waves u_l = e^{i w d_l.x} of frequency k as real (P, 2L) pairs
+        (Re u, Im u), with i u as (-Im u, Re u), it returns the two (P,) sums
 
             sum_j f_j u_j   and   sum_j D_j (i u)_j.
 
         ``waves`` lists factors (table, index): point p's wave row is the
         product, in order, of the rows table[index[p]]
-        (``maps.Lattice.wave_factors``). Each block of ``_products`` is
-        reduced as it comes to two sums per product row, against the waves
-        gathered at its rows' points into workspaces of one block; each point
-        then takes the sums of its row. No (P, C) array is formed.
+        (``maps.Lattice.wave_factors``). Each block is reduced as it comes,
+        and no (P, 2L) array is formed. On orbits of all 8 variants whose
+        directions the square's symmetries map onto themselves bit for bit
+        (``_wave_orders``; ``closed_directions`` puts a set that is closed to
+        rounding on one), ``_pair_orbits`` reduces every row against its
+        representative's wave row. Otherwise each block's product rows are
+        reduced to two sums per row against the waves gathered at the rows'
+        points into workspaces of one block, and each point takes the sums of
+        its row.
         """
         coef, d_x, d_y = self._coefficients(c, k)
-        coef = np.hstack([coef, directions[:, 0] * d_x + directions[:, 1] * d_y])
+        along = np.repeat(directions, 2, axis=0)
+        derivatives = along[:, 0] * d_x + along[:, 1] * d_y
+        orders = self._wave_orders(directions)
+        if orders is not None:
+            return self._pair_orbits(coef, derivatives, orders, waves, k)
+        coef = np.hstack([coef, derivatives])
         columns = c.shape[1]  # the values' columns; the derivatives' follow
+        [rhs] = _variant_rhs(coef, self._variants)
+        variants = self._variants.size
         sums = np.empty((2, self._row_points.size))
-        size = min(self._thetas.size, self._block) * self._variants.size
+        size = min(self._thetas.size, self._block) * variants
         u_work = np.empty((size, columns // 2), dtype=complex)
         factor_work = np.empty_like(u_work)
-        (first, first_index), *others = waves
-        for block, product in self._products(coef, k):
+        product_work = np.empty(size * 2 * columns)
+        for lo, m, [table] in self._tables(coef.shape[0], k):
+            block = slice(lo * variants, (lo + m) * variants)
+            product = product_work[: m * rhs.shape[1]].reshape(m, -1)
+            product = np.matmul(table.T, rhs, out=product).reshape(-1, 2 * columns)
             points = self._row_points[block]
-            u, factor = u_work[: points.size], factor_work[: points.size]
-            # "clip" lets take write to out unbuffered (indices are valid)
-            np.take(first, first_index[points], axis=0, out=u, mode="clip")
-            for table, index in others:
-                u *= np.take(table, index[points], axis=0, out=factor, mode="clip")
+            u = _gather_waves(waves, points, u_work[: points.size], factor_work[: points.size])
             np.einsum("pk,pk->p", product[:, :columns], u.view(float), out=sums[0, block])
             u *= 1j
             np.einsum("pk,pk->p", product[:, columns:], u.view(float), out=sums[1, block])
         return sums[:, self._point_rows]
+
+    def _wave_orders(self, directions: np.ndarray):
+        """Each base variant's direction at each position of the representative's waves, or None.
+
+        Variant g moves a point y to x = M y, and e^{i w d.M y} = e^{i w (M^T d).y}.
+        Where M^T d_l is d_l' exactly for every l, one to one, the wave of
+        direction l at x is the wave of direction l' at y, and position l'
+        of variant g's columns takes direction l. Returns the (4, L)
+        positions' directions for the variants of ``_BASE_VARIANTS``, or None
+        unless all 8 variants are present and the symmetries map the set onto
+        itself bit for bit (``closed_directions``). The quarter turn fixes no
+        unit vector, so such a set splits into orbits of 4 or 8 directions.
+        """
+        if self._variants.size < 8 or directions.shape[0] % 4:
+            return None
+        images = _direction_images(directions)[list(_BASE_VARIANTS)]
+        landing = _direction_permutations(images, directions, 0.0)
+        return None if landing is None else np.argsort(landing, axis=1)
+
+    def _pair_orbits(self, coef, derivatives, orders, waves, k: int):
+        """``pair`` on the orbits, every product row against its representative's waves.
+
+        ``coef`` and ``derivatives`` are the (r, 2L) columns of the values and
+        of the directional derivatives. Variant g + 2 is variant g followed by
+        the half turn x -> -x, where Phi_n(-x) = (-1)^n Phi_n(x) and
+        u(-x) = conj u(x). So each block takes two products, E over the even
+        orders and G over the odd ones, for the base variants g = 0, 1, 4, 5
+        only: variant g's rows are E + G against u, variant g + 2's are E - G
+        against conj u, and the sums are formed on each row's results, not
+        on E and G. Each base variant's columns are reordered by ``orders`` so
+        that position l pairs with the representative's own wave u_l, and the
+        i of i u is folded into the derivative columns: the pair (D_2l, D_2l+1)
+        against i u is (D_2l+1, -D_2l) against u. Each row of E and G is then
+        one product with the two columns (Re u, Im u) and (Re u, -Im u) of its
+        representative's waves. The even and odd rows of the e^{in theta}
+        table are read as views (``_tables``).
+        """
+        folded = np.empty_like(derivatives)
+        folded[:, 0::2], folded[:, 1::2] = derivatives[:, 1::2], -derivatives[:, 0::2]
+        coef = np.hstack([coef, folded])
+        r, columns = coef.shape
+        directions = columns // 4
+        column_orders = []
+        for order in orders:
+            pairs = (2 * order[:, None] + np.arange(2)).ravel()
+            column_orders.append(np.concatenate([pairs, pairs + 2 * directions]))
+        rhs_even, rhs_odd = _variant_rhs(coef, _BASE_VARIANTS, column_orders, halves=True)
+        reps = self._thetas.size
+        size = min(reps, self._block)
+        u_work = np.empty((size, directions), dtype=complex)
+        factor_work = np.empty_like(u_work)
+        wave_work = np.empty((size, 2 * directions, 2))
+        even_work, odd_work = np.empty(size * rhs_even.shape[1]), np.empty(size * rhs_odd.shape[1])
+        # (sum, representative, f, h, j0) for variant g = 4 f + 2 h + j0
+        sums = np.empty((2, reps, 2, 2, 2))
+        for lo, m, (even, odd) in self._tables(r, k, halves=True):
+            points = self._representatives[lo : lo + m]
+            u = _gather_waves(waves, points, u_work[:m], factor_work[:m])
+            re_im, w = u.view(float), wave_work[:m]
+            w[:, :, 0], w[:, 0::2, 1] = re_im, re_im[:, 0::2]
+            np.negative(re_im[:, 1::2], out=w[:, 1::2, 1])
+            e = np.matmul(even.T, rhs_even, out=even_work[: m * rhs_even.shape[1]].reshape(m, -1))
+            o = np.matmul(odd.T, rhs_odd, out=odd_work[: m * rhs_odd.shape[1]].reshape(m, -1))
+            # (m, 8, 2): row 2 b + s holds base variant b's values (s = 0) or
+            # derivatives (s = 1), against u and against conj u
+            e, o = np.matmul(e.reshape(m, 8, -1), w), np.matmul(o.reshape(m, 8, -1), w)
+            e[:, :, 0] += o[:, :, 0]
+            e[:, :, 1] -= o[:, :, 1]
+            # base variant b = 2 f + j0, its half turn h
+            sums[:, lo : lo + m] = e.reshape(m, 2, 2, 2, 2).transpose(3, 0, 1, 4, 2)
+        return sums.reshape(2, -1)[:, self._point_rows]
 
     def _coefficients(self, c: np.ndarray, k: int):
         """a_n = eps_n c_n/(2 pi w J_n'(w)) and its shifts d_x a, d_y a, each (n + 2, C).
@@ -554,54 +760,54 @@ class DiskModes:
             self._angular = table
         return table
 
-    def _products(self, coef: np.ndarray, k: int):
-        """Re sum_n Phi_n coef_n at frequency k, one block of representatives at a time.
+    def _tables(self, r: int, k: int, halves: bool = False):
+        """The real table [J_n cos n theta; J_n sin n theta] at frequency k, one block at a time.
 
-        Yields (rows, product) for representatives lo..lo+m-1: ``product``
-        holds their (m V, C) product rows, valid until the next block, and
-        ``rows`` is the slice lo V..(lo+m) V they take among the rows of all
-        blocks (row i V + g for representative i in the g-th of the V
-        variants present). At x = g y, Phi_n(x) is i^{jn} Phi_n(y) for a
-        rotation by j quarter turns and i^{jn} conj Phi_n(y) for a
-        reflection, and Re(conj Phi b) = Re(Phi conj b): each variant's rows
-        are those of its representative against the coefficients i^{jn} b_n
-        or their conjugates, exact sign flips and re/im swaps. So each block
-        takes one table Phi_0..Phi_{n+1} and one real matmul
-        [Re Phi; Im Phi]^T [Re b_g; -Im b_g] for all its columns in every
-        variant g present. A band reads each block's e^{in theta} rows from
-        its kept table (``_angular_rows``); one frequency builds them per
-        block into a workspace of one block.
+        Yields (lo, m, tables) for representatives lo..lo+m-1, the tables
+        valid until the next block: [(2r, m)] over the orders n = 0..r-1, or
+        with ``halves`` one over the even orders and one over the odd ones.
+        At x = g y, Phi_n(x) is i^{jn} Phi_n(y) for a rotation by j quarter
+        turns and i^{jn} conj Phi_n(y) for a reflection, and
+        Re(conj Phi b) = Re(Phi conj b): each variant's rows are those of its
+        representative against the coefficients i^{jn} b_n or their
+        conjugates (``_variant_rhs``), exact sign flips and re/im swaps, so one
+        real matmul per table gives every variant. A band reads each block's
+        e^{in theta} rows from its kept table (``_angular_rows``), and the even
+        and odd rows as views of it; one frequency builds them per block into
+        a workspace of one block.
         """
         omega = self.omegas[k]
-        r, columns = coef.shape  # r table rows, Phi_0..Phi_{n+1}
-        variants = self._variants.size
-        # [Re b_g; -Im b_g] per variant g = j + 4 f: b_g = i^{jn} b_n, conjugated if f = 1
-        rhs = np.empty((2 * r, variants * columns))
-        turns = np.array([1, 1j, -1, -1j])
-        for i, g in enumerate(self._variants):
-            turned = coef * turns[g % 4 * np.arange(r) % 4, None]
-            span = slice(i * columns, (i + 1) * columns)
-            rhs[:r, span], rhs[r:, span] = turned.real, turned.imag if g >= 4 else -turned.imag
         bessel = bessel_j_table(r - 1, omega * self._radii)
         reps, size = self._thetas.size, min(self._thetas.size, self._block)
         kept = self._angular_rows(r) if self.omegas.size > 1 else None
+        evens, odds = (r + 1) // 2, r // 2
+        rows = 2 * evens if halves else 2 * r  # the first table's; it holds the r Bessel rows first
         # workspaces for one block; a short last block uses their leading part
         phase_work = np.empty(r * size, dtype=complex) if kept is None else None
-        table_work, product_work = np.empty(2 * r * size), np.empty(size * rhs.shape[1])
+        table_work = np.empty(rows * size)
+        odd_work = np.empty(2 * odds * size) if halves else None
         for lo in range(0, reps, size):
             m = min(size, reps - lo)
             if kept is None:
                 phases = _angular_table(self._thetas[lo : lo + m], r - 1, phase_work[: r * m].reshape(r, m))
             else:
                 phases = kept[:, lo : lo + m]
-            table = table_work[: 2 * r * m].reshape(2 * r, m)
+            table = table_work[: rows * m].reshape(rows, m)
             # the block's Bessel columns; "clip" lets take write to out unbuffered (indices are valid)
             np.take(bessel, self._column[lo : lo + m], axis=1, out=table[:r], mode="clip")
-            np.multiply(table[:r], phases.imag, out=table[r:])
-            table[:r] *= phases.real
-            product = product_work[: m * rhs.shape[1]].reshape(m, -1)
-            np.matmul(table.T, rhs, out=product)
-            yield slice(lo * variants, (lo + m) * variants), product.reshape(-1, columns)
+            if not halves:
+                np.multiply(table[:r], phases.imag, out=table[r:])
+                table[:r] *= phases.real
+                yield lo, m, [table]
+                continue
+            # the odd orders' table from the gathered columns, then the even ones' in place
+            odd = odd_work[: 2 * odds * m].reshape(2 * odds, m)
+            np.multiply(table[1:r:2], phases[1::2].real, out=odd[:odds])
+            np.multiply(table[1:r:2], phases[1::2].imag, out=odd[odds:])
+            table[:evens] = table[0:r:2]
+            np.multiply(table[:evens], phases[0::2].imag, out=table[evens:])
+            table[:evens] *= phases[0::2].real
+            yield lo, m, [table, odd]
 
     def transpose(self, sources):
         """The transpose of ``apply`` over the band: sources at the points to coefficient pairs.

@@ -121,6 +121,12 @@ class CurveDiscretization:
         for arr in (self.nodes, self.weights, self.tangents, self.normals):
             arr.setflags(write=False)
 
+    @property
+    def longest_panel(self) -> float:
+        """Arc length of the longest panel of 4 consecutive nodes, as ``discretize`` lays them."""
+        with np.errstate(over="ignore"):  # a panel that overflows is inf, longer than any bound
+            return float(np.max(np.sum(self.weights.reshape(-1, _PANEL_ORDER), axis=1)))
+
 
 def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
     """Discretize a curve with composite 4-point Gauss-Legendre panels.

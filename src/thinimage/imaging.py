@@ -25,7 +25,14 @@ import math
 import numpy as np
 
 from .errors import ConfigError, FlatMapError
-from .forward import BoundaryDataset, DiskModes, IncidentSet, bessel_j_table, boundary_phases
+from .forward import (
+    BoundaryDataset,
+    DiskModes,
+    IncidentSet,
+    bessel_j_table,
+    boundary_phases,
+    closed_directions,
+)
 from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion, discretize
 from .maps import ImageMap, Lattice, from_point_values
 
@@ -139,35 +146,44 @@ def td_component_maps(
     One ``DiskModes.pair`` gives both sums: v and D come as real (Re, Im)
     column pairs, each pair differentiated along its own direction, and each
     block of its product rows is summed against the (Re, Im) pairs of u, or
-    of i u = (-Im u, Re u), at those rows' nodes, as the block comes. u is
-    gathered from the lattice's per-axis phase tables
-    (``Lattice.wave_factors``); neither the fields nor u is ever formed on
-    the whole lattice. The ``DiskModes`` takes the lattice's orbits, as in
-    ``etd_multi``, so both give the same maps bit for bit.
+    of i u = (-Im u, Re u), as the block comes. u is gathered from the
+    lattice's per-axis phase tables (``Lattice.wave_factors``); neither the
+    fields nor u is ever formed on the whole lattice. The directions are
+    first put on a set the square's symmetries map onto themselves bit for
+    bit when they are that to rounding (``closed_directions``; every standard
+    set of 4 | L directions, moved by at most 6.7e-16), and each orbit node
+    then pairs with its representative's waves. The ``DiskModes`` takes the
+    lattice's orbits, as in ``etd_multi``, so both give the same maps bit
+    for bit.
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
     modes = DiskModes(data.incident.omegas[k_index], lattice.points, lattice.orbits)
-    values = _component_values(data, lattice, k_index, modes, 0, _trace_phases(data.grid, modes))
+    phases = _trace_phases(data.grid, modes)
+    directions = closed_directions(data.incident.directions)
+    values = _component_values(data, lattice, k_index, modes, 0, phases, directions)
     return tuple(from_point_values(lattice, v) for v in values)
 
 
 def _component_values(
-    data: BoundaryDataset, lattice: Lattice, k: int, modes: DiskModes, j: int, phases: np.ndarray
+    data: BoundaryDataset,
+    lattice: Lattice,
+    k: int,
+    modes: DiskModes,
+    j: int,
+    phases: np.ndarray,
+    directions: np.ndarray,
 ):
     """The two point-value arrays of ``td_component_maps`` at the data's frequency k.
 
     They come from frequency j of ``modes``; ``phases`` is ``_trace_phases``
-    of the data's grid and ``modes``.
+    of the data's grid and ``modes``, and ``directions`` the data's
+    directions through ``closed_directions``.
     """
     omega = modes.omegas[j]
-    directions = data.incident.directions
     coefficients = _trace_modes(data.traces[:, :, k], data.grid, phases, modes.nmax[j])
     eps_vals, mu_vals = modes.pair(
-        coefficients,
-        np.repeat(directions, 2, axis=0),
-        lattice.wave_factors(omega, directions),
-        k=j,
+        coefficients, directions, lattice.wave_factors(omega, directions), k=j
     )
     return eps_vals, omega * mu_vals
 
@@ -212,9 +228,9 @@ def etd_multi(
 
     One ``DiskModes`` covers the band on the lattice's orbits
     (``Lattice.orbits``), so its tables are built on the representatives
-    only, one product per block for all eight variants, and one table of
-    boundary phases serves every frequency's trace modes. The frequencies are
-    imaged one after another, each as ``etd_single`` images it: each block's
+    only, and one table of boundary phases serves every frequency's trace
+    modes. The frequencies are imaged one after another, each as
+    ``etd_single`` images it (on ``closed_directions`` of the data's): each block's
     product rows are reduced to their nodes' two map values as they come
     (``DiskModes.pair``), so no per-node field array and no whole-lattice
     wave table is formed. The normalized point values are summed in frequency
@@ -224,9 +240,10 @@ def etd_multi(
     n_k = data.incident.n_frequencies
     modes = DiskModes(data.incident.omegas, lattice.points, lattice.orbits)
     phases = _trace_phases(data.grid, modes)
+    directions = closed_directions(data.incident.directions)
     acc = np.zeros(lattice.points.shape[0])
     for k in range(n_k):
-        acc += _normalized(*_component_values(data, lattice, k, modes, k, phases))
+        acc += _normalized(*_component_values(data, lattice, k, modes, k, phases, directions))
     return from_point_values(lattice, acc / float(n_k))
 
 

@@ -408,6 +408,27 @@ class TestValidate:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr() == ("inclusion 1: curve has a non-finite node or velocity\n", "")
 
+    def test_curve_too_long_for_the_synthesis_nodes_is_refused(self, tmp_path, capsys):
+        # a huge finite sine frequency keeps every node finite and inside the
+        # disk, but each 4-node panel spans about 1e304, and the traces
+        # synthesized on them overflowed in the noise stage; the config stage
+        # now refuses the curve, in validate and before run synthesizes
+        path = tmp_path / "long.ini"
+        path.write_text("[inclusion]\ncurve = custom\ny_sin_freq = 1e308\ny_sin_amp = 0.01\n")
+        fault = (
+            "curve too long for its 400 synthesis nodes: a 4-node panel spans 9.01e+303 "
+            "> half the shortest wavelength 0.1000"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--config", str(path)]) == 2
+            assert capsys.readouterr() == (f"inclusion 1: {fault}\n", "")
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: stage config: {fault}\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_background_keys_are_refused(self, tmp_path, capsys, command):
         # the background is fixed at eps = mu = 1; files written with the

@@ -25,6 +25,7 @@ from thinimage.forward import (
     bessel_j_table,
     boundary_kernel_gradients,
     boundary_kernel_tables,
+    closed_directions,
     frequency_band,
     jnp_values,
     load_dataset,
@@ -384,26 +385,31 @@ class TestDiskModes:
         # pair against apply(gradient=True) contracted by hand, on the 128^2
         # lattice (8 variants, 6 blocks) with its orbits and without: the
         # values against the waves' (Re, Im) pairs and the derivative of
-        # column j along directions[j] against the pairs of i u
+        # columns 2l and 2l+1 along directions[l] against the pairs of i u;
+        # the square's symmetries map the closed 4 directions onto themselves
+        # (each orbit row against its representative's waves), 3 not
         rng = np.random.default_rng(41)
         lattice = make_lattice(128)
-        directions = standard_directions(6)
-        waves = lattice.plane_waves(OMEGA_HI, directions[::2])
-        for orbits in (None, lattice.orbits):
-            modes = DiskModes(OMEGA_HI, lattice.points, orbits)
-            shape = (modes.nmax[0] + 1, 6)
-            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            eps, mu = modes.pair(c, directions, lattice.wave_factors(OMEGA_HI, directions[::2]))
-            v, gx, gy = modes.apply(c, gradient=True)
-            along = directions[:, 0] * gx + directions[:, 1] * gy
-            for got, ref in (
-                (eps, np.sum(v * waves.view(float), axis=1)),
-                (mu, np.sum(along * (1j * waves).view(float), axis=1)),
-            ):
-                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), orbits is None
-            # the waves as one (P, L) table give the lattice's factors' bits
-            table = modes.pair(c, directions, [(waves, np.arange(waves.shape[0]))])
-            assert np.array_equal(table, (eps, mu))
+        for n_directions in (3, 4):
+            directions = closed_directions(standard_directions(n_directions))
+            waves = lattice.plane_waves(OMEGA_HI, directions)
+            columns = np.repeat(directions, 2, axis=0)
+            for orbits in (None, lattice.orbits):
+                modes = DiskModes(OMEGA_HI, lattice.points, orbits)
+                shape = (modes.nmax[0] + 1, 2 * n_directions)
+                c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                eps, mu = modes.pair(c, directions, lattice.wave_factors(OMEGA_HI, directions))
+                v, gx, gy = modes.apply(c, gradient=True)
+                along = columns[:, 0] * gx + columns[:, 1] * gy
+                for got, ref in (
+                    (eps, np.sum(v * waves.view(float), axis=1)),
+                    (mu, np.sum(along * (1j * waves).view(float), axis=1)),
+                ):
+                    err = np.max(np.abs(got - ref))
+                    assert err <= 1e-13 * np.max(np.abs(ref)), (n_directions, orbits is None)
+                # the waves as one (P, L) table give the lattice's factors' bits
+                table = modes.pair(c, directions, [(waves, np.arange(waves.shape[0]))])
+                assert np.array_equal(table, (eps, mu))
 
     def test_transpose_dot_product_identity(self):
         # sum_x [s f + s_x d_x f + s_y d_y f] = (1/2) sum_n (c_n p_n + conj(c_n) q_n)
@@ -444,7 +450,7 @@ class TestDiskModes:
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         sources = [tuple(rand(radii.size, 3) for _ in range(3)) for _ in omegas]
-        directions = standard_directions(4)
+        directions = standard_directions(2)
         waves = [(rand(radii.size, 2), np.arange(radii.size))]
         pairs = list(band.transpose(sources))
         assert len(pairs) == omegas.size
@@ -467,31 +473,60 @@ class TestDiskModes:
     def test_orbits_give_what_the_points_give_alone(self, n):
         # the lattice's orbits against every node its own representative, on
         # the adjoint's coefficient rows (N/2 + 1 = 65); image nodes take the
-        # representative's coordinates, which differ from theirs by an ulp
+        # representative's coordinates, which differ from theirs by an ulp;
+        # on the closed 4 directions each orbit row pairs with its
+        # representative's waves, on 3 with its own node's
         rng = np.random.default_rng(53)
         lattice = make_lattice(n)
         omegas = frequency_band(16)[[0, 15]]
         wedge = DiskModes(omegas, lattice.points, lattice.orbits)
         alone = DiskModes(omegas, lattice.points)
         assert wedge.nmax == alone.nmax
-        c = rng.standard_normal((65, 6)) + 1j * rng.standard_normal((65, 6))
-        directions = standard_directions(6)
-        for k in (0, 1):
-            for kw in ({}, {"gradient": True}):
-                got = np.atleast_3d(wedge.apply(c, k=k, **kw))
-                ref = np.atleast_3d(alone.apply(c, k=k, **kw))
-                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (k, kw)
-            waves = lattice.wave_factors(omegas[k], directions[::2])
-            got, ref = wedge.pair(c, directions, waves, k=k), alone.pair(c, directions, waves, k=k)
-            for got, ref in zip(got, ref):
-                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), k
+        for n_directions in (3, 4):
+            shape = (65, 2 * n_directions)
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            directions = closed_directions(standard_directions(n_directions))
+            for k in (0, 1):
+                for kw in ({}, {"gradient": True}):
+                    got = np.atleast_3d(wedge.apply(c, k=k, **kw))
+                    ref = np.atleast_3d(alone.apply(c, k=k, **kw))
+                    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (k, kw)
+                waves = lattice.wave_factors(omegas[k], directions)
+                got = wedge.pair(c, directions, waves, k=k)
+                ref = alone.pair(c, directions, waves, k=k)
+                for got, ref in zip(got, ref):
+                    err = np.max(np.abs(got - ref))
+                    assert err <= 1e-14 * np.max(np.abs(ref)), (n_directions, k)
+
+    @pytest.mark.parametrize("n_directions", [1, 2, 3, 4, 6, 8, 12, 16, 64])
+    def test_closed_directions(self, n_directions):
+        # with 4 | L the square's rotations and reflections map the closed set
+        # onto itself bit for bit, each direction moved by rounding only, and
+        # pair reads the orbit rows from their representatives' waves; other
+        # sets, and a set turned off the square's axes, come back as they are
+        modes = DiskModes(OMEGA_HI, make_lattice(32).points, make_lattice(32).orbits)
+        directions = standard_directions(n_directions)
+        closed = closed_directions(directions)
+        c, s = math.cos(0.1), math.sin(0.1)
+        turned = directions @ np.array([[c, s], [-s, c]])
+        assert np.array_equal(closed_directions(turned), turned)
+        assert modes._wave_orders(turned) is None
+        if n_directions % 4:
+            assert np.array_equal(closed, directions)
+            assert modes._wave_orders(closed) is None
+            return
+        assert np.max(np.abs(closed - directions)) <= 1e-15
+        members = set(map(tuple, closed.tolist()))
+        for x, y in closed.tolist():
+            assert {(-y, x), (x, -y)} <= members  # the quarter turn and the flip
+        assert modes._wave_orders(closed) is not None
 
     def test_pair_sums_come_back_in_the_input_order(self):
         # a shuffled point set, its waves shuffled with it, gives the same
         # sums, shuffled, bit for bit; the 128^2 lattice spans several blocks
         rng = np.random.default_rng(59)
         c = rng.standard_normal((65, 4)) + 1j * rng.standard_normal((65, 4))
-        directions = standard_directions(4)
+        directions = standard_directions(2)
         for points in (make_lattice(40).points, make_lattice(128).points):
             shuffle = rng.permutation(points.shape[0])
             table = np.exp(1j * rng.uniform(-math.pi, math.pi, (points.shape[0], 2)))

@@ -308,18 +308,37 @@ class TestMultiFrequency:
         adjoint_field_batch(clean16.traces[:, :, 0], grid, clean16.incident.omegas[0], lattice.points)
         assert len(columns) > 1 and max(columns) <= forward._POINT_BLOCK
 
-    @pytest.mark.parametrize("n_directions", [16, 6])
-    def test_pairing_matches_the_adjoint_fields(self, grid, sigma1, clean16, n_directions):
+    @pytest.mark.parametrize(
+        "n_directions, n",
+        [
+            pytest.param(n_directions, n, id=f"{n_directions}" + ("" if n == 128 else f"-{n}"))
+            for n in (128, 65)
+            for n_directions in (16, 6, 4, 8)
+        ],
+    )
+    def test_pairing_matches_the_adjoint_fields(
+        self, grid, sigma1, clean16, monkeypatch, n_directions, n
+    ):
         # td_component_maps and etd_multi on the 128^2 lattice (8 variants, 6
-        # blocks) against adjoint_field_batch paired with explicit
-        # e^{iw d.z}; the square's symmetries map 16 standard directions onto
-        # themselves, 6 not
+        # blocks) and the 65^2 one (nodes on the axes and the diagonals, where
+        # variants coincide) against adjoint_field_batch paired with explicit
+        # e^{iw d.z} of the data's own directions; the square's symmetries map
+        # 16, 4 and 8 standard directions onto themselves (to rounding), so
+        # each orbit node pairs with its representative's waves, 6 not
         if n_directions == 16:
             data = clean16
         else:
             incident = IncidentSet(standard_directions(n_directions), frequency_band(16))
             data = synthesize([ThinInclusion(sigma1[0])], incident, grid)
-        lattice = make_lattice(128)
+        lattice = make_lattice(n)
+        orbit_pairs = []
+        pair_orbits = forward.DiskModes._pair_orbits
+
+        def counted(modes, *args):
+            orbit_pairs.append(args)
+            return pair_orbits(modes, *args)
+
+        monkeypatch.setattr(forward.DiskModes, "_pair_orbits", counted)
         directions = data.incident.directions
         acc = np.zeros(lattice.points.shape[0])
         for k, omega in enumerate(data.incident.omegas):
@@ -338,6 +357,8 @@ class TestMultiFrequency:
             acc += 0.5 * (refs[0] / np.max(np.abs(refs[0])) + refs[1] / np.max(np.abs(refs[1])))
         band = etd_multi(data, lattice).inside_values
         assert np.max(np.abs(band - acc / 16.0)) <= 1e-13 * np.max(np.abs(band))
+        # 2 single maps and the band's 16 frequencies took the orbit path
+        assert len(orbit_pairs) == (18 if n_directions % 4 == 0 else 0)
 
     def test_band_map_peak_memory(self, clean16):
         # tracemalloc peak of a second call on 128^2/L16 at 15 dB, the orbits
