@@ -6,16 +6,19 @@ Run from the root of a source checkout:
     python3 benchmarks/bench_layers.py --src /path/to/parent/src --label parent \
         --src src --label change --out BENCH.json
 
-Each layer is timed on its own, as the median of ``REPEATS`` calls, on four
+Each layer is timed on its own, as the median of ``REPEATS`` calls, on five
 scenes that ``perfbench/run.py`` does not run: L16/K16 on a 128² lattice
 with one fixed noise seed (the noise sweep's scene, untraced), L4/K16 on a
-256² lattice, L16/K16 on a 256² lattice, where the lattice and the
-direction count are both large, and L6/K16 on a 128² lattice, whose six
+128² lattice (the default preset's directions and lattice, in process),
+L4/K16 on a 256² lattice, L16/K16 on a 256² lattice, where the lattice and
+the direction count are both large, and L6/K16 on a 128² lattice, whose six
 directions the square's symmetries do not map onto themselves, so that its
 maps pair each node with its own waves (``DiskModes.pair``), where the other
 scenes pair each lattice orbit through its representative's waves. All use
 the sigma1 curve, a 128-point boundary grid and 15 dB noise. The layers:
 
+- ``discretize``: the scene's curve on ``forward.SYNTHESIS_NODES`` nodes,
+  as synthesis and the config stage take it;
 - ``Lattice.orbits``: the nodes grouped under the square's symmetries,
   computed afresh;
 - ``DiskModes`` construction for the band on the lattice's orbits, as
@@ -89,6 +92,7 @@ from run import REF_NOMINAL_S, HostSpeed  # noqa: E402
 # scene: (incident directions, lattice nodes per side)
 SCENES = {
     "L16K16_128": (16, 128),
+    "L4K16_128": (4, 128),
     "L4K16_256": (4, 256),
     "L16K16_256": (16, 256),
     "L6K16_128": (6, 128),
@@ -135,7 +139,8 @@ def scene_layers(package, n_directions: int, size: int, out: Path) -> dict:
     incident = forward.IncidentSet(
         forward.standard_directions(n_directions), forward.frequency_band(N_FREQUENCIES)
     )
-    inclusions = [geometry.ThinInclusion(geometry.builtin_curve("sigma1"))]
+    curve = geometry.builtin_curve("sigma1")
+    inclusions = [geometry.ThinInclusion(curve)]
     lattice = maps.make_lattice(size)
     noisy = forward.add_awgn(forward.synthesize(inclusions, incident, grid), SNR_DB, NOISE_SEED)
     omega = float(incident.omegas[-1])
@@ -152,6 +157,7 @@ def scene_layers(package, n_directions: int, size: int, out: Path) -> dict:
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     imap = imaging.etd_multi(noisy, lattice)
     return {
+        "discretize": lambda: geometry.discretize(curve, forward.SYNTHESIS_NODES),
         "Lattice.orbits": lambda: type(lattice).orbits.func(lattice),
         "DiskModes(band)": band,
         "DiskModes.apply": lambda: modes.apply(coefficients, k=top),

@@ -448,32 +448,47 @@ _POINT_BLOCK = 2048
 
 # i^j, the factor of order n = 1 for a variant g = j + 4 f of j quarter turns
 _TURNS = np.array([1, 1j, -1, -1j])
-# The variants g whose half turns g + 2 ``DiskModes.pair`` takes from the same products
-_BASE_VARIANTS = (0, 1, 4, 5)
+# The rotations j whose half turns j + 2 and reflections j + 4, j + 6 ``DiskModes.pair``
+# takes from the same products
+_BASE_VARIANTS = (0, 1)
 
 
-def _variant_rhs(coef: np.ndarray, variants, column_orders=None, halves: bool = False):
-    """The right-hand sides [Re b_g; -Im b_g] of every variant g, side by side.
+def _orbit_signs() -> np.ndarray:
+    """The (128, 16) matrix from one representative's reduced rows to its sums (``_pair_orbits``).
+
+    A row (o, b, j, s, t, w) holds part b (A or B) over the even (o = 0) or
+    odd (o = 1) orders, of rotation j's values (s = 0) or derivatives
+    (s = 1), in its Re (t = 0) or Im (t = 1) slots, against the wave column
+    w of (Re u, Im u, Re u o phi, Im u o phi). A sum (s, c, j) is variant
+    j + 4 f + 2 h, c = 2 f + h: against u o phi if f = 1, conjugated if
+    h = 1. It takes A - B (A + B if f = 1), the odd orders negated if
+    h = 1, the Re slots against w = 2 f and the Im slots against
+    w = 2 f + 1, negated if h = 1.
+    """
+    o, b, t, w, c = np.indices((2, 2, 2, 4, 4))
+    f, h = c // 2, c % 2
+    part = np.where(w == 2 * f + t, (-1.0) ** (b * (1 - f) + o * h + t * h), 0.0)
+    eye = np.eye(2)
+    return np.einsum("obtwc,jk,sl->objstwlck", part, eye, eye).reshape(128, 16)
+
+
+_ORBIT_SIGNS = _orbit_signs()
+
+
+def _variant_rhs(coef: np.ndarray, variants) -> np.ndarray:
+    """The right-hand sides [Re b_g; -Im b_g] of every variant g, side by side: (2r, V C).
 
     For variant g = j + 4 f, b_g = i^{jn} b_n, conjugated if f = 1, where b
-    is ``coef`` (r, C), its columns taken in ``column_orders[i]`` for the
-    i-th variant when given. Returns [(2r, V C)], or with ``halves`` the rows
-    of the even and of the odd orders n, [(2 r_e, V C), (2 r_o, V C)], to
-    meet the tables of ``DiskModes._tables``.
+    is ``coef`` (r, C).
     """
     r, columns = coef.shape
     orders = np.arange(r)
-    selections = (slice(0, r, 2), slice(1, r, 2)) if halves else (slice(None),)
-    parts = [np.empty((2 * orders[rows].size, len(variants) * columns)) for rows in selections]
+    rhs = np.empty((2 * r, len(variants) * columns))
     for i, g in enumerate(variants):
-        b = coef if column_orders is None else coef[:, column_orders[i]]
-        turned = b * _TURNS[g % 4 * orders % 4, None]
+        turned = coef * _TURNS[g % 4 * orders % 4, None]
         span = slice(i * columns, (i + 1) * columns)
-        for rhs, rows in zip(parts, selections):
-            part = turned[rows]
-            s = part.shape[0]
-            rhs[:s, span], rhs[s:, span] = part.real, part.imag if g >= 4 else -part.imag
-    return parts
+        rhs[:r, span], rhs[r:, span] = turned.real, turned.imag if g >= 4 else -turned.imag
+    return rhs
 
 
 def _gather_waves(waves, points, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -522,8 +537,9 @@ class DiskModes:
     columns instead of three; each point then takes its row's two sums. On
     the lattice's orbits, when the square's symmetries map the directions
     onto themselves bit for bit, every row reduces against its
-    representative's own wave row, and variants g and g + 2 share one
-    product over the even orders and one over the odd orders
+    representative's own wave row, and the rotations j = 0, 1 take four
+    half-size products each block, the cos and the sin rows over the even
+    and the odd orders, that also give their half turns and reflections
     (``_pair_orbits``).
 
     The angles e^{in theta} do not depend on the frequency. A band keeps the
@@ -574,6 +590,7 @@ class DiskModes:
         self._point_rows = rows * self._variants.size + position
         self._row_points = np.zeros(self._thetas.size * self._variants.size, dtype=np.intp)
         self._row_points[self._point_rows] = np.arange(rows.size)
+        self._orders = {}  # _wave_orders of each direction set, by its bytes
 
     def apply(self, c: np.ndarray, gradient: bool = False, k: int = 0):
         """Re sum_n eps_n K_n(x) c_n at every point, for c of shape (m+1, C), m <= nmax[k].
@@ -604,7 +621,7 @@ class DiskModes:
         Its own method so that the right-hand sides and the block tables are
         freed before ``apply`` gathers each point's row.
         """
-        [rhs] = _variant_rhs(coef, self._variants)
+        rhs = _variant_rhs(coef, self._variants)
         variants = self._variants.size
         rows = np.empty((self._row_points.size, coef.shape[1]))
         for lo, m, [table] in self._tables(coef.shape[0], k):
@@ -642,7 +659,7 @@ class DiskModes:
             return self._pair_orbits(coef, derivatives, orders, waves, k)
         coef = np.hstack([coef, derivatives])
         columns = c.shape[1]  # the values' columns; the derivatives' follow
-        [rhs] = _variant_rhs(coef, self._variants)
+        rhs = _variant_rhs(coef, self._variants)
         variants = self._variants.size
         sums = np.empty((2, self._row_points.size))
         size = min(self._thetas.size, self._block) * variants
@@ -661,75 +678,102 @@ class DiskModes:
         return sums[:, self._point_rows]
 
     def _wave_orders(self, directions: np.ndarray):
-        """Each base variant's direction at each position of the representative's waves, or None.
+        """The column orders and the wave columns of ``_pair_orbits`` for ``directions``, or None.
 
         Variant g moves a point y to x = M y, and e^{i w d.M y} = e^{i w (M^T d).y}.
         Where M^T d_l is d_l' exactly for every l, one to one, the wave of
         direction l at x is the wave of direction l' at y, and position l'
-        of variant g's columns takes direction l. Returns the (4, L)
-        positions' directions for the variants of ``_BASE_VARIANTS``, or None
-        unless all 8 variants are present and the symmetries map the set onto
-        itself bit for bit (``closed_directions``). The quarter turn fixes no
-        unit vector, so such a set splits into orbits of 4 or 8 directions.
+        of variant g's columns takes direction l. Returns None unless all 8
+        variants are present and the quarter turn and the flip F map the set
+        onto itself bit for bit (``closed_directions``), and then so do all 8
+        symmetries; the quarter turn fixes no unit vector, so such a set
+        splits into orbits of 4 or 8 directions. Otherwise it returns
+
+        - the (2, 4L) orders of the value and derivative columns of the
+          rotations j of ``_BASE_VARIANTS``: in each of the two, the Re
+          columns of positions 0..L-1, then their Im columns;
+        - the (L, 4) columns of the representative's (Re, Im) wave pairs that
+          make the wave block of ``_pair_orbits``, Re u, Im u, Re u o phi and
+          Im u o phi, where phi(l) is the direction F d_l. The reflection
+          R^j F of rotation j moves direction l of j's order to F d_l, the
+          same phi for every j.
+
+        Each set is worked out once per ``DiskModes``, on its first ``pair``.
         """
-        if self._variants.size < 8 or directions.shape[0] % 4:
-            return None
-        images = _direction_images(directions)[list(_BASE_VARIANTS)]
-        landing = _direction_permutations(images, directions, 0.0)
-        return None if landing is None else np.argsort(landing, axis=1)
+        key = directions.tobytes()
+        if key not in self._orders:
+            self._orders[key] = None
+            if self._variants.size == 8 and directions.shape[0] % 4 == 0:
+                images = _direction_images(directions)[[*_BASE_VARIANTS, 4]]
+                landing = _direction_permutations(images, directions, 0.0)
+                if landing is not None:
+                    order, flip = 2 * np.argsort(landing[:-1], axis=1), 2 * landing[-1]
+                    slots = np.hstack([order, order + 1])  # the Re slots, then the Im ones
+                    same = 2 * np.arange(flip.size)
+                    self._orders[key] = (
+                        np.hstack([slots, slots + 2 * flip.size]),
+                        np.column_stack([same, same + 1, flip, flip + 1]),
+                    )
+        return self._orders[key]
 
     def _pair_orbits(self, coef, derivatives, orders, waves, k: int):
         """``pair`` on the orbits, every product row against its representative's waves.
 
         ``coef`` and ``derivatives`` are the (r, 2L) columns of the values and
-        of the directional derivatives. Variant g + 2 is variant g followed by
-        the half turn x -> -x, where Phi_n(-x) = (-1)^n Phi_n(x) and
-        u(-x) = conj u(x). So each block takes two products, E over the even
-        orders and G over the odd ones, for the base variants g = 0, 1, 4, 5
-        only: variant g's rows are E + G against u, variant g + 2's are E - G
-        against conj u, and the sums are formed on each row's results, not
-        on E and G. Each base variant's columns are reordered by ``orders`` so
-        that position l pairs with the representative's own wave u_l, and the
-        i of i u is folded into the derivative columns: the pair (D_2l, D_2l+1)
-        against i u is (D_2l+1, -D_2l) against u. Each row of E and G is then
-        one product with the two columns (Re u, Im u) and (Re u, -Im u) of its
-        representative's waves. The even and odd rows of the e^{in theta}
-        table are read as views (``_tables``).
+        of the directional derivatives, and ``orders`` is ``_wave_orders``.
+        The i of i u is folded into the derivative columns: the pair
+        (D_2l, D_2l+1) against i u is (D_2l+1, -D_2l) against u. Each rotation
+        j = 0, 1 takes its columns in its order, so that position l pairs
+        with the representative's own wave u_l, and b = i^{jn} b_n on them.
+
+        Three symmetries share the products of rotation j. Its reflection
+        R^j F (variant j + 4) has Phi_n(R^j F y) = i^{jn} conj Phi_n(y), so
+        with A = (J cos n theta)^T Re b and B = (J sin n theta)^T Im b,
+        variant j's rows are A - B and variant j + 4's are A + B, the latter
+        against u o phi. The half turn x -> -x (variants j + 2 and j + 6) has
+        Phi_n(-x) = (-1)^n Phi_n(x) and u(-x) = conj u(x), so A and B are
+        taken over the even orders and the odd ones apart. Each block takes
+        four products A_e, B_e, A_o, B_o for both rotations into one buffer,
+        the cos rows of each half of the e^{in theta} table (``_tables``)
+        meeting A and the sin rows B. One batched product reduces the Re
+        and the Im columns of every row against the wave block of its
+        representative, (Re u, Im u, Re u o phi, Im u o phi), and one product
+        with ``_ORBIT_SIGNS`` takes each block's results, never the products
+        themselves, to the sums of all 8 variants: each sum adds eight of
+        them with signs, the conjugate's Im part negated.
         """
         folded = np.empty_like(derivatives)
         folded[:, 0::2], folded[:, 1::2] = derivatives[:, 1::2], -derivatives[:, 0::2]
         coef = np.hstack([coef, folded])
+        column_orders, wave_columns = orders
         r, columns = coef.shape
-        directions = columns // 4
-        column_orders = []
-        for order in orders:
-            pairs = (2 * order[:, None] + np.arange(2)).ravel()
-            column_orders.append(np.concatenate([pairs, pairs + 2 * directions]))
-        rhs_even, rhs_odd = _variant_rhs(coef, _BASE_VARIANTS, column_orders, halves=True)
+        # (Re b; Im b) of the rotations side by side, read as their even and odd orders
+        turned = np.stack([coef[:, order] for order in column_orders], axis=1)
+        turned *= _TURNS[np.outer(np.arange(r), _BASE_VARIANTS) % 4, None]
+        rhs = np.stack([turned.real, turned.imag]).reshape(2, r, -1)
+        halves = rhs[:, 0::2], rhs[:, 1::2]
         reps = self._thetas.size
         size = min(reps, self._block)
-        u_work = np.empty((size, directions), dtype=complex)
+        u_work = np.empty((size, columns // 4), dtype=complex)
         factor_work = np.empty_like(u_work)
-        wave_work = np.empty((size, 2 * directions, 2))
-        even_work, odd_work = np.empty(size * rhs_even.shape[1]), np.empty(size * rhs_odd.shape[1])
-        # (sum, representative, f, h, j0) for variant g = 4 f + 2 h + j0
-        sums = np.empty((2, reps, 2, 2, 2))
-        for lo, m, (even, odd) in self._tables(r, k, halves=True):
+        wave_work = np.empty((size, columns // 4, 4))
+        # (representative, part, (j, s, t, position)): the parts A_e, B_e, A_o, B_o
+        product_work = np.empty((size, 4, 2 * columns))
+        reduced_work = np.empty((size, 32, 4))
+        sums = np.empty((reps, 16))  # (s, c, j), as the columns of _ORBIT_SIGNS
+        for lo, m, tables in self._tables(r, k, halves=True):
             points = self._representatives[lo : lo + m]
             u = _gather_waves(waves, points, u_work[:m], factor_work[:m])
-            re_im, w = u.view(float), wave_work[:m]
-            w[:, :, 0], w[:, 0::2, 1] = re_im, re_im[:, 0::2]
-            np.negative(re_im[:, 1::2], out=w[:, 1::2, 1])
-            e = np.matmul(even.T, rhs_even, out=even_work[: m * rhs_even.shape[1]].reshape(m, -1))
-            o = np.matmul(odd.T, rhs_odd, out=odd_work[: m * rhs_odd.shape[1]].reshape(m, -1))
-            # (m, 8, 2): row 2 b + s holds base variant b's values (s = 0) or
-            # derivatives (s = 1), against u and against conj u
-            e, o = np.matmul(e.reshape(m, 8, -1), w), np.matmul(o.reshape(m, 8, -1), w)
-            e[:, :, 0] += o[:, :, 0]
-            e[:, :, 1] -= o[:, :, 1]
-            # base variant b = 2 f + j0, its half turn h
-            sums[:, lo : lo + m] = e.reshape(m, 2, 2, 2, 2).transpose(3, 0, 1, 4, 2)
-        return sums.reshape(2, -1)[:, self._point_rows]
+            w = np.take(u.view(float), wave_columns, axis=1, out=wave_work[:m], mode="clip")
+            parts = product_work[:m]
+            for half, (table, (re, im)) in enumerate(zip(tables, halves)):
+                rows = table.shape[0] // 2
+                np.matmul(table[:rows].T, re, out=parts[:, 2 * half])
+                np.matmul(table[rows:].T, im, out=parts[:, 2 * half + 1])
+            reduced = np.matmul(parts.reshape(m, 32, -1), w, out=reduced_work[:m])
+            np.matmul(reduced.reshape(m, -1), _ORBIT_SIGNS, out=sums[lo : lo + m])
+        # row i V + g holds variant g = 4 f + 2 h + j = 2 c + j
+        return sums.reshape(reps, 2, 8).transpose(1, 0, 2).reshape(2, -1)[:, self._point_rows]
 
     def _coefficients(self, c: np.ndarray, k: int):
         """a_n = eps_n c_n/(2 pi w J_n'(w)) and its shifts d_x a, d_y a, each (n + 2, C).
@@ -993,10 +1037,12 @@ def add_awgn(data: BoundaryDataset, snr_db: float, seed: int) -> BoundaryDataset
     noisy = data.traces.copy()
     children = np.random.SeedSequence(seed).spawn(L * K)
     factor = 10.0 ** (-snr_db / 10.0)
+    # each trace's mean power, taken along contiguous rows as np.mean of one trace takes it
+    powers = np.ascontiguousarray(np.moveaxis(np.abs(data.traces) ** 2, 0, -1)).mean(-1)
     for l in range(L):
         for k in range(K):
             trace = data.traces[:, l, k]
-            power = float(np.mean(np.abs(trace) ** 2))
+            power = float(powers[l, k])
             if power == 0.0:
                 continue
             rng = np.random.Generator(np.random.PCG64(children[l * K + k]))

@@ -128,6 +128,29 @@ class CurveDiscretization:
             return float(np.max(np.sum(self.weights.reshape(-1, _PANEL_ORDER), axis=1)))
 
 
+# Node rows per block of _min_gap_squared
+_GAP_ROWS = 64
+
+
+def _min_gap_squared(pts: np.ndarray) -> float:
+    """min |x_i - x_j|^2 over the node pairs j >= i + 2, ``_GAP_ROWS`` rows i at a time.
+
+    Squared distances, since hypot is slow; no (n, n) array is formed.
+    """
+    n = pts.shape[0]
+    # row lo + a of a block reaches column lo + 2 + b for b >= a
+    reach = np.arange(n - 2)[None, :] >= np.arange(_GAP_ROWS)[:, None]
+    best = np.inf
+    for lo in range(0, n - 2, _GAP_ROWS):
+        rows = pts[lo : min(lo + _GAP_ROWS, n - 2)]
+        dx = rows[:, None, 0] - pts[None, lo + 2 :, 0]
+        dy = rows[:, None, 1] - pts[None, lo + 2 :, 1]
+        gap = dx * dx + dy * dy
+        valid = reach[: gap.shape[0], : gap.shape[1]]
+        best = min(best, float(np.min(gap, initial=np.inf, where=valid)))
+    return best
+
+
 def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
     """Discretize a curve with composite 4-point Gauss-Legendre panels.
 
@@ -179,10 +202,8 @@ def discretize(curve: ParametricCurve, m_nodes: int) -> CurveDiscretization:
             f"curve violates the boundary clearance: max |x| = {shown} > {1.0 - _MIN_CLEARANCE}"
         )
 
-    # Simple-curve check: non-adjacent nodes (j >= i + 2) must stay more than
-    # 1e-12 apart; squared distances, since hypot over all pairs is slow.
-    dx, dy = pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1]
-    if np.min((dx * dx + dy * dy)[np.triu_indices(len(s), 2)]) <= 1e-24:
+    # Simple-curve check: non-adjacent nodes (j >= i + 2) must stay more than 1e-12 apart
+    if _min_gap_squared(pts) <= 1e-24:
         raise GeometryError("curve discretization self-intersects")
 
     return CurveDiscretization(

@@ -739,6 +739,30 @@ class TestNoise:
         with pytest.raises(ConfigError):
             add_awgn(clean, math.nan, seed=1)
 
+    @pytest.mark.parametrize("shape", [(64, 4, 4), (128, 16, 16), (200, 4, 3)])
+    def test_matches_a_per_trace_reference(self, shape):
+        # each trace's noise scaled by its own np.mean power and drawn from
+        # its own substream, bit for bit, with one trace identically zero
+        n_b, L, K = shape
+        rng = np.random.default_rng(n_b)
+        traces = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        traces[:, 1, 2] = 0.0
+        incident = IncidentSet(standard_directions(L), frequency_band(K))
+        clean = BoundaryDataset(traces, boundary_grid(n_b), incident)
+        children = np.random.SeedSequence(29).spawn(L * K)
+        factor = 10.0 ** (-12.0 / 10.0)
+        ref = traces.copy()
+        for l in range(L):
+            for k in range(K):
+                power = float(np.mean(np.abs(traces[:, l, k]) ** 2))
+                if power == 0.0:
+                    continue
+                draw = np.random.Generator(np.random.PCG64(children[l * K + k]))
+                scale = math.sqrt(power * factor / 2.0)
+                noise = scale * (draw.standard_normal(n_b) + 1j * draw.standard_normal(n_b))
+                ref[:, l, k] = traces[:, l, k] + noise
+        assert np.array_equal(add_awgn(clean, 12.0, seed=29).traces, ref)
+
     def test_negative_infinite_snr_rejected(self, clean):
         with pytest.raises(ConfigError, match=r"finite or \+inf"):
             add_awgn(clean, -math.inf, seed=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from thinimage import geometry
 from thinimage.errors import ConfigError, GeometryError
 from thinimage.geometry import (
     BoundaryGrid,
@@ -128,6 +129,32 @@ class TestDiscretize:
         )
         with pytest.raises(GeometryError, match="self-intersect"):
             discretize(c, 64)
+
+    @pytest.mark.parametrize("n", [3, 8, 63, 64, 65, 66, 130, 400])
+    def test_blocked_gap_matches_all_pairs(self, n):
+        # the row-blocked minimum against the all-pairs expression, bit for
+        # bit, on random chains, on chains with one near-touching pair of
+        # non-adjacent nodes, across and within the 64-row blocks, and with
+        # neighbours placed on one point, which the check does not count, and
+        # on sigma1's synthesis nodes
+        def all_pairs(pts):
+            dx, dy = pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1]
+            return np.min((dx * dx + dy * dy)[np.triu_indices(len(pts), 2)])
+
+        rng = np.random.default_rng(n)
+        chains = [rng.standard_normal((n, 2)) for _ in range(3)]
+        for _ in range(4):
+            pts = np.cumsum(rng.uniform(0.01, 0.02, (n, 2)), axis=0)
+            i = int(rng.integers(0, n - 2))
+            j = int(rng.integers(i + 2, n))
+            pts[j] = pts[i] + rng.choice([0.0, 1e-13, 3e-12], size=2)
+            if i + 1 < j:
+                pts[i + 1] = pts[i]
+            chains.append(pts)
+        if n == 400:
+            chains.append(discretize(builtin_curve("sigma1"), n).nodes)
+        for pts in chains:
+            assert geometry._min_gap_squared(pts) == all_pairs(pts)
 
     @pytest.mark.parametrize("keys", [dict(x_shift=math.nan), dict(y_poly=(0.0, math.nan))])
     def test_non_finite_curve_raises(self, keys):

@@ -268,6 +268,21 @@ class TestMultiFrequency:
         etd_multi(clean16, make_lattice(32))
         assert built == [16]
 
+    def test_direction_permutations_once_per_band(self, clean16, monkeypatch):
+        # closed_directions finds the data's set closed to rounding, and the
+        # band's DiskModes works out its exact permutations once, on its first
+        # pair, not once per frequency
+        tolerances = []
+
+        def counted(images, directions, tol):
+            tolerances.append(tol)
+            return permutations(images, directions, tol)
+
+        permutations = forward._direction_permutations
+        monkeypatch.setattr(forward, "_direction_permutations", counted)
+        etd_multi(clean16, make_lattice(32))
+        assert tolerances == [forward._DIRECTION_TOL, 0.0]
+
     def test_orbits_maps_match_the_points_alone(self, clean16, monkeypatch):
         # the lattice's orbits against a DiskModes that ignores them; the raw
         # maps peak near 1e4, so they are compared relative to their peaks
@@ -313,7 +328,7 @@ class TestMultiFrequency:
         [
             pytest.param(n_directions, n, id=f"{n_directions}" + ("" if n == 128 else f"-{n}"))
             for n in (128, 65)
-            for n_directions in (16, 6, 4, 8)
+            for n_directions in (16, 6, 4, 8, 12)
         ],
     )
     def test_pairing_matches_the_adjoint_fields(
@@ -323,8 +338,10 @@ class TestMultiFrequency:
         # blocks) and the 65^2 one (nodes on the axes and the diagonals, where
         # variants coincide) against adjoint_field_batch paired with explicit
         # e^{iw d.z} of the data's own directions; the square's symmetries map
-        # 16, 4 and 8 standard directions onto themselves (to rounding), so
-        # each orbit node pairs with its representative's waves, 6 not
+        # 16, 4, 8 and 12 standard directions onto themselves (to rounding), so
+        # each orbit node pairs with its representative's waves, 6 not; at 12
+        # (orbits of 4 and 8, none on a diagonal) the flip exchanges five pairs
+        # of directions, at 4 one
         if n_directions == 16:
             data = clean16
         else:
