@@ -66,8 +66,8 @@ class IncidentSet:
         if directions.ndim != 2 or directions.shape[1] != 2 or directions.shape[0] < 1:
             raise ConfigError("directions must be an (L, 2) array")
         norms = np.hypot(directions[:, 0], directions[:, 1])
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ConfigError("directions must be unit vectors")
+        if np.any(~np.isfinite(directions)) or np.max(np.abs(norms - 1.0)) > 1e-12:
+            raise ConfigError("directions must be finite unit vectors")
         if omegas.size < 1 or np.any(~np.isfinite(omegas)) or np.any(omegas <= 0.0):
             raise ConfigError("omegas must be positive and finite")
         if np.any(np.diff(omegas) <= 0.0):
@@ -89,11 +89,32 @@ class IncidentSet:
 
 
 def standard_directions(n_directions: int) -> np.ndarray:
-    """Unit directions d_l = (cos 2(l-1)pi/L, sin 2(l-1)pi/L), l = 1..L."""
+    """Unit directions d_l = (cos 2 pi l/L, sin 2 pi l/L), l = 0..L-1.
+
+    With 4 | L the set is built so that the square's rotations and
+    reflections map it onto itself bit for bit (``DiskModes.pair`` then
+    reads every orbit variant's waves from its representative's row): the
+    first octant, 2l < L/4, takes cos and sin, the diagonal l = L/8 is put on
+    y = x, the rest of the first quadrant is the octant swapped,
+    (x, y) -> (y, x), and the other quadrants are exact quarter turns
+    (x, y) -> (-y, x) of it. Each direction is then within 1e-15 of its cos
+    and sin. Other L take cos and sin throughout.
+    """
     if n_directions < 1:
         raise ConfigError(f"need at least one direction, got {n_directions}")
     ang = 2.0 * math.pi * np.arange(n_directions) / n_directions
-    return np.column_stack([np.cos(ang), np.sin(ang)])
+    if n_directions % 4:
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    quarter = n_directions // 4
+    octant = ang[: quarter // 2 + 1]  # 2l < L/4, then the diagonal when 8 | L
+    first = np.column_stack([np.cos(octant), np.sin(octant)])
+    if quarter % 2 == 0:
+        first[-1, 1] = first[-1, 0]
+    # d_{L/4 - l} is d_l swapped
+    turns = [np.vstack([first, first[(quarter - 1) // 2 : 0 : -1, ::-1]])]
+    for _ in range(3):
+        turns.append(turns[-1][:, ::-1] * [-1.0, 1.0])
+    return np.vstack(turns)
 
 
 def frequency_band(
@@ -109,70 +130,6 @@ def frequency_band(
             f"{n_frequencies} frequencies need lambda_min < lambda_max, got both {lambda_min!r}"
         )
     return np.linspace(2.0 * math.pi / lambda_max, 2.0 * math.pi / lambda_min, n_frequencies)
-
-
-# closed_directions moves a direction by at most this: the square's symmetries map
-# the standard sets of 4 | L <= 256 directions onto themselves to within 1.4e-15.
-_DIRECTION_TOL = 1e-14
-
-
-def _direction_images(directions: np.ndarray) -> np.ndarray:
-    """M^T d for every variant g = j + 4 f, M = R^j F^f (``maps.Orbits``): (8, 2, L).
-
-    M^T = M^{-1} is j quarter turns back, then F. The plane wave of
-    direction d at M y is the wave of direction M^T d at y.
-    """
-    images = np.empty((8, 2, directions.shape[0]))
-    for g in range(8):
-        x, y = directions[:, 0], directions[:, 1]
-        for _ in range(g % 4):
-            x, y = y, -x
-        images[g] = x, -y if g >= 4 else y
-    return images
-
-
-def _direction_permutations(images: np.ndarray, directions: np.ndarray, tol: float):
-    """The index of the direction each image lands on, (G, L), or None.
-
-    None unless every image lies within ``tol`` (in each component) of a
-    direction and each of the G image sets is a permutation of the directions.
-    """
-    gap = np.max(np.abs(images[:, :, :, None] - directions.T[:, None, :]), axis=1)
-    nearest = np.argmin(gap, axis=2)
-    if np.max(np.take_along_axis(gap, nearest[:, :, None], axis=2)) > tol:
-        return None
-    if np.any(np.sort(nearest, axis=1) != np.arange(directions.shape[0])):
-        return None
-    return nearest
-
-
-def closed_directions(directions: np.ndarray) -> np.ndarray:
-    """The (L, 2) directions put on a set the square's symmetries map onto itself bit for bit.
-
-    When the 8 rotations and reflections of the square map the set onto
-    itself to within ``_DIRECTION_TOL``, each orbit's first direction, put
-    exactly on an axis or a diagonal that close to it, gives every direction
-    of its orbit as its exact image M^T d, a signed swap of its components;
-    otherwise the directions come back as they are. ``standard_directions``
-    with 4 | L is closed only to rounding (6.7e-16 at L = 16), and
-    ``DiskModes.pair`` reads every orbit variant's waves from its
-    representative's row only for a set that is closed bit for bit.
-    """
-    directions = np.asarray(directions, dtype=float)
-    landing = _direction_permutations(_direction_images(directions), directions, _DIRECTION_TOL)
-    if landing is None:
-        return directions
-    closed = directions.copy()
-    # a direction is its orbit's first when no image lands below it
-    for first in np.flatnonzero(np.min(landing, axis=0) == np.arange(directions.shape[0])):
-        x, y = directions[first]
-        x, y = (0.0 if abs(x) <= _DIRECTION_TOL else x), (0.0 if abs(y) <= _DIRECTION_TOL else y)
-        if abs(abs(x) - abs(y)) <= _DIRECTION_TOL:
-            y = math.copysign(abs(x), y)
-        # the symmetries fixing it now fix it exactly; the lowest variant fills each slot
-        slots, variants = np.unique(landing[:, first], return_index=True)
-        closed[slots] = _direction_images(np.array([[x, y]]))[variants, :, 0]
-    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +492,12 @@ class DiskModes:
     row against the incident plane waves, the values and the derivative of
     each direction's columns along that direction, with two blocks of
     columns instead of three; each point then takes its row's two sums. On
-    the lattice's orbits, when the square's symmetries map the directions
-    onto themselves bit for bit, every row reduces against its
-    representative's own wave row, and the rotations j = 0, 1 take four
-    half-size products each block, the cos and the sin rows over the even
-    and the odd orders, that also give their half turns and reflections
-    (``_pair_orbits``).
+    the lattice's orbits, with ``standard_directions`` of 4 | L directions
+    (a set the square's symmetries map onto itself bit for bit), every row
+    reduces against its representative's own wave row, and the rotations
+    j = 0, 1 take four half-size products each block, the cos and the sin
+    rows over the even and the odd orders, that also give their half turns
+    and reflections (``_pair_orbits``).
 
     The angles e^{in theta} do not depend on the frequency. A band keeps the
     (r, R) complex table of its R representatives once it is built, r the
@@ -642,14 +599,12 @@ class DiskModes:
         ``waves`` lists factors (table, index): point p's wave row is the
         product, in order, of the rows table[index[p]]
         (``maps.Lattice.wave_factors``). Each block is reduced as it comes,
-        and no (P, 2L) array is formed. On orbits of all 8 variants whose
-        directions the square's symmetries map onto themselves bit for bit
-        (``_wave_orders``; ``closed_directions`` puts a set that is closed to
-        rounding on one), ``_pair_orbits`` reduces every row against its
-        representative's wave row. Otherwise each block's product rows are
-        reduced to two sums per row against the waves gathered at the rows'
-        points into workspaces of one block, and each point takes the sums of
-        its row.
+        and no (P, 2L) array is formed. On orbits of all 8 variants with
+        ``standard_directions`` of 4 | L directions (``_wave_orders``),
+        ``_pair_orbits`` reduces every row against its representative's wave
+        row. Otherwise each block's product rows are reduced to two sums per
+        row against the waves gathered at the rows' points into workspaces of
+        one block, and each point takes the sums of its row.
         """
         coef, d_x, d_y = self._coefficients(c, k)
         along = np.repeat(directions, 2, axis=0)
@@ -684,36 +639,41 @@ class DiskModes:
         Where M^T d_l is d_l' exactly for every l, one to one, the wave of
         direction l at x is the wave of direction l' at y, and position l'
         of variant g's columns takes direction l. Returns None unless all 8
-        variants are present and the quarter turn and the flip F map the set
-        onto itself bit for bit (``closed_directions``), and then so do all 8
-        symmetries; the quarter turn fixes no unit vector, so such a set
-        splits into orbits of 4 or 8 directions. Otherwise it returns
+        variants are present and ``directions`` is ``standard_directions(L)``
+        with 4 | L, which the square's symmetries map onto itself bit for bit:
+        rotation j takes d_l to d_{l - jL/4} and the flip F to d_{-l}.
+        Otherwise it returns
 
         - the (2, 4L) orders of the value and derivative columns of the
           rotations j of ``_BASE_VARIANTS``: in each of the two, the Re
-          columns of positions 0..L-1, then their Im columns;
+          columns of positions 0..L-1, then their Im columns; position l
+          takes direction l + jL/4 (mod L);
         - the (L, 4) columns of the representative's (Re, Im) wave pairs that
           make the wave block of ``_pair_orbits``, Re u, Im u, Re u o phi and
-          Im u o phi, where phi(l) is the direction F d_l. The reflection
-          R^j F of rotation j moves direction l of j's order to F d_l, the
-          same phi for every j.
+          Im u o phi, where phi(l) = -l (mod L) is the direction F d_l. The
+          reflection R^j F of rotation j moves direction l of j's order to
+          F d_l, the same phi for every j.
 
         Each set is worked out once per ``DiskModes``, on its first ``pair``.
         """
         key = directions.tobytes()
         if key not in self._orders:
             self._orders[key] = None
-            if self._variants.size == 8 and directions.shape[0] % 4 == 0:
-                images = _direction_images(directions)[[*_BASE_VARIANTS, 4]]
-                landing = _direction_permutations(images, directions, 0.0)
-                if landing is not None:
-                    order, flip = 2 * np.argsort(landing[:-1], axis=1), 2 * landing[-1]
-                    slots = np.hstack([order, order + 1])  # the Re slots, then the Im ones
-                    same = 2 * np.arange(flip.size)
-                    self._orders[key] = (
-                        np.hstack([slots, slots + 2 * flip.size]),
-                        np.column_stack([same, same + 1, flip, flip + 1]),
-                    )
+            n = directions.shape[0]
+            if (
+                self._variants.size == 8
+                and n % 4 == 0
+                and np.array_equal(directions, standard_directions(n))
+            ):
+                positions = np.arange(n)
+                order = 2 * (np.add.outer(np.multiply(_BASE_VARIANTS, n // 4), positions) % n)
+                flip = 2 * (-positions % n)
+                slots = np.hstack([order, order + 1])  # the Re slots, then the Im ones
+                same = 2 * positions
+                self._orders[key] = (
+                    np.hstack([slots, slots + 2 * n]),
+                    np.column_stack([same, same + 1, flip, flip + 1]),
+                )
         return self._orders[key]
 
     def _pair_orbits(self, coef, derivatives, orders, waves, k: int):

@@ -31,7 +31,6 @@ from .forward import (
     IncidentSet,
     bessel_j_table,
     boundary_phases,
-    closed_directions,
 )
 from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion, discretize
 from .maps import ImageMap, Lattice, from_point_values
@@ -148,20 +147,17 @@ def td_component_maps(
     block of its product rows is summed against the (Re, Im) pairs of u, or
     of i u = (-Im u, Re u), as the block comes. u is gathered from the
     lattice's per-axis phase tables (``Lattice.wave_factors``); neither the
-    fields nor u is ever formed on the whole lattice. The directions are
-    first put on a set the square's symmetries map onto themselves bit for
-    bit when they are that to rounding (``closed_directions``; every standard
-    set of 4 | L directions, moved by at most 6.7e-16), and each orbit node
-    then pairs with its representative's waves. The ``DiskModes`` takes the
-    lattice's orbits, as in ``etd_multi``, so both give the same maps bit
-    for bit.
+    fields nor u is ever formed on the whole lattice. On a standard set of
+    4 | L directions, which the square's symmetries map onto itself bit for
+    bit, each orbit node pairs with its representative's waves. The
+    ``DiskModes`` takes the lattice's orbits, as in ``etd_multi``, so both
+    give the same maps bit for bit.
     """
     if not 0 <= k_index < data.incident.n_frequencies:
         raise IndexError(f"frequency index {k_index} out of range")
     modes = DiskModes(data.incident.omegas[k_index], lattice.points, lattice.orbits)
     phases = _trace_phases(data.grid, modes)
-    directions = closed_directions(data.incident.directions)
-    values = _component_values(data, lattice, k_index, modes, 0, phases, directions)
+    values = _component_values(data, lattice, k_index, modes, 0, phases)
     return tuple(from_point_values(lattice, v) for v in values)
 
 
@@ -172,15 +168,14 @@ def _component_values(
     modes: DiskModes,
     j: int,
     phases: np.ndarray,
-    directions: np.ndarray,
 ):
     """The two point-value arrays of ``td_component_maps`` at the data's frequency k.
 
     They come from frequency j of ``modes``; ``phases`` is ``_trace_phases``
-    of the data's grid and ``modes``, and ``directions`` the data's
-    directions through ``closed_directions``.
+    of the data's grid and ``modes``.
     """
     omega = modes.omegas[j]
+    directions = data.incident.directions
     coefficients = _trace_modes(data.traces[:, :, k], data.grid, phases, modes.nmax[j])
     eps_vals, mu_vals = modes.pair(
         coefficients, directions, lattice.wave_factors(omega, directions), k=j
@@ -230,20 +225,19 @@ def etd_multi(
     (``Lattice.orbits``), so its tables are built on the representatives
     only, and one table of boundary phases serves every frequency's trace
     modes. The frequencies are imaged one after another, each as
-    ``etd_single`` images it (on ``closed_directions`` of the data's): each block's
-    product rows are reduced to their nodes' two map values as they come
-    (``DiskModes.pair``), so no per-node field array and no whole-lattice
-    wave table is formed. The normalized point values are summed in frequency
-    order, with no map built per frequency. With a single frequency this
-    reduces bitwise to the single-frequency map.
+    ``etd_single`` images it: each block's product rows are reduced to their
+    nodes' two map values as they come (``DiskModes.pair``), so no per-node
+    field array and no whole-lattice wave table is formed. The normalized
+    point values are summed in frequency order, with no map built per
+    frequency. With a single frequency this reduces bitwise to the
+    single-frequency map.
     """
     n_k = data.incident.n_frequencies
     modes = DiskModes(data.incident.omegas, lattice.points, lattice.orbits)
     phases = _trace_phases(data.grid, modes)
-    directions = closed_directions(data.incident.directions)
     acc = np.zeros(lattice.points.shape[0])
     for k in range(n_k):
-        acc += _normalized(*_component_values(data, lattice, k, modes, k, phases, directions))
+        acc += _normalized(*_component_values(data, lattice, k, modes, k, phases))
     return from_point_values(lattice, acc / float(n_k))
 
 

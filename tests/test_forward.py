@@ -25,7 +25,6 @@ from thinimage.forward import (
     bessel_j_table,
     boundary_kernel_gradients,
     boundary_kernel_tables,
-    closed_directions,
     frequency_band,
     jnp_values,
     load_dataset,
@@ -47,7 +46,7 @@ class TestIncident:
     def test_standard_directions_l4(self):
         d = standard_directions(4)
         expected = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        assert np.allclose(d, expected, atol=1e-15)
+        assert np.array_equal(d, expected)
 
     def test_directions_are_unit(self):
         d = standard_directions(7)
@@ -73,6 +72,9 @@ class TestIncident:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ConfigError):
             IncidentSet(np.array([[1.0, 1.0]]), np.array([OMEGA_LO]))
+        # a NaN norm compares false with the unit tolerance, so finiteness is checked apart
+        with pytest.raises(ConfigError, match="finite"):
+            IncidentSet(np.array([[np.nan, 0.0], [1.0, 0.0]]), np.array([OMEGA_LO]))
 
     def test_decreasing_omegas_rejected(self):
         with pytest.raises(ConfigError):
@@ -386,12 +388,12 @@ class TestDiskModes:
         # lattice (8 variants, 6 blocks) with its orbits and without: the
         # values against the waves' (Re, Im) pairs and the derivative of
         # columns 2l and 2l+1 along directions[l] against the pairs of i u;
-        # the square's symmetries map the closed 4 directions onto themselves
+        # the square's symmetries map the standard 4 directions onto themselves
         # (each orbit row against its representative's waves), 3 not
         rng = np.random.default_rng(41)
         lattice = make_lattice(128)
         for n_directions in (3, 4):
-            directions = closed_directions(standard_directions(n_directions))
+            directions = standard_directions(n_directions)
             waves = lattice.plane_waves(OMEGA_HI, directions)
             columns = np.repeat(directions, 2, axis=0)
             for orbits in (None, lattice.orbits):
@@ -474,7 +476,7 @@ class TestDiskModes:
         # the lattice's orbits against every node its own representative, on
         # the adjoint's coefficient rows (N/2 + 1 = 65); image nodes take the
         # representative's coordinates, which differ from theirs by an ulp;
-        # on the closed 4 directions each orbit row pairs with its
+        # on the standard 4 directions each orbit row pairs with its
         # representative's waves, on 3 with its own node's
         rng = np.random.default_rng(53)
         lattice = make_lattice(n)
@@ -485,7 +487,7 @@ class TestDiskModes:
         for n_directions in (3, 4):
             shape = (65, 2 * n_directions)
             c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            directions = closed_directions(standard_directions(n_directions))
+            directions = standard_directions(n_directions)
             for k in (0, 1):
                 for kw in ({}, {"gradient": True}):
                     got = np.atleast_3d(wedge.apply(c, k=k, **kw))
@@ -498,28 +500,30 @@ class TestDiskModes:
                     err = np.max(np.abs(got - ref))
                     assert err <= 1e-14 * np.max(np.abs(ref)), (n_directions, k)
 
-    @pytest.mark.parametrize("n_directions", [1, 2, 3, 4, 6, 8, 12, 16, 64])
+    @pytest.mark.parametrize("n_directions", [1, 2, 3, 4, 6, 8, 12, 16, 64, 256])
     def test_closed_directions(self, n_directions):
-        # with 4 | L the square's rotations and reflections map the closed set
-        # onto itself bit for bit, each direction moved by rounding only, and
-        # pair reads the orbit rows from their representatives' waves; other
-        # sets, and a set turned off the square's axes, come back as they are
+        # with 4 | L the square's quarter turn and flip map the standard set
+        # onto itself exactly, each direction within rounding of its cos and
+        # sin, and pair reads the orbit rows from their representatives'
+        # waves; other L take cos and sin bit for bit, and neither they nor a
+        # set turned off the square's axes take the orbit path
         modes = DiskModes(OMEGA_HI, make_lattice(32).points, make_lattice(32).orbits)
         directions = standard_directions(n_directions)
-        closed = closed_directions(directions)
+        angles = 2.0 * math.pi * np.arange(n_directions) / n_directions
+        reference = np.column_stack([np.cos(angles), np.sin(angles)])
         c, s = math.cos(0.1), math.sin(0.1)
-        turned = directions @ np.array([[c, s], [-s, c]])
-        assert np.array_equal(closed_directions(turned), turned)
-        assert modes._wave_orders(turned) is None
+        assert modes._wave_orders(directions @ np.array([[c, s], [-s, c]])) is None
         if n_directions % 4:
-            assert np.array_equal(closed, directions)
-            assert modes._wave_orders(closed) is None
+            assert directions.tobytes() == reference.tobytes()
+            assert modes._wave_orders(directions) is None
             return
-        assert np.max(np.abs(closed - directions)) <= 1e-15
-        members = set(map(tuple, closed.tolist()))
-        for x, y in closed.tolist():
-            assert {(-y, x), (x, -y)} <= members  # the quarter turn and the flip
-        assert modes._wave_orders(closed) is not None
+        quarter = n_directions // 4
+        turned = directions[:, ::-1] * [-1.0, 1.0]  # (x, y) -> (-y, x)
+        assert np.array_equal(turned, np.roll(directions, -quarter, axis=0))
+        flipped = directions * [1.0, -1.0]
+        assert np.array_equal(flipped, directions[-np.arange(n_directions) % n_directions])
+        assert np.max(np.abs(directions - reference)) <= 1e-15
+        assert modes._wave_orders(directions) is not None
 
     def test_pair_sums_come_back_in_the_input_order(self):
         # a shuffled point set, its waves shuffled with it, gives the same

@@ -269,19 +269,19 @@ class TestMultiFrequency:
         assert built == [16]
 
     def test_direction_permutations_once_per_band(self, clean16, monkeypatch):
-        # closed_directions finds the data's set closed to rounding, and the
-        # band's DiskModes works out its exact permutations once, on its first
-        # pair, not once per frequency
-        tolerances = []
+        # the band's DiskModes checks the data's set against the standard one
+        # and works out its permutations once, on its first pair, not once
+        # per frequency
+        calls = []
 
-        def counted(images, directions, tol):
-            tolerances.append(tol)
-            return permutations(images, directions, tol)
+        def counted(n_directions):
+            calls.append(n_directions)
+            return standard(n_directions)
 
-        permutations = forward._direction_permutations
-        monkeypatch.setattr(forward, "_direction_permutations", counted)
+        standard = forward.standard_directions
+        monkeypatch.setattr(forward, "standard_directions", counted)
         etd_multi(clean16, make_lattice(32))
-        assert tolerances == [forward._DIRECTION_TOL, 0.0]
+        assert calls == [16]
 
     def test_orbits_maps_match_the_points_alone(self, clean16, monkeypatch):
         # the lattice's orbits against a DiskModes that ignores them; the raw
@@ -338,7 +338,7 @@ class TestMultiFrequency:
         # blocks) and the 65^2 one (nodes on the axes and the diagonals, where
         # variants coincide) against adjoint_field_batch paired with explicit
         # e^{iw d.z} of the data's own directions; the square's symmetries map
-        # 16, 4, 8 and 12 standard directions onto themselves (to rounding), so
+        # 16, 4, 8 and 12 standard directions onto themselves exactly, so
         # each orbit node pairs with its representative's waves, 6 not; at 12
         # (orbits of 4 and 8, none on a diagonal) the flip exchanges five pairs
         # of directions, at 4 one
