@@ -38,8 +38,12 @@ the sigma1 curve, a 128-point boundary grid and 15 dB noise. The layers:
 - ``etd_multi``: the whole multi-frequency map, paired per block in the
   same way;
 - ``multi_kirchhoff_map``: the migration baseline summed over the band, on
-  multistatic matrices assembled beforehand (steering vectors and the
-  bilinear form, as the ``mkm`` method of ``thinimage run``);
+  multistatic matrices assembled beforehand (the plane waves at the orbit
+  representatives and one bilinear form per variant, as the ``mkm`` method
+  of ``thinimage run``);
+- ``music_map``: the subspace baseline at the top frequency, on its
+  assembled matrix and the signal dimension of ``signal_space_dim`` for
+  noisy data, as the ``music`` method takes it;
 - ``synthesize``: the clean traces of the scene;
 - ``save_dataset``: the scene's noisy dataset written as text;
 - ``save_map_csv`` and ``save_map_pgm``: the scene's ``etd_multi`` map
@@ -50,15 +54,16 @@ The writers write into a temporary directory that is removed at exit.
 Each median is scaled to a nominal host speed with the fixed kernel of
 ``perfbench/run.py`` (``HostSpeed``), run before and after each layer:
 ``scaled_median_s`` = ``median_s`` * ``REF_NOMINAL_S`` / ``ref_s``.
-Each scene also records the tracemalloc peak of one more call of three
+Each scene also records the tracemalloc peak of one more call of five
 layers after the timed ones (the orbits warm), in 10^6 bytes: what numpy
 allocates at most during the call, apart from the caller's data and what the
 layer's objects already hold. ``etd_multi_peak_mb`` is the band's map (its
-``DiskModes`` keeps one e^{in theta} table of the representatives), and
+``DiskModes`` keeps one e^{in theta} table of the representatives),
 ``adjoint_field_batch_peak_mb`` (gradient) and
 ``DiskModes.apply+gradient_peak_mb`` are one frequency on the whole lattice
 and one frequency of the band's ``DiskModes``, whose table the timed calls
-have built.
+have built, and ``multi_kirchhoff_map_peak_mb`` and ``music_map_peak_mb``
+are the two baselines.
 
 ``--src`` imports thinimage from another source tree, so one copy of this
 script times two commits. Given twice, with one ``--label`` each, it imports
@@ -102,7 +107,13 @@ SNR_DB = 15.0
 NOISE_SEED = 7
 REPEATS = 5
 # layers whose tracemalloc peak each scene records, as "<layer>_peak_mb"
-PEAK_LAYERS = ("etd_multi", "adjoint_field_batch", "DiskModes.apply+gradient")
+PEAK_LAYERS = (
+    "etd_multi",
+    "adjoint_field_batch",
+    "DiskModes.apply+gradient",
+    "multi_kirchhoff_map",
+    "music_map",
+)
 
 
 def peak_bytes(call) -> int:
@@ -152,6 +163,7 @@ def scene_layers(package, n_directions: int, size: int, out: Path) -> dict:
     modes = band()
     top = N_FREQUENCIES - 1
     msrs = [forward.assemble_multistatic(noisy, k) for k in range(N_FREQUENCIES)]
+    signal_dim = baselines.signal_space_dim(msrs[top], clean=False)
     rng = np.random.default_rng(NOISE_SEED)
     shape = (min(modes.nmax[top], grid.n_points // 2) + 1, 2 * n_directions)
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -168,6 +180,7 @@ def scene_layers(package, n_directions: int, size: int, out: Path) -> dict:
         "td_component_maps": lambda: imaging.td_component_maps(noisy, lattice, top),
         "etd_multi": lambda: imaging.etd_multi(noisy, lattice),
         "multi_kirchhoff_map": lambda: baselines.multi_kirchhoff_map(lattice, msrs),
+        "music_map": lambda: baselines.music_map(lattice, msrs[top], signal_dim),
         "synthesize": lambda: forward.synthesize(inclusions, incident, grid),
         "save_dataset": lambda: forward.save_dataset(noisy, out / "dataset.txt"),
         "save_map_csv": lambda: maps.save_map_csv(imap, out / "map.csv"),

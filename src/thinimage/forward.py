@@ -92,8 +92,8 @@ def standard_directions(n_directions: int) -> np.ndarray:
     """Unit directions d_l = (cos 2 pi l/L, sin 2 pi l/L), l = 0..L-1.
 
     With 4 | L the set is built so that the square's rotations and
-    reflections map it onto itself bit for bit (``DiskModes.pair`` then
-    reads every orbit variant's waves from its representative's row): the
+    reflections map it onto itself bit for bit (``direction_orders``; the
+    maps then read every orbit variant's waves from its representative's): the
     first octant, 2l < L/4, takes cos and sin, the diagonal l = L/8 is put on
     y = x, the rest of the first quadrant is the octant swapped,
     (x, y) -> (y, x), and the other quadrants are exact quarter turns
@@ -115,6 +115,23 @@ def standard_directions(n_directions: int) -> np.ndarray:
     for _ in range(3):
         turns.append(turns[-1][:, ::-1] * [-1.0, 1.0])
     return np.vstack(turns)
+
+
+def direction_orders(directions: np.ndarray):
+    """The (8, L) direction orders o_g of the square's symmetries, or None.
+
+    Variant g = j + 4 f (``maps.Orbits``) maps x to M x, and o_g(l) is the
+    index of M d_l: o_j(l) = l + jL/4, o_{j+4}(l) = jL/4 - l (mod L). As
+    d_{o_g(l)}.M y = d_l.y, a form on the waves at M y is the form on the
+    waves at y with its matrix's rows and columns in the order o_g,
+    A[o_g][:, o_g]. None unless ``directions`` is ``standard_directions(L)``
+    with 4 | L, the sets the symmetries map onto themselves bit for bit.
+    """
+    n = directions.shape[0]
+    if n % 4 or not np.array_equal(directions, standard_directions(n)):
+        return None
+    turns, positions = n // 4 * np.arange(4)[:, None], np.arange(n)
+    return np.vstack([turns + positions, turns - positions]) % n
 
 
 def frequency_band(
@@ -635,43 +652,33 @@ class DiskModes:
     def _wave_orders(self, directions: np.ndarray):
         """The column orders and the wave columns of ``_pair_orbits`` for ``directions``, or None.
 
-        Variant g moves a point y to x = M y, and e^{i w d.M y} = e^{i w (M^T d).y}.
-        Where M^T d_l is d_l' exactly for every l, one to one, the wave of
-        direction l at x is the wave of direction l' at y, and position l'
-        of variant g's columns takes direction l. Returns None unless all 8
-        variants are present and ``directions`` is ``standard_directions(L)``
-        with 4 | L, which the square's symmetries map onto itself bit for bit:
-        rotation j takes d_l to d_{l - jL/4} and the flip F to d_{-l}.
-        Otherwise it returns
+        Position l of variant g's columns takes direction o_g(l)
+        (``direction_orders``), so that it pairs with the representative's
+        own wave u_l. Returns None unless all 8 variants are present and
+        ``direction_orders`` gives the orders of ``directions``. Otherwise it
+        returns
 
         - the (2, 4L) orders of the value and derivative columns of the
           rotations j of ``_BASE_VARIANTS``: in each of the two, the Re
-          columns of positions 0..L-1, then their Im columns; position l
-          takes direction l + jL/4 (mod L);
+          columns of positions 0..L-1, then their Im columns, in the order o_j;
         - the (L, 4) columns of the representative's (Re, Im) wave pairs that
           make the wave block of ``_pair_orbits``, Re u, Im u, Re u o phi and
-          Im u o phi, where phi(l) = -l (mod L) is the direction F d_l. The
-          reflection R^j F of rotation j moves direction l of j's order to
-          F d_l, the same phi for every j.
+          Im u o phi, where phi = o_4, phi(l) = -l (mod L), is the direction
+          F d_l. The reflection R^j F of rotation j moves direction l of j's
+          order to F d_l, the same phi for every j.
 
         Each set is worked out once per ``DiskModes``, on its first ``pair``.
         """
         key = directions.tobytes()
         if key not in self._orders:
             self._orders[key] = None
-            n = directions.shape[0]
-            if (
-                self._variants.size == 8
-                and n % 4 == 0
-                and np.array_equal(directions, standard_directions(n))
-            ):
-                positions = np.arange(n)
-                order = 2 * (np.add.outer(np.multiply(_BASE_VARIANTS, n // 4), positions) % n)
-                flip = 2 * (-positions % n)
+            orders = direction_orders(directions)
+            if self._variants.size == 8 and orders is not None:
+                order, flip = 2 * orders[list(_BASE_VARIANTS)], 2 * orders[4]
                 slots = np.hstack([order, order + 1])  # the Re slots, then the Im ones
-                same = 2 * positions
+                same = 2 * np.arange(flip.size)
                 self._orders[key] = (
-                    np.hstack([slots, slots + 2 * n]),
+                    np.hstack([slots, slots + 2 * flip.size]),
                     np.column_stack([same, same + 1, flip, flip + 1]),
                 )
         return self._orders[key]

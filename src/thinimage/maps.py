@@ -43,11 +43,14 @@ class Lattice:
     ``node_axes`` gives each one's (iy, ix). The lattice is the one source of
     the incident waves on them: ``wave_factors`` gives one phase table per
     axis, which the imaging maps gather from one block of nodes at a time
-    (``forward.DiskModes.pair``), and ``plane_waves`` multiplies them out into
-    the (P, L) table (model maps, MUSIC's steering vectors, migration).
-    ``orbits`` groups the nodes under the 8 rotations and reflections of the
-    square, for the disk's mode series (``forward.DiskModes``); it alone is
-    built on first use.
+    (``forward.DiskModes.pair``), and migration and MUSIC at the orbit
+    representatives; ``plane_waves`` multiplies them out into the (P, L)
+    table (``imaging.single_frequency_kernel_maps``). ``orbits`` groups the
+    nodes under the 8 rotations and reflections of the square, for the
+    disk's mode series (``forward.DiskModes``) and the two baselines, whose
+    nodes take their representative's value in their variant's direction
+    order; for a set ``forward.direction_orders`` gives no orders for, every
+    node is its own representative. It alone is built on first use.
     """
 
     axis: np.ndarray
