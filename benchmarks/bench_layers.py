@@ -54,7 +54,7 @@ The writers write into a temporary directory that is removed at exit.
 Each median is scaled to a nominal host speed with the fixed kernel of
 ``perfbench/run.py`` (``HostSpeed``), run before and after each layer:
 ``scaled_median_s`` = ``median_s`` * ``REF_NOMINAL_S`` / ``ref_s``.
-Each scene also records the tracemalloc peak of one more call of five
+Each scene also records the tracemalloc peak of one more call of six
 layers after the timed ones (the orbits warm), in 10^6 bytes: what numpy
 allocates at most during the call, apart from the caller's data and what the
 layer's objects already hold. ``etd_multi_peak_mb`` is the band's map (its
@@ -62,8 +62,10 @@ layer's objects already hold. ``etd_multi_peak_mb`` is the band's map (its
 ``adjoint_field_batch_peak_mb`` (gradient) and
 ``DiskModes.apply+gradient_peak_mb`` are one frequency on the whole lattice
 and one frequency of the band's ``DiskModes``, whose table the timed calls
-have built, and ``multi_kirchhoff_map_peak_mb`` and ``music_map_peak_mb``
-are the two baselines.
+have built, ``multi_kirchhoff_map_peak_mb`` and ``music_map_peak_mb``
+are the two baselines, and ``synthesize_peak_mb`` is the clean traces, whose
+(M, L) sources on the curve nodes a set of 4 | L directions builds for L/2
+directions only.
 
 ``--src`` imports thinimage from another source tree, so one copy of this
 script times two commits. Given twice, with one ``--label`` each, it imports
@@ -113,6 +115,7 @@ PEAK_LAYERS = (
     "DiskModes.apply+gradient",
     "multi_kirchhoff_map",
     "music_map",
+    "synthesize",
 )
 
 

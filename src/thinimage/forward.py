@@ -514,7 +514,11 @@ class DiskModes:
     reduces against its representative's own wave row, and the rotations
     j = 0, 1 take four half-size products each block, the cos and the sin
     rows over the even and the odd orders, that also give their half turns
-    and reflections (``_pair_orbits``).
+    and reflections (``_pair_orbits``). Such a set also holds
+    d_{l+L/2} = -d_l, whose waves are the conjugates of those of d_l,
+    u(x; -d) = conj u(x; d): the sums are linear in the columns of c, so
+    direction l + L/2's columns fold into l's, and the products and the
+    reduction take the columns of L/2 directions.
 
     The angles e^{in theta} do not depend on the frequency. A band keeps the
     (r, R) complex table of its R representatives once it is built, r the
@@ -619,17 +623,15 @@ class DiskModes:
         and no (P, 2L) array is formed. On orbits of all 8 variants with
         ``standard_directions`` of 4 | L directions (``_wave_orders``),
         ``_pair_orbits`` reduces every row against its representative's wave
-        row. Otherwise each block's product rows are reduced to two sums per
-        row against the waves gathered at the rows' points into workspaces of
-        one block, and each point takes the sums of its row.
+        row, each direction folded with its half-turn partner. Otherwise each
+        block's product rows are reduced to two sums per row against the
+        waves gathered at the rows' points into workspaces of one block, and
+        each point takes the sums of its row.
         """
-        coef, d_x, d_y = self._coefficients(c, k)
-        along = np.repeat(directions, 2, axis=0)
-        derivatives = along[:, 0] * d_x + along[:, 1] * d_y
         orders = self._wave_orders(directions)
         if orders is not None:
-            return self._pair_orbits(coef, derivatives, orders, waves, k)
-        coef = np.hstack([coef, derivatives])
+            return self._pair_orbits(c, directions, orders, waves, k)
+        coef = np.hstack(self._directional(c, directions, k))
         columns = c.shape[1]  # the values' columns; the derivatives' follow
         rhs = _variant_rhs(coef, self._variants)
         variants = self._variants.size
@@ -649,23 +651,38 @@ class DiskModes:
             np.einsum("pk,pk->p", product[:, columns:], u.view(float), out=sums[1, block])
         return sums[:, self._point_rows]
 
+    def _directional(self, c: np.ndarray, directions: np.ndarray, k: int):
+        """The coefficients of ``pair``'s values and of their derivatives along the directions."""
+        coef, d_x, d_y = self._coefficients(c, k)
+        along = np.repeat(directions, 2, axis=0)
+        return coef, along[:, 0] * d_x + along[:, 1] * d_y
+
     def _wave_orders(self, directions: np.ndarray):
-        """The column orders and the wave columns of ``_pair_orbits`` for ``directions``, or None.
+        """What ``_pair_orbits`` reads for ``directions``: column orders, signs, wave columns; or None.
 
         Position l of variant g's columns takes direction o_g(l)
         (``direction_orders``), so that it pairs with the representative's
-        own wave u_l. Returns None unless all 8 variants are present and
-        ``direction_orders`` gives the orders of ``directions``. Otherwise it
-        returns
+        own wave u_l. ``_pair_orbits`` folds direction p + L/2 into p, and
+        as o_g(l + L/2) = o_g(l) + L/2 (mod L) it pairs the positions
+        l < L/2 only: position l reads the folded column of
+        p = o_g(l) mod L/2, its conjugate where o_g(l) >= L/2. Returns None
+        unless all 8 variants are present and ``direction_orders`` gives the
+        orders of ``directions``. Otherwise it returns
 
-        - the (2, 4L) orders of the value and derivative columns of the
+        - the (2, 2L) orders of the value and derivative columns of the
           rotations j of ``_BASE_VARIANTS``: in each of the two, the Re
-          columns of positions 0..L-1, then their Im columns, in the order o_j;
-        - the (L, 4) columns of the representative's (Re, Im) wave pairs that
-          make the wave block of ``_pair_orbits``, Re u, Im u, Re u o phi and
-          Im u o phi, where phi = o_4, phi(l) = -l (mod L), is the direction
-          F d_l. The reflection R^j F of rotation j moves direction l of j's
-          order to F d_l, the same phi for every j.
+          columns of positions 0..L/2-1, then their Im columns, in the order
+          o_j;
+        - the (2, 2L) signs in the same layout, -1 in the Im columns of the
+          positions that read a conjugate: there Re(conj F conj u) negates
+          F's Im part in the values and, with the i of i u folded in, in the
+          derivatives;
+        - the (L/2, 4) columns of the representative's (Re, Im) wave pairs
+          that make the wave block of ``_pair_orbits``, Re u, Im u, Re u o phi
+          and Im u o phi, where phi = o_4, phi(l) = -l (mod L), is the
+          direction F d_l. The reflection R^j F of rotation j moves direction
+          l of j's order to F d_l, the same phi for every j; phi(l) is read
+          from the whole wave row, in either half.
 
         Each set is worked out once per ``DiskModes``, on its first ``pair``.
         """
@@ -674,24 +691,35 @@ class DiskModes:
             self._orders[key] = None
             orders = direction_orders(directions)
             if self._variants.size == 8 and orders is not None:
-                order, flip = 2 * orders[list(_BASE_VARIANTS)], 2 * orders[4]
+                half = orders.shape[1] // 2
+                base = orders[list(_BASE_VARIANTS), :half]
+                order, conjugate = 2 * (base % half), np.where(base < half, 1.0, -1.0)
                 slots = np.hstack([order, order + 1])  # the Re slots, then the Im ones
-                same = 2 * np.arange(flip.size)
+                signs = np.hstack([np.ones_like(conjugate), conjugate])
+                same, flip = 2 * np.arange(half), 2 * orders[4, :half]
                 self._orders[key] = (
-                    np.hstack([slots, slots + 2 * flip.size]),
+                    np.hstack([slots, slots + 2 * half]),
+                    np.hstack([signs, signs]),
                     np.column_stack([same, same + 1, flip, flip + 1]),
                 )
         return self._orders[key]
 
-    def _pair_orbits(self, coef, derivatives, orders, waves, k: int):
+    def _pair_orbits(self, c, directions, orders, waves, k: int):
         """``pair`` on the orbits, every product row against its representative's waves.
 
-        ``coef`` and ``derivatives`` are the (r, 2L) columns of the values and
-        of the directional derivatives, and ``orders`` is ``_wave_orders``.
-        The i of i u is folded into the derivative columns: the pair
-        (D_2l, D_2l+1) against i u is (D_2l+1, -D_2l) against u. Each rotation
-        j = 0, 1 takes its columns in its order, so that position l pairs
-        with the representative's own wave u_l, and b = i^{jn} b_n on them.
+        ``c`` and ``directions`` are ``pair``'s, and ``orders`` is
+        ``_wave_orders``. The direction -d has the conjugate waves,
+        u(x; d_{l+L/2}) = conj u(x; d_l), and ``pair``'s sums are linear in
+        the columns of c, so direction l + L/2 folds into l: its Re column
+        c_{2l+L} is added to c_{2l} and its Im column c_{2l+L+1} subtracted
+        from c_{2l+1}, and the fields of the folded columns, and their
+        derivatives along d_l, pair with u_l alone. The L/2 folded directions
+        give the (r, L) columns of the values and of the directional
+        derivatives. The i of i u is folded into the derivative columns: the
+        pair (D_2l, D_2l+1) against i u is (D_2l+1, -D_2l) against u. Each
+        rotation j = 0, 1 takes its columns in its order, with the signs of
+        its conjugates, so that position l pairs with the representative's
+        own wave u_l, and b = i^{jn} b_n on them.
 
         Three symmetries share the products of rotation j. Its reflection
         R^j F (variant j + 4) has Phi_n(R^j F y) = i^{jn} conj Phi_n(y), so
@@ -709,21 +737,25 @@ class DiskModes:
         themselves, to the sums of all 8 variants: each sum adds eight of
         them with signs, the conjugate's Im part negated.
         """
+        half = directions.shape[0] // 2
+        c = c[:, : 2 * half] + c[:, 2 * half :] * np.tile([1.0, -1.0], half)
+        coef, derivatives = self._directional(c, directions[:half], k)
         folded = np.empty_like(derivatives)
         folded[:, 0::2], folded[:, 1::2] = derivatives[:, 1::2], -derivatives[:, 0::2]
         coef = np.hstack([coef, folded])
-        column_orders, wave_columns = orders
+        column_orders, signs, wave_columns = orders
         r, columns = coef.shape
         # (Re b; Im b) of the rotations side by side, read as their even and odd orders
         turned = np.stack([coef[:, order] for order in column_orders], axis=1)
+        turned *= signs
         turned *= _TURNS[np.outer(np.arange(r), _BASE_VARIANTS) % 4, None]
         rhs = np.stack([turned.real, turned.imag]).reshape(2, r, -1)
         halves = rhs[:, 0::2], rhs[:, 1::2]
         reps = self._thetas.size
         size = min(reps, self._block)
-        u_work = np.empty((size, columns // 4), dtype=complex)
+        u_work = np.empty((size, 2 * half), dtype=complex)  # all L directions' waves
         factor_work = np.empty_like(u_work)
-        wave_work = np.empty((size, columns // 4, 4))
+        wave_work = np.empty((size, half, 4))
         # (representative, part, (j, s, t, position)): the parts A_e, B_e, A_o, B_o
         product_work = np.empty((size, 4, 2 * columns))
         reduced_work = np.empty((size, 32, 4))
@@ -733,10 +765,10 @@ class DiskModes:
             u = _gather_waves(waves, points, u_work[:m], factor_work[:m])
             w = np.take(u.view(float), wave_columns, axis=1, out=wave_work[:m], mode="clip")
             parts = product_work[:m]
-            for half, (table, (re, im)) in enumerate(zip(tables, halves)):
+            for parity, (table, (re, im)) in enumerate(zip(tables, halves)):
                 rows = table.shape[0] // 2
-                np.matmul(table[:rows].T, re, out=parts[:, 2 * half])
-                np.matmul(table[rows:].T, im, out=parts[:, 2 * half + 1])
+                np.matmul(table[:rows].T, re, out=parts[:, 2 * parity])
+                np.matmul(table[rows:].T, im, out=parts[:, 2 * parity + 1])
             reduced = np.matmul(parts.reshape(m, 32, -1), w, out=reduced_work[:m])
             np.matmul(reduced.reshape(m, -1), _ORBIT_SIGNS, out=sums[lo : lo + m])
         # row i V + g holds variant g = 4 f + 2 h + j = 2 c + j
@@ -952,6 +984,13 @@ def synthesize(
     phi_b is (1/2) sum_n (p_n e^{-in phi_b} + q_n e^{in phi_b}), exact for
     any N, also where nmax exceeds N.
 
+    With real contrasts and thickness (``ThinInclusion`` enforces them) the
+    kernel is real and the sources of -d are the conjugates of those of d,
+    so the trace of -d is the conjugate of the trace of d. A standard set of
+    4 | L directions (``direction_orders``) holds d_{l+L/2} = -d_l exactly:
+    it builds sources and products for its first L/2 directions only and
+    takes the others as their conjugates.
+
     The traces are the first-order thin-layer expansion, which assumes a
     layer phase k1 h = w sqrt(eps mu) h << 1. ``ensure_thin`` bounds h by the
     wavelength only: at eps = mu = 5 and h = 0.02, k1 h is 1.26 at w = 4 pi
@@ -963,8 +1002,10 @@ def synthesize(
     for inc in inclusions:
         ensure_thin(inc, float(np.max(incident.omegas)))
 
-    directions = incident.directions
-    traces = np.zeros((grid.n_points, directions.shape[0], incident.n_frequencies), dtype=complex)
+    n_directions = incident.n_directions
+    half = n_directions // 2 if direction_orders(incident.directions) is not None else n_directions
+    directions = incident.directions[:half]
+    traces = np.zeros((grid.n_points, n_directions, incident.n_frequencies), dtype=complex)
     for inc in inclusions:
         disc = discretize(inc.curve, m_nodes)
         modes = DiskModes(incident.omegas, disc.nodes)
@@ -981,7 +1022,8 @@ def synthesize(
         sources = ((w**2 * monopole * u, *(1j * w * u * dipole)) for w, u in waves)
         for k, (p, q) in enumerate(modes.transpose(sources)):
             e = phases[: modes.nmax[k] + 1]
-            traces[:, :, k] += 0.5 * (e.T @ p + e.T.conj() @ q)
+            traces[:, :half, k] += 0.5 * (e.T @ p + e.T.conj() @ q)
+    traces[:, half:] = traces[:, : n_directions - half].conj()
     return BoundaryDataset(traces=traces, grid=grid, incident=incident)
 
 

@@ -16,6 +16,7 @@ different reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +95,28 @@ class DiscrepancyReport:
     omega: float
 
 
+def _linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` by numpy's default linear rule, bit for bit.
+
+    Taken from a partition: ``np.quantile`` imports ``numpy.ma`` on first
+    use, which every fresh run would pay for. The partition takes numpy's
+    pivots, so that of equal values (0.0 and -0.0) it picks the same one.
+    """
+    last = values.size - 1
+    position = last * q
+    lo = min(math.floor(position), last)
+    hi = min(lo + 1, last)
+    part = np.partition(values, sorted({0, lo, hi, last}))
+    a, b = float(part[lo]), float(part[hi])
+    t = position - lo
+    # numpy's lerp: from the nearer end
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _selected_mask(imap: ImageMap, quantile: float) -> np.ndarray:
     if not 0.0 < quantile < 1.0:
         raise ConfigError(f"quantile must lie in (0, 1), got {quantile}")
-    inside = imap.inside_values
-    threshold = float(np.quantile(inside, 1.0 - quantile))
+    threshold = _linear_quantile(imap.inside_values, 1.0 - quantile)
     selected = imap.lattice.mask & (imap.values > threshold)
     if not np.any(selected):
         raise RidgeError("no lattice node rises above the quantile threshold")
@@ -183,10 +201,10 @@ def chebyshev_fit(points: np.ndarray, degree: int = 5) -> ChebyshevCurve:
         raise ConfigError(f"degree must be at least 1, got {degree}")
     x = pts[:, 0]
     y = pts[:, 1]
-    if np.unique(x).size <= degree:
-        raise FitError(
-            f"need more than {degree} distinct abscissae, got {np.unique(x).size}"
-        )
+    # a sort and a diff, not np.unique, which imports numpy.ma on first use
+    distinct = int(np.count_nonzero(np.diff(np.sort(x)))) + min(x.size, 1)
+    if distinct <= degree:
+        raise FitError(f"need more than {degree} distinct abscissae, got {distinct}")
     a = float(np.min(x))
     b = float(np.max(x))
     design = cheb.chebvander((2.0 * x - a - b) / (b - a), degree)

@@ -727,20 +727,22 @@ class TestMain:
     @pytest.mark.parametrize("functional", ["etd_multi", "mkm"])
     def test_run_loads_no_scipy(self, tmp_path, functional):
         # a single-inclusion run takes J_n'(w) from the Miller table, so no
-        # scipy module is loaded by the time the command line returns
+        # scipy module is loaded by the time the command line returns; nor is
+        # numpy.ma, which np.quantile and np.unique import on first use
         path = tmp_path / "exp.ini"
         write_config(small_config(functional=functional), path)
         code = (
             "import sys; from thinimage.cli import main; "
             f"code = main(['run', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.ma' in sys.modules)"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True,
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 []"
+        assert result.stdout.splitlines()[-1] == "0 [] False"
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy is imported on first use: scipy.special by the Neumann

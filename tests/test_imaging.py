@@ -62,6 +62,21 @@ def clean16(grid, sigma1):
 
 
 @pytest.fixture(scope="module")
+def noisy15(grid, sigma1, clean16):
+    """15 dB datasets of 4, 8 and 16 directions, 16 band frequencies, by L.
+
+    Noise breaks the clean traces' tr_{l+L/2} = conj tr_l, so the orbit
+    pairing's fold of each direction with its half-turn partner is tested
+    on data where the partner carries information of its own.
+    """
+    data = {16: clean16}
+    for n_directions in (4, 8):
+        incident = IncidentSet(standard_directions(n_directions), frequency_band(16))
+        data[n_directions] = synthesize([ThinInclusion(sigma1[0])], incident, grid)
+    return {n: forward.add_awgn(d, 15.0, 8100 + n) for n, d in data.items()}
+
+
+@pytest.fixture(scope="module")
 def multi_map(clean16):
     return etd_multi(clean16, make_lattice(128))
 
@@ -283,25 +298,29 @@ class TestMultiFrequency:
         etd_multi(clean16, make_lattice(32))
         assert calls == [16]
 
-    def test_orbits_maps_match_the_points_alone(self, clean16, monkeypatch):
-        # the lattice's orbits against a DiskModes that ignores them; the raw
-        # maps peak near 1e4, so they are compared relative to their peaks
+    def test_orbits_maps_match_the_points_alone(self, clean16, noisy15, monkeypatch):
+        # the lattice's orbits against a DiskModes that ignores them, on clean
+        # L16 data and on 15 dB data of 4, 8 and 16 directions; the raw maps
+        # peak near 1e4, so they are compared relative to their peaks
         class Alone(forward.DiskModes):
             def __init__(self, omegas, points, orbits=None):
                 super().__init__(omegas, points)
 
+        cases = [("clean", clean16), *((f"15dB-L{n}", data) for n, data in noisy15.items())]
         for n in (65, 128):
             lattice = make_lattice(n)
-            wedge = etd_multi(clean16, lattice).inside_values
-            components = [td_component_maps(clean16, lattice, k) for k in (0, 15)]
-            with monkeypatch.context() as patch:
-                patch.setattr(imaging, "DiskModes", Alone)
-                assert np.max(np.abs(etd_multi(clean16, lattice).inside_values - wedge)) <= 1e-14
-                for k, maps in zip((0, 15), components):
-                    for got, ref in zip(maps, td_component_maps(clean16, lattice, k)):
-                        ref = ref.inside_values
-                        err = np.max(np.abs(got.inside_values - ref))
-                        assert err <= 1e-14 * np.max(np.abs(ref)), (n, k)
+            for name, data in cases:
+                wedge = etd_multi(data, lattice).inside_values
+                components = [td_component_maps(data, lattice, k) for k in (0, 15)]
+                with monkeypatch.context() as patch:
+                    patch.setattr(imaging, "DiskModes", Alone)
+                    err = np.max(np.abs(etd_multi(data, lattice).inside_values - wedge))
+                    assert err <= 1e-14, (n, name)
+                    for k, maps in zip((0, 15), components):
+                        for got, ref in zip(maps, td_component_maps(data, lattice, k)):
+                            ref = ref.inside_values
+                            err = np.max(np.abs(got.inside_values - ref))
+                            assert err <= 1e-14 * np.max(np.abs(ref)), (n, name, k)
 
     def test_angular_tables_only_on_the_representatives(self, grid, clean16, monkeypatch):
         # the band builds one e^{in theta} table, over the 1,450
@@ -324,15 +343,21 @@ class TestMultiFrequency:
         assert len(columns) > 1 and max(columns) <= forward._POINT_BLOCK
 
     @pytest.mark.parametrize(
-        "n_directions, n",
+        "n_directions, n, noisy",
         [
-            pytest.param(n_directions, n, id=f"{n_directions}" + ("" if n == 128 else f"-{n}"))
+            pytest.param(
+                n_directions,
+                n,
+                noisy,
+                id=f"{n_directions}" + ("" if n == 128 else f"-{n}") + ("-15dB" if noisy else ""),
+            )
+            for noisy in (False, True)
             for n in (128, 65)
-            for n_directions in (16, 6, 4, 8, 12)
+            for n_directions in ((4, 8, 16) if noisy else (16, 6, 4, 8, 12))
         ],
     )
     def test_pairing_matches_the_adjoint_fields(
-        self, grid, sigma1, clean16, monkeypatch, n_directions, n
+        self, grid, sigma1, clean16, noisy15, monkeypatch, n_directions, n, noisy
     ):
         # td_component_maps and etd_multi on the 128^2 lattice (8 variants, 6
         # blocks) and the 65^2 one (nodes on the axes and the diagonals, where
@@ -341,8 +366,12 @@ class TestMultiFrequency:
         # 16, 4, 8 and 12 standard directions onto themselves exactly, so
         # each orbit node pairs with its representative's waves, 6 not; at 12
         # (orbits of 4 and 8, none on a diagonal) the flip exchanges five pairs
-        # of directions, at 4 one
-        if n_directions == 16:
+        # of directions, at 4 one. The orbit pairing folds direction l + L/2
+        # into l; clean data has tr_{l+L/2} = conj tr_l, so the 15 dB cases
+        # are the ones that see each half on its own
+        if noisy:
+            data = noisy15[n_directions]
+        elif n_directions == 16:
             data = clean16
         else:
             incident = IncidentSet(standard_directions(n_directions), frequency_band(16))

@@ -24,6 +24,7 @@ from thinimage.imaging import band_kernel_maps, etd_multi
 from thinimage.maps import ImageMap, make_lattice
 from thinimage.postprocess import (
     ChebyshevCurve,
+    _linear_quantile,
     chebyshev_fit,
     clustered_ridges,
     discrete_norms,
@@ -108,8 +109,15 @@ class TestFit:
     def test_too_few_distinct_abscissae(self):
         x = np.repeat([-0.2, 0.0, 0.1, 0.3], 3)
         pts = np.column_stack([x, np.sin(x)])
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="got 4$"):
             chebyshev_fit(pts, degree=5)
+        # six distinct abscissae, -0.0 and 0.0 counted once, are enough for degree 5
+        x = np.array([0.3, -0.0, 0.0, -0.2, 0.5, 0.3, 0.1, -0.4])
+        chebyshev_fit(np.column_stack([x, np.cos(x)]), degree=5)
+        with pytest.raises(FitError, match="got 6$"):
+            chebyshev_fit(np.column_stack([x, np.cos(x)]), degree=6)
+        with pytest.raises(FitError, match="got 0$"):
+            chebyshev_fit(np.zeros((0, 2)), degree=2)
 
     def test_argument_validation(self):
         pts = np.column_stack([np.linspace(0, 1, 10), np.zeros(10)])
@@ -149,6 +157,22 @@ class TestRidge:
         values = np.where(lattice.mask, 1.0, 0.0)
         with pytest.raises(RidgeError):
             extract_ridge(ImageMap(lattice, values), quantile=0.01)
+
+    def test_threshold_is_numpys_linear_quantile_bit_for_bit(self):
+        # random arrays with ties, sizes from 1, and the fractions near 1 the
+        # ridge uses, against np.quantile's default linear rule
+        rng = np.random.default_rng(5)
+        for trial in range(600):
+            n = int(rng.integers(1, 12)) if trial % 2 else int(rng.integers(12, 3000))
+            if trial % 3 == 0:
+                values = rng.integers(-3, 4, n).astype(float)
+            elif trial % 3 == 1:
+                values = np.round(rng.normal(size=n), 2) * 10.0 ** int(rng.integers(-200, 200))
+            else:
+                values = rng.normal(size=n)
+            for q in (0.99, 1.0 - 0.01, 0.5, 0.0, 0.999999, float(rng.random())):
+                got, ref = _linear_quantile(values, q), float(np.quantile(values, q))
+                assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref), (n, q)
 
     def test_quantile_bounds(self):
         lattice = make_lattice(16)
