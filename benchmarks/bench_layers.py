@@ -23,13 +23,13 @@ the sigma1 curve, a 128-point boundary grid and 15 dB noise. The layers:
   computed afresh;
 - ``DiskModes`` construction for the band on the lattice's orbits, as
   ``etd_multi`` builds it;
-- ``DiskModes.apply`` over the lattice at the top frequency, on the
-  coefficient shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows
-  for the N-point grid), value alone (the Bessel and angular tables on the
-  representatives, one product per block for every variant, written in
-  place into one array of all product rows, and each node's row gathered
-  from it) and with the gradient; this is the path of
-  ``adjoint_field_batch``, not of the maps;
+- ``DiskModes.apply`` over the lattice's nodes at the top frequency, on a
+  ``DiskModes`` of that frequency alone built once, and on the coefficient
+  shape the adjoint passes (2L columns, min(nmax, N/2) + 1 rows for the
+  N-point grid), value alone (the Bessel and angular tables per block of
+  nodes, each block's product written in place into the result) and with
+  the gradient; this is the path of ``adjoint_field_batch``, not of the
+  maps;
 - ``adjoint_field_batch``: value and gradient at the top frequency;
 - ``td_component_maps``: both raw sensitivity maps at the top frequency,
   the adjoint together with the sums against the incident waves; each
@@ -60,11 +60,11 @@ allocates at most during the call, apart from the caller's data and what the
 layer's objects already hold. ``etd_multi_peak_mb`` is the band's map (its
 ``DiskModes`` keeps one e^{in theta} table of the representatives),
 ``adjoint_field_batch_peak_mb`` (gradient) and
-``DiskModes.apply+gradient_peak_mb`` are one frequency on the whole lattice
-and one frequency of the band's ``DiskModes``, whose table the timed calls
-have built, ``multi_kirchhoff_map_peak_mb`` and ``music_map_peak_mb``
-are the two baselines, and ``synthesize_peak_mb`` is the clean traces, whose
-(M, L) sources on the curve nodes a set of 4 | L directions builds for L/2
+``DiskModes.apply+gradient_peak_mb`` are one frequency on the whole lattice,
+the latter without the trace modes and the ``DiskModes`` construction,
+``multi_kirchhoff_map_peak_mb`` and ``music_map_peak_mb`` are the two
+baselines, and ``synthesize_peak_mb`` is the clean traces, whose (M, L)
+sources on the curve nodes a set of 4 | L directions builds for L/2
 directions only.
 
 ``--src`` imports thinimage from another source tree, so one copy of this
@@ -107,7 +107,7 @@ SCENES = {
 N_FREQUENCIES = 16
 SNR_DB = 15.0
 NOISE_SEED = 7
-REPEATS = 5
+REPEATS = 15
 # layers whose tracemalloc peak each scene records, as "<layer>_peak_mb"
 PEAK_LAYERS = (
     "etd_multi",
@@ -163,20 +163,20 @@ def scene_layers(package, n_directions: int, size: int, out: Path) -> dict:
     def band():
         return forward.DiskModes(incident.omegas, lattice.points, lattice.orbits)
 
-    modes = band()
+    modes = forward.DiskModes(omega, lattice.points)  # the adjoint's, at the top frequency
     top = N_FREQUENCIES - 1
     msrs = [forward.assemble_multistatic(noisy, k) for k in range(N_FREQUENCIES)]
     signal_dim = baselines.signal_space_dim(msrs[top], clean=False)
     rng = np.random.default_rng(NOISE_SEED)
-    shape = (min(modes.nmax[top], grid.n_points // 2) + 1, 2 * n_directions)
+    shape = (min(modes.nmax[0], grid.n_points // 2) + 1, 2 * n_directions)
     coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     imap = imaging.etd_multi(noisy, lattice)
     return {
         "discretize": lambda: geometry.discretize(curve, forward.SYNTHESIS_NODES),
         "Lattice.orbits": lambda: type(lattice).orbits.func(lattice),
         "DiskModes(band)": band,
-        "DiskModes.apply": lambda: modes.apply(coefficients, k=top),
-        "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True, k=top),
+        "DiskModes.apply": lambda: modes.apply(coefficients),
+        "DiskModes.apply+gradient": lambda: modes.apply(coefficients, gradient=True),
         "adjoint_field_batch": lambda: imaging.adjoint_field_batch(
             traces, grid, omega, lattice.points, gradient=True
         ),

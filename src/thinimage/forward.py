@@ -449,18 +449,18 @@ def _orbit_signs() -> np.ndarray:
 _ORBIT_SIGNS = _orbit_signs()
 
 
-def _variant_rhs(coef: np.ndarray, variants) -> np.ndarray:
-    """The right-hand sides [Re b_g; -Im b_g] of every variant g, side by side: (2r, V C).
+def _variant_rhs(coef: np.ndarray, variants: int) -> np.ndarray:
+    """The right-hand sides [Re b_g; -Im b_g] of variants g < V, side by side: (2r, V C).
 
     For variant g = j + 4 f, b_g = i^{jn} b_n, conjugated if f = 1, where b
     is ``coef`` (r, C).
     """
     r, columns = coef.shape
     orders = np.arange(r)
-    rhs = np.empty((2 * r, len(variants) * columns))
-    for i, g in enumerate(variants):
+    rhs = np.empty((2 * r, variants * columns))
+    for g in range(variants):
         turned = coef * _TURNS[g % 4 * orders % 4, None]
-        span = slice(i * columns, (i + 1) * columns)
+        span = slice(g * columns, (g + 1) * columns)
         rhs[:r, span], rhs[r:, span] = turned.real, turned.imag if g >= 4 else -turned.imag
     return rhs
 
@@ -494,27 +494,28 @@ class DiskModes:
 
     ``orbits`` (a ``maps.Orbits``, as ``Lattice.orbits`` gives it) groups
     the points under the rotations and reflections of the square; the angles
-    and radii are then kept for the representatives only. Without it every
-    point is its own representative in the identity variant.
+    and radii are then kept for the representatives only. Orbits serve
+    ``pair`` alone: ``apply`` and ``transpose`` refuse them. Without them
+    every point is its own representative in the identity variant.
 
     Each frequency k runs one block loop: it sums every point to one order
     and takes the representatives ``_POINT_BLOCK`` product rows at a time
-    (one row per variant present), gathering their rows from one
-    ``bessel_j_table`` per call over their distinct radii. The product rows
-    are numbered once over all blocks, and each point has one row. Two
-    methods consume the blocks. ``apply`` has each block's product write its
-    rows in place into one array of all product rows, for the values and, on
-    request, their x and y gradients, and gathers each point's row from it.
-    ``pair`` (the imaging maps) reduces each block at once to two sums per
-    row against the incident plane waves, the values and the derivative of
-    each direction's columns along that direction, with two blocks of
-    columns instead of three; each point then takes its row's two sums. On
-    the lattice's orbits, with ``standard_directions`` of 4 | L directions
-    (a set the square's symmetries map onto itself bit for bit), every row
-    reduces against its representative's own wave row, and the rotations
-    j = 0, 1 take four half-size products each block, the cos and the sin
-    rows over the even and the odd orders, that also give their half turns
-    and reflections (``_pair_orbits``). Such a set also holds
+    (one row per variant: 8 on orbits, 1 without), gathering their rows
+    from one ``bessel_j_table`` per call over their distinct radii. The
+    product rows are numbered once over all blocks, and each point has one
+    row. Two methods consume the blocks. ``apply`` (the adjoint) has each
+    block's product write its points' values and, on request, their x and
+    y gradients in place into its result. ``pair`` (the imaging maps)
+    reduces each block at once to two sums per row against the incident
+    plane waves, the values and the derivative of each direction's columns
+    along that direction, with two blocks of columns instead of three; each
+    point then takes its row's two sums. On the lattice's orbits, with
+    ``standard_directions`` of 4 | L directions (a set the square's
+    symmetries map onto itself bit for bit), every row reduces against its
+    representative's own wave row, and the rotations j = 0, 1 take four
+    half-size products each block, the cos and the sin rows over the even
+    and the odd orders, that also give their half turns and reflections
+    (``_pair_orbits``). Such a set also holds
     d_{l+L/2} = -d_l, whose waves are the conjugates of those of d_l,
     u(x; -d) = conj u(x; d): the sums are linear in the columns of c, so
     direction l + L/2's columns fold into l's, and the products and the
@@ -551,9 +552,10 @@ class DiskModes:
             eps_n = np.where(np.arange(n + 1) == 0, 1.0, 2.0)
             self.nmax.append(n)
             self._weights.append(eps_n / (2.0 * math.pi * omega * jnp[: n + 1, k]))
+        self._variants = 1 if orbits is None else 8  # V, the product rows per representative
         if orbits is None:
             every = np.arange(radii.size)
-            orbits = every, every, np.zeros(radii.size, dtype=np.int8)
+            orbits = every, every, 0
         representatives, rows, variants = orbits
         self._representatives = representatives
         self._thetas = np.arctan2(pts[representatives, 1], pts[representatives, 0])
@@ -561,12 +563,11 @@ class DiskModes:
         # one Bessel column per distinct radius of the representatives
         self._radii, self._column = np.unique(radii[representatives], return_inverse=True)
         # product rows counted over all blocks: row i V + g holds representative i
-        # in the g-th of the V variants present. _point_rows is each point's row,
-        # _row_points the point at each row (point 0 where no point takes it)
-        self._variants, position = np.unique(variants, return_inverse=True)
-        self._block = _POINT_BLOCK // self._variants.size
-        self._point_rows = rows * self._variants.size + position
-        self._row_points = np.zeros(self._thetas.size * self._variants.size, dtype=np.intp)
+        # in variant g. _point_rows is each point's row, _row_points the point
+        # at each row (point 0 where no point takes it; such a row is never read)
+        self._block = _POINT_BLOCK // self._variants
+        self._point_rows = rows * self._variants + variants
+        self._row_points = np.zeros(self._thetas.size * self._variants, dtype=np.intp)
         self._row_points[self._point_rows] = np.arange(rows.size)
         self._orders = {}  # _wave_orders of each direction set, by its bytes
 
@@ -584,27 +585,19 @@ class DiskModes:
         d_y Phi_n = (iw/2)(Phi_{n-1} + Phi_{n+1}), so the series is
         Re sum_n Phi_n b_n in every column, b = [a, d_x a, d_y a] for the
         gradients (3C). Each block's product (``_tables`` against
-        ``_variant_rhs``) writes its rows in place into one array of every
-        product row (``_product_rows``), and each point takes its row from it.
+        [Re b; -Im b]) writes its points' rows in place into the result.
+        It needs every point as its own representative.
         """
+        if self._variants > 1:
+            raise ValueError("apply needs every point as its own representative")
         coef, d_x, d_y = self._coefficients(c, k)
         if gradient:
             coef = np.hstack([coef, d_x, d_y])
-        fields = self._product_rows(coef, k)[self._point_rows]
-        return tuple(np.hsplit(fields, 3)) if gradient else fields
-
-    def _product_rows(self, coef: np.ndarray, k: int) -> np.ndarray:
-        """Every product row Re sum_n Phi_n coef_n at frequency k, each block's written in place.
-
-        Its own method so that the right-hand sides and the block tables are
-        freed before ``apply`` gathers each point's row.
-        """
-        rhs = _variant_rhs(coef, self._variants)
-        variants = self._variants.size
-        rows = np.empty((self._row_points.size, coef.shape[1]))
+        rhs = np.vstack([coef.real, -coef.imag])
+        fields = np.empty((self._thetas.size, coef.shape[1]))
         for lo, m, [table] in self._tables(coef.shape[0], k):
-            np.matmul(table.T, rhs, out=rows[lo * variants : (lo + m) * variants].reshape(m, -1))
-        return rows
+            np.matmul(table.T, rhs, out=fields[lo : lo + m])
+        return tuple(np.hsplit(fields, 3)) if gradient else fields
 
     def pair(self, c: np.ndarray, directions: np.ndarray, waves, k: int = 0):
         """Each point's sums of the series and its directional derivatives against plane waves.
@@ -620,7 +613,7 @@ class DiskModes:
         ``waves`` lists factors (table, index): point p's wave row is the
         product, in order, of the rows table[index[p]]
         (``maps.Lattice.wave_factors``). Each block is reduced as it comes,
-        and no (P, 2L) array is formed. On orbits of all 8 variants with
+        and no (P, 2L) array is formed. On orbits with
         ``standard_directions`` of 4 | L directions (``_wave_orders``),
         ``_pair_orbits`` reduces every row against its representative's wave
         row, each direction folded with its half-turn partner. Otherwise each
@@ -633,8 +626,8 @@ class DiskModes:
             return self._pair_orbits(c, directions, orders, waves, k)
         coef = np.hstack(self._directional(c, directions, k))
         columns = c.shape[1]  # the values' columns; the derivatives' follow
-        rhs = _variant_rhs(coef, self._variants)
-        variants = self._variants.size
+        variants = self._variants
+        rhs = _variant_rhs(coef, variants)
         sums = np.empty((2, self._row_points.size))
         size = min(self._thetas.size, self._block) * variants
         u_work = np.empty((size, columns // 2), dtype=complex)
@@ -666,8 +659,8 @@ class DiskModes:
         as o_g(l + L/2) = o_g(l) + L/2 (mod L) it pairs the positions
         l < L/2 only: position l reads the folded column of
         p = o_g(l) mod L/2, its conjugate where o_g(l) >= L/2. Returns None
-        unless all 8 variants are present and ``direction_orders`` gives the
-        orders of ``directions``. Otherwise it returns
+        unless the points are given as orbits and ``direction_orders`` gives
+        the orders of ``directions``. Otherwise it returns
 
         - the (2, 2L) orders of the value and derivative columns of the
           rotations j of ``_BASE_VARIANTS``: in each of the two, the Re
@@ -690,7 +683,7 @@ class DiskModes:
         if key not in self._orders:
             self._orders[key] = None
             orders = direction_orders(directions)
-            if self._variants.size == 8 and orders is not None:
+            if self._variants > 1 and orders is not None:
                 half = orders.shape[1] // 2
                 base = orders[list(_BASE_VARIANTS), :half]
                 order, conjugate = 2 * (base % half), np.where(base < half, 1.0, -1.0)
@@ -876,7 +869,7 @@ class DiskModes:
         w|x|. The sources are read one frequency at a time, so a caller can
         build each triple as it is needed.
         """
-        if self._thetas.size != self._point_rows.size:
+        if self._variants > 1:
             raise ValueError("transpose needs every point as its own representative")
         angular = self._angular_rows(max(self.nmax) + 2)
         planes = np.stack([angular.real, angular.imag])  # cos and sin n theta
