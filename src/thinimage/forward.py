@@ -1005,10 +1005,11 @@ def synthesize(
         phases = boundary_phases(max(modes.nmax), grid.angles)
         along = disc.nodes @ directions.T  # d_l . x per node, (M, L)
         w = inc.h * disc.weights[:, None]
-        monopole = inc.permittivity_contrast() * w
+        gamma, alpha, beta = inc.layer_coefficients()
+        monopole = gamma * w
         # the dipole alpha (d.t) t + beta (d.n) n per axis, node and direction, (2, M, L)
-        tangential = inc.tangential_contrast() * w * (disc.tangents @ directions.T)
-        normal = inc.normal_contrast() * w * (disc.normals @ directions.T)
+        tangential = alpha * w * (disc.tangents @ directions.T)
+        normal = beta * w * (disc.normals @ directions.T)
         dipole = disc.tangents.T[:, :, None] * tangential + disc.normals.T[:, :, None] * normal
         # each frequency's sources, built as transpose reads them
         waves = ((w, np.exp(1j * w * along)) for w in incident.omegas)

@@ -235,16 +235,15 @@ class ThinInclusion:
             if not (0.0 < getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
-    def tangential_contrast(self) -> float:
-        """Polarization-tensor eigenvalue along the tangent: 2(1/mu - 1)."""
-        return 2.0 * (1.0 / self.mu - 1.0)
+    def layer_coefficients(self) -> tuple[float, float, float]:
+        """(gamma, alpha, beta) = (eps - 1, 2(1/mu - 1), 2(1 - mu)), the first-order layer model.
 
-    def normal_contrast(self) -> float:
-        """Polarization-tensor eigenvalue along the normal: 2(1 - mu)."""
-        return 2.0 * (1.0 - self.mu)
-
-    def permittivity_contrast(self) -> float:
-        return self.eps - 1.0
+        The trace of wave U is h int [w^2 gamma U N + alpha (grad U.t)(grad N.t)
+        + beta (grad U.n)(grad N.n)] ds over the curve, N the disk's Neumann
+        function; alpha and beta are the polarization tensor's eigenvalues along
+        the tangent t and the normal n. Synthesis and the model maps read it here alone.
+        """
+        return self.eps - 1.0, 2.0 * (1.0 / self.mu - 1.0), 2.0 * (1.0 - self.mu)
 
 
 @dataclass(frozen=True)

@@ -254,9 +254,8 @@ def _mu_bracket(disc: CurveDiscretization, inclusion: ThinInclusion, direction) 
     instead of cancelling.
     """
     d = np.asarray(direction, dtype=float)
-    return -inclusion.tangential_contrast() * (disc.tangents @ d) ** 2 - (
-        inclusion.normal_contrast() * (disc.normals @ d) ** 2
-    )
+    _, alpha, beta = inclusion.layer_coefficients()
+    return -alpha * (disc.tangents @ d) ** 2 - (beta * (disc.normals @ d) ** 2)
 
 
 def single_frequency_kernel_maps(
@@ -277,7 +276,7 @@ def single_frequency_kernel_maps(
     the conjugate of the lattice's plane wave, so each direction costs O(P + M).
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    gamma = inclusion.permittivity_contrast()
+    gamma = inclusion.layer_coefficients()[0]
     eps_vals = np.zeros(lattice.points.shape[0])
     mu_vals = np.zeros(lattice.points.shape[0])
     for d, z_phase in zip(directions, lattice.plane_waves(omega, directions).conj().T):
@@ -309,7 +308,7 @@ def band_kernel_maps(
     half_width = 0.5 * (omega_hi - omega_lo)
     center = 0.5 * (omega_hi + omega_lo)
     pts = lattice.points
-    gamma = inclusion.permittivity_contrast()
+    gamma = inclusion.layer_coefficients()[0]
     eps_vals = np.zeros(pts.shape[0])
     mu_vals = np.zeros(pts.shape[0])
     for d in np.atleast_2d(np.asarray(directions, dtype=float)):
@@ -402,7 +401,7 @@ def radial_band_maps(
     diff = disc.nodes[None, :, :] - pts[:, None, :]
     t = np.hypot(diff[:, :, 0], diff[:, :, 1])
     kern = 2.0 * math.pi * (j0_band_integral(t, omega_hi) - j0_band_integral(t, omega_lo))
-    gamma = inclusion.permittivity_contrast()
+    gamma = inclusion.layer_coefficients()[0]
     eps_vals = kern @ (disc.weights * gamma)
     mu_vals = np.zeros(pts.shape[0])
     for d in np.atleast_2d(np.asarray(directions, dtype=float)):

@@ -102,8 +102,8 @@ class TestAssembly:
         disc = discretize(curve, 600)
         incl = ThinInclusion(curve)
         gamma = incl.eps - 1.0
-        alpha = incl.tangential_contrast()
-        beta = incl.normal_contrast()
+        alpha = 2.0 * (1.0 / incl.mu - 1.0)
+        beta = 2.0 * (1.0 - incl.mu)
         dirs = msr.directions
         expected = np.empty_like(msr.matrix)
         for j, dj in enumerate(dirs):

@@ -194,16 +194,13 @@ class TestPolySinCurve:
 
 class TestThinInclusion:
     def test_contrast_eigenvalues(self):
+        # (gamma, alpha, beta) = (eps - 1, 2(1/mu - 1), 2(1 - mu))
         inc = ThinInclusion(builtin_curve("sigma1"), h=0.02, eps=5.0, mu=5.0)
-        assert inc.tangential_contrast() == pytest.approx(2 * (1 / 5 - 1))
-        assert inc.normal_contrast() == pytest.approx(2 * (1 - 5))
-        assert inc.permittivity_contrast() == pytest.approx(4.0)
+        assert inc.layer_coefficients() == pytest.approx((4.0, 2 * (1 / 5 - 1), 2 * (1 - 5)))
 
     def test_zero_contrast_is_allowed(self):
         inc = ThinInclusion(builtin_curve("sigma1"), eps=1.0, mu=1.0)
-        assert inc.tangential_contrast() == 0.0
-        assert inc.normal_contrast() == 0.0
-        assert inc.permittivity_contrast() == 0.0
+        assert inc.layer_coefficients() == (0.0, 0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

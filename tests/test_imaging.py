@@ -546,6 +546,19 @@ class TestModelMaps:
         for got, want in zip(maps, ref):
             np.testing.assert_array_equal(got.values, want.values)
 
+    def test_mu_map_reads_only_the_polarization_coefficients(self, monkeypatch):
+        # with alpha = beta = 0 in ThinInclusion.layer_coefficients the
+        # permeability bracket, and with it the mu map, vanishes
+        coefficients = ThinInclusion.layer_coefficients
+        monkeypatch.setattr(
+            ThinInclusion, "layer_coefficients", lambda inc: (coefficients(inc)[0], 0.0, 0.0)
+        )
+        inclusions = [ThinInclusion(builtin_curve("sigma1"), eps=10.0, mu=10.0)]
+        incident = IncidentSet(standard_directions(4), frequency_band(4))
+        eps_map, mu_map = model_maps(make_lattice(32), inclusions, incident)
+        assert np.any(eps_map.inside_values != 0.0)
+        assert np.all(mu_map.inside_values == 0.0)
+
 
 class TestOracleConsistency:
     def test_direction_sum_approaches_bessel(self):
