@@ -17,10 +17,6 @@ class ResonanceError(ThinImageError):
     """Frequency too close to a Neumann eigenvalue of the disk."""
 
 
-class SingularityError(ThinImageError):
-    """Kernel evaluated at (or too close to) its singular point."""
-
-
 class DataStateError(ThinImageError):
     """Operation incompatible with the dataset's state (e.g. noise twice)."""
 

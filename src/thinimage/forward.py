@@ -6,20 +6,20 @@ term (gradients through the anisotropic two-eigenvalue tensor) plus a
 permittivity monopole term, both against the disk's Neumann function.
 
 The Neumann function N(x, y; w) of the Helmholtz operator with vanishing
-normal derivative on |x| = 1 is evaluated as the free-space Hankel kernel
+normal derivative on |x| = 1 is the free-space Hankel kernel
 (i/4)H0(w|x-y|) plus a Fourier-Bessel boundary correction whose coefficients
 divide by J_n'(w); frequencies too close to a zero of some J_n' (a Neumann
-eigenvalue of the disk) are rejected. Every J_n and J_n' of the mode series
-comes from one Bessel builder, the Miller table ``bessel_j_table`` (the
-J_n'(w) of a whole band from one table); scipy gives only the free-space
-Hankel kernel and the Y_n' of ``neumann_function``, the point-pair
-reference, and is imported there. For a source point on the boundary the
-correction collapses, via the Wronskian, to the separable real kernel
+eigenvalue of the disk) are rejected. The program only ever takes the source
+point on the boundary, where the correction collapses, via the Wronskian, to
+the separable real kernel
 
     N(x, y)|_{|y|=1} = (1/2 pi w) * sum_n [J_n(w|x|)/J_n'(w)] e^{in(ax-ay)},
 
 which is what makes synthesis (and the adjoint evaluations downstream)
-factorizable into dense matrix products over a truncated mode range.
+factorizable into dense matrix products over a truncated mode range. Every
+J_n and J_n' of that series comes from one Bessel builder, the Miller table
+``bessel_j_table`` (the J_n'(w) of a whole band from one table), so no
+Hankel or Y_n function is needed.
 ``DiskModes`` holds that series for a band of frequencies on one point set.
 The adjoint applies it to the traces' mode projections; synthesis runs it
 transposed over the band, from the curve's monopole and dipole sources to
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataStateError, GeometryError, ResonanceError, SingularityError
+from .errors import ConfigError, DataStateError, GeometryError, ResonanceError
 from .geometry import BoundaryGrid, ThinInclusion, discretize
 
 RESONANCE_TOL = 1e-8
@@ -283,109 +283,6 @@ def jnp_values(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = np.abs(vals) < _JNP_FLOOR
     cuts = np.where(small.any(axis=0), np.argmax(small, axis=0) - 1, j.shape[0] - 2)
     return vals, np.maximum(cuts, 0)
-
-
-# ---------------------------------------------------------------------------
-# Neumann function of the disk
-
-
-def neumann_function(
-    x,
-    y,
-    omega: float,
-    gradient: bool = False,
-):
-    """Neumann function N(x, y; omega) of the unit disk, one point pair.
-
-    Parameters
-    ----------
-    x, y : array-like, shape (2,)
-        Evaluation and source points. x may sit slightly outside the closed
-        disk (up to |x| <= 1.001) so derivative probes across the boundary
-        are possible; y must satisfy |y| <= 1.
-    omega : float
-        Frequency; rejected when within 1e-8 of a Neumann eigenvalue.
-    gradient : bool
-        Also return the gradient with respect to x.
-
-    Returns
-    -------
-    complex or (complex, ndarray)
-        The kernel value (imaginary part is a truncation residual; the exact
-        kernel is real-valued), and optionally the x-gradient, shape (2,).
-    """
-    from scipy import special as sp
-
-    xp = np.asarray(x, dtype=float)
-    yp = np.asarray(y, dtype=float)
-    if xp.shape != (2,) or yp.shape != (2,):
-        raise ValueError("x and y must be points in the plane")
-    if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(yp))):
-        raise ValueError("points must be finite")
-    _positive_frequencies(omega)
-    rx = float(np.hypot(*xp))
-    ry = float(np.hypot(*yp))
-    if rx > 1.0 + 1e-3 or ry > 1.0 + 1e-12:
-        raise GeometryError(f"points must lie in the closed disk (|x|={rx:.4f}, |y|={ry:.4f})")
-    dvec = xp - yp
-    dist = float(np.hypot(*dvec))
-    if dist < 1e-12:
-        raise SingularityError("Neumann function evaluated on its diagonal")
-
-    # with one point on the rim, only the other radius makes the series decay
-    rho = max(rx * ry, ry if rx >= 0.98 else 0.0, rx if ry >= 0.98 else 0.0)
-    trunc = _series_order(omega, rho)
-    # one table: J_n(w) for the J_n'(w), and J_n(w|x|), J_n(w|y|)
-    tab = bessel_j_table(trunc + 1, omega * np.array([1.0, rx, ry]))
-    jnp, [cut] = jnp_values(tab[:, :1])
-    if hits := _resonant(omega, jnp[:, 0], RESONANCE_TOL):
-        raise resonance_error(omega, hits)
-    nmax = min(trunc, int(cut))
-    orders = np.arange(nmax + 1)
-    jnp = jnp[: nmax + 1, 0]
-    ynp = sp.yvp(orders, omega)
-    jx_n, jy_n = tab[: nmax + 1, 1], tab[: nmax + 1, 2]
-
-    tx = math.atan2(xp[1], xp[0]) if rx > 0 else 0.0
-    ty = math.atan2(yp[1], yp[0]) if ry > 0 else 0.0
-    dtheta = tx - ty
-    eps_n = np.full(nmax + 1, 2.0)
-    eps_n[0] = 1.0
-    cosd = np.cos(orders * dtheta)
-
-    def y_ratio(jx):
-        # Y_n'(w) J_n(x) J_n(y) / J_n'(w), the huge Y_n' times the larger J first
-        big_is_x = np.abs(jx) >= np.abs(jy_n)
-        return np.where(big_is_x, (ynp * jx) * jy_n, (ynp * jy_n) * jx) / jnp
-
-    j0d = sp.jv(0, omega * dist)
-    y0d = sp.yv(0, omega * dist)
-    re_val = -0.25 * y0d + 0.25 * float(np.sum(eps_n * y_ratio(jx_n) * cosd))
-    im_val = 0.25 * j0d - 0.25 * float(np.sum(eps_n * jx_n * jy_n * cosd))
-    value = complex(re_val, im_val)
-    if not gradient:
-        return value
-
-    j1d = sp.jv(1, omega * dist)
-    y1d = sp.yv(1, omega * dist)
-    unit = dvec / dist
-    grad_free = (-0.25j * omega) * (j1d + 1j * y1d) * unit
-
-    sind = np.sin(orders * dtheta)
-    # w J_n'(w r) by 2 J_n' = J_{n-1} - J_{n+1}; n J_n(w r)/r tends to w/2 [n = 1] at r = 0
-    djx = omega * np.append(-tab[1, 1], 0.5 * (tab[:nmax, 1] - tab[2 : nmax + 2, 1]))
-    jx_angular = orders * jx_n / rx if rx > 0 else np.where(orders == 1, 0.5 * omega, 0.0)
-    # radial and (1/r) angular derivatives
-    coef_r = 0.25 * y_ratio(djx) - 0.25j * djx * jy_n
-    coef_t = 0.25 * y_ratio(jx_angular) - 0.25j * jx_angular * jy_n
-    dr = float(np.sum(eps_n * np.real(coef_r) * cosd)) + 1j * float(
-        np.sum(eps_n * np.imag(coef_r) * cosd)
-    )
-    dt = -float(np.sum(eps_n * np.real(coef_t) * sind)) - 1j * float(
-        np.sum(eps_n * np.imag(coef_t) * sind)
-    )
-    c, s = math.cos(tx), math.sin(tx)
-    return value, grad_free + (dr * np.array([c, s]) + dt * np.array([-s, c]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ boundary flux equals the measured scattered trace. The permittivity component
 pairs the adjoint with the incident wave, the permeability component pairs
 their gradients.
 
-The closed-form families at the end of the module pair the incident waves
-over the known curve alone, in several regimes (single frequency, wide band
-with few or many directions). They leave out the adjoint's
-boundary factor (the disk kernel composed with itself over the boundary) and
-the polarization sources (the tangential and normal gradient terms of the
-first-order trace), so they are not what the raw maps converge to. They serve
-as data-free model maps that cross-check one another and give the oracle
-images, with no boundary data and no disk kernel involved.
+The closed-form model at the end of the module, ``band_kernel_maps``, pairs
+the incident waves over the known curve alone, integrated across the
+frequency band. It leaves out the adjoint's boundary factor (the disk kernel
+composed with itself over the boundary) and the polarization sources (the
+tangential and normal gradient terms of the first-order trace), so it is not
+what the raw maps converge to. It gives the data-free oracle images
+(``model_maps``), with no boundary data and no disk kernel involved; the
+tests cross-check it against the single-frequency and direction-averaged
+forms of the same pairing.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .forward import (
     BoundaryDataset,
     DiskModes,
     IncidentSet,
-    bessel_j_table,
     boundary_phases,
 )
 from .geometry import BoundaryGrid, CurveDiscretization, ThinInclusion, discretize
@@ -39,9 +39,6 @@ _FLAT_TOL = 1e-14
 # inversion-side quadrature is kept at half synthesize's default node count
 # (forward.SYNTHESIS_NODES) so model maps never ride the synthesis discretization
 _MODEL_NODES = 200
-# arguments per Bessel table in j0_band_integral: a table holds about
-# x_max + 2 sqrt(40 x_max) rows of this many floats
-_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -258,36 +255,6 @@ def _mu_bracket(disc: CurveDiscretization, inclusion: ThinInclusion, direction) 
     return -alpha * (disc.tangents @ d) ** 2 - (beta * (disc.normals @ d) ** 2)
 
 
-def single_frequency_kernel_maps(
-    lattice: Lattice,
-    disc: CurveDiscretization,
-    inclusion: ThinInclusion,
-    directions: np.ndarray,
-    omega: float,
-) -> tuple[ImageMap, ImageMap]:
-    """Model maps with the plane-wave kernel e^{i w d.(x-z)} at one frequency.
-
-    The incident-wave pairing over the curve alone: plane-wave kernels
-    integrated over the true curve, weighted by the permittivity contrast and
-    by the permeability bracket. The adjoint's boundary factor and the
-    polarization sources are left out, so the raw sensitivity maps of
-    ``td_component_maps`` do not approach these forms in the disk, nor in the
-    open plane. The phase factor is separable, e^{i w d.x} on the curve times
-    the conjugate of the lattice's plane wave, so each direction costs O(P + M).
-    """
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    gamma = inclusion.layer_coefficients()[0]
-    eps_vals = np.zeros(lattice.points.shape[0])
-    mu_vals = np.zeros(lattice.points.shape[0])
-    for d, z_phase in zip(directions, lattice.plane_waves(omega, directions).conj().T):
-        curve_phase = np.exp(1j * omega * (disc.nodes @ d))
-        eps_vals += np.real(z_phase * np.sum(disc.weights * gamma * curve_phase))
-        mu_vals += np.real(
-            z_phase * np.sum(disc.weights * _mu_bracket(disc, inclusion, d) * curve_phase)
-        )
-    return from_point_values(lattice, eps_vals), from_point_values(lattice, mu_vals)
-
-
 def band_kernel_maps(
     lattice: Lattice,
     disc: CurveDiscretization,
@@ -334,76 +301,3 @@ def model_maps(lattice: Lattice, inclusions, incident: IncidentSet) -> tuple[Ima
         maps = band_kernel_maps(lattice, disc, incl, incident.directions, omega_lo, omega_hi)
         sums += [imap.inside_values for imap in maps]
     return from_point_values(lattice, sums[0]), from_point_values(lattice, sums[1])
-
-
-def j0_band_integral(t, omega):
-    """Scaled running integral of J0: (1/t) * \\int_0^{omega t} J0(u) du.
-
-    Evaluated as (2/t) * sum_k J_{2k+1}(omega t) (Abramowitz & Stegun
-    11.1.2), summed up to the order ceil(x) + 15 + sqrt(40 x) at the largest
-    argument x = omega t of each chunk, past which the terms vanish; the
-    continuous limit omega is taken at t = 0. The omega-derivative of this
-    quantity is J0(omega t), which is what makes it the radial kernel of
-    frequency-band-summed imaging functions.
-
-    Parameters
-    ----------
-    t : float or ndarray
-        Nonnegative radial distance(s).
-    omega : float
-        Positive frequency.
-
-    Returns
-    -------
-    float for a scalar t, else ndarray of the shape of t
-    """
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("t must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("t must be nonnegative")
-    w = float(omega)
-    if not (math.isfinite(w) and w > 0.0):
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    x = w * arr.reshape(-1)
-    odd_sum = np.empty_like(x)
-    for lo in range(0, x.size, _CHUNK):
-        chunk = x[lo : lo + _CHUNK]
-        top = float(chunk.max())
-        nmax = math.ceil(top) + 15 + int(math.sqrt(40.0 * top))
-        odd_sum[lo : lo + _CHUNK] = bessel_j_table(nmax, chunk)[1::2].sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(arr == 0.0, w, 2.0 * odd_sum.reshape(arr.shape) / arr)
-    return float(out[()]) if arr.ndim == 0 else out
-
-
-def radial_band_maps(
-    lattice: Lattice,
-    disc: CurveDiscretization,
-    inclusion: ThinInclusion,
-    directions: np.ndarray,
-    omega_lo: float,
-    omega_hi: float,
-) -> tuple[ImageMap, ImageMap]:
-    """Model maps with the direction-averaged band kernel.
-
-    With many directions the plane-wave sum is 2 pi J0(w|x-z|); integrating
-    that across the band gives 2 pi times the difference of the running
-    J0 integral at the band edges, a radial kernel in |x-z| alone. The
-    permeability bracket still depends on the supplied directions, so they
-    must be given. Like the other families, this is the incident-wave pairing
-    over the curve alone, without the adjoint's boundary factor or the
-    polarization sources.
-    """
-    if not omega_hi > omega_lo:
-        raise ConfigError("need omega_hi > omega_lo")
-    pts = lattice.points
-    diff = disc.nodes[None, :, :] - pts[:, None, :]
-    t = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    kern = 2.0 * math.pi * (j0_band_integral(t, omega_hi) - j0_band_integral(t, omega_lo))
-    gamma = inclusion.layer_coefficients()[0]
-    eps_vals = kern @ (disc.weights * gamma)
-    mu_vals = np.zeros(pts.shape[0])
-    for d in np.atleast_2d(np.asarray(directions, dtype=float)):
-        mu_vals += kern @ (disc.weights * _mu_bracket(disc, inclusion, d))
-    return from_point_values(lattice, eps_vals), from_point_values(lattice, mu_vals)

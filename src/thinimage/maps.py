@@ -44,13 +44,13 @@ class Lattice:
     the incident waves on them: ``wave_factors`` gives one phase table per
     axis, which the imaging maps gather from one block of nodes at a time
     (``forward.DiskModes.pair``), and migration and MUSIC at the orbit
-    representatives; ``plane_waves`` multiplies them out into the (P, L)
-    table (``imaging.single_frequency_kernel_maps``). ``orbits`` groups the
-    nodes under the 8 rotations and reflections of the square, for the
-    disk's mode series (``forward.DiskModes``) and the two baselines, whose
-    nodes take their representative's value in their variant's direction
-    order; for a set ``forward.direction_orders`` gives no orders for, every
-    node is its own representative. It alone is built on first use.
+    representatives, so no (P, L) table of waves is formed. ``orbits``
+    groups the nodes under the 8 rotations and reflections of the square,
+    for the disk's mode series (``forward.DiskModes``) and the two
+    baselines, whose nodes take their representative's value in their
+    variant's direction order; for a set ``forward.direction_orders`` gives
+    no orders for, every node is its own representative. It alone is built
+    on first use.
     """
 
     axis: np.ndarray
@@ -71,13 +71,6 @@ class Lattice:
             (np.exp(1j * omega * np.outer(self.axis, directions[:, 1])), iy),
             (np.exp(1j * omega * np.outer(self.axis, directions[:, 0])), ix),
         )
-
-    def plane_waves(self, omega: float, directions: np.ndarray) -> np.ndarray:
-        """e^{i w d_l.z} at the kept nodes, shape (P, L) complex, one column per direction."""
-        (y_waves, iy), (x_waves, ix) = self.wave_factors(omega, directions)
-        waves = y_waves[iy]
-        waves *= x_waves[ix]
-        return waves
 
     @cached_property
     def orbits(self) -> Orbits:

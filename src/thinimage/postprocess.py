@@ -27,7 +27,6 @@ from .forward import BoundaryDataset
 from .geometry import ParametricCurve
 from .maps import ImageMap
 
-_EIGHT_NEIGHBORHOOD = np.ones((3, 3), dtype=int)
 _RIDGE_QUANTILE = 0.01
 # ridge points further out than this radius are sidelobe pickups: supporting
 # curves must keep a clearance inside the unit disk, so the fit ignores them
@@ -123,6 +122,38 @@ def _selected_mask(imap: ImageMap, quantile: float) -> np.ndarray:
     return selected
 
 
+def _label_clusters(selected: np.ndarray) -> tuple[np.ndarray, int]:
+    """The 8-connected clusters of a boolean raster: (labels, count).
+
+    A flood fill seeded at each unlabelled selected node in raster order, so
+    cluster k (1..count) is the one whose first node in raster order comes
+    k-th: the numbering of ``scipy.ndimage.label`` with a 3 x 3 structure,
+    on which the stable size sort of ``clustered_ridges`` relies. Unselected
+    nodes read 0.
+    """
+    nodes = np.nonzero(selected)
+    label = dict.fromkeys(zip(*(axis.tolist() for axis in nodes)), 0)
+    count = 0
+    for seed, seen in label.items():
+        if seen:
+            continue
+        count += 1
+        label[seed] = count
+        stack = [seed]
+        while stack:
+            i, j = stack.pop()
+            for neighbour in (
+                (i - 1, j - 1), (i - 1, j), (i - 1, j + 1), (i, j - 1),
+                (i, j + 1), (i + 1, j - 1), (i + 1, j), (i + 1, j + 1),
+            ):
+                if label.get(neighbour) == 0:
+                    label[neighbour] = count
+                    stack.append(neighbour)
+    labels = np.zeros(selected.shape, dtype=int)
+    labels[nodes] = list(label.values())
+    return labels, count
+
+
 def _thin_columns(imap: ImageMap, selected: np.ndarray) -> np.ndarray:
     # one point per lattice column: the row of largest value
     masked = np.where(selected, imap.values, -np.inf)
@@ -164,12 +195,7 @@ def clustered_ridges(
     scene yields its own point set. Clusters with fewer than min_points
     thinned points are dropped.
     """
-    # imported here: only multi-inclusion runs label clusters, and the import
-    # would otherwise add to every start of the command line
-    from scipy import ndimage
-
-    selected = _selected_mask(imap, quantile)
-    labels, count = ndimage.label(selected, structure=_EIGHT_NEIGHBORHOOD)
+    labels, count = _label_clusters(_selected_mask(imap, quantile))
     ridges = []
     for lab in range(1, count + 1):
         pts = _thin_columns(imap, labels == lab)

@@ -34,6 +34,20 @@ open-plane factor J0(w|x-z|), i.e. every 1/J_n'(w)^2 set to 1:
     definition is not at hand. (b) Partial guesses: the closed-disk maps give
     partial ridges, so some fits cover only part of the curve and would leave
     the band even under scale-free norms.
+
+Three checks read the kernel references of ``kernel_reference.py``, which no
+command calls; what each still guards in the program:
+  - band antiderivative and tail decay: ``j0_band_integral`` sums the odd
+    orders of ``forward.bessel_j_table``, the program's one J_n builder;
+  - disk kernel reciprocity and boundary condition: ``neumann_function``,
+    the reference that ``test_forward``'s ``test_against_per_pair_reference``
+    (synthesis) and ``test_matches_general_evaluator``
+    (``boundary_kernel_gradients``) and ``test_imaging``'s quadrature checks
+    (``adjoint_field_batch``, on ``DiskModes.apply``) hold the program to.
+    Its resonance clause exercises ``forward.band_resonance_orders`` and
+    ``DiskModes``' refusal of an eigenvalue;
+  - model map cross consistency: ``imaging.band_kernel_maps``, the program
+    side, against the single-frequency and radial references.
 """
 
 import math
@@ -47,6 +61,7 @@ from scipy import special as sp
 from thinimage.cli import ExperimentConfig, derive_seed, run
 from thinimage.errors import ResonanceError
 from thinimage.forward import (
+    DiskModes,
     IncidentSet,
     MultistaticMatrix,
     add_awgn,
@@ -54,7 +69,6 @@ from thinimage.forward import (
     band_resonance_orders,
     frequency_band,
     load_dataset,
-    neumann_function,
     save_dataset,
     standard_directions,
     synthesize,
@@ -71,8 +85,6 @@ from thinimage.imaging import (
     adjoint_field_batch,
     band_kernel_maps,
     etd_multi,
-    radial_band_maps,
-    single_frequency_kernel_maps,
     td_component_maps,
 )
 from thinimage.baselines import multi_kirchhoff_map, music_map, signal_space_dim
@@ -86,6 +98,13 @@ from thinimage.postprocess import (
     clustered_ridges,
     discrete_norms,
     initial_guesses,
+)
+
+from kernel_reference import (
+    j0_band_integral,
+    neumann_function,
+    radial_band_maps,
+    single_frequency_kernel_maps,
 )
 
 OMEGA_LO = 2.0 * math.pi / 0.5
@@ -196,8 +215,6 @@ def _closed_disk_first_order_maps(lattice, disc, inclusion, directions, omega):
 
 def test_band_antiderivative_and_tail_decay():
     t0 = time.perf_counter()
-    from thinimage.imaging import j0_band_integral
-
     # 20 x 20 grid of (offset, band) samples against adaptive quadrature
     rng = np.random.default_rng(5)
     ts = np.linspace(0.05, 2.0, 20)
@@ -269,7 +286,7 @@ def test_disk_kernel_reciprocity_boundary_and_resonance():
     root = 0.5 * (lo + hi)
     flagged = [n for n, _ in band_resonance_orders(root, 1e-8)[0]]
     with pytest.raises(ResonanceError):
-        neumann_function(np.array([0.3, 0.1]), np.array([0.2, -0.4]), root)
+        DiskModes(root, np.array([[0.3, 0.1], [0.2, -0.4]]))
     flag_ok = 1 in flagged
 
     dt = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 """Tests for config parsing, validation, the experiment driver, and presets."""
 
+import ast
 import hashlib
 import json
 import math
@@ -724,13 +725,24 @@ class TestPresets:
 
 
 class TestMain:
-    @pytest.mark.parametrize("functional", ["etd_multi", "mkm"])
-    def test_run_loads_no_scipy(self, tmp_path, functional):
-        # a single-inclusion run takes J_n'(w) from the Miller table, so no
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(small_config(functional="etd_multi"), id="etd_multi"),
+            pytest.param(small_config(functional="mkm"), id="mkm"),
+            pytest.param(
+                small_config(inclusions=(InclusionSpec(), InclusionSpec(curve="sigma2"))),
+                id="two_inclusions",
+            ),
+        ],
+    )
+    def test_run_loads_no_scipy(self, tmp_path, config):
+        # a run takes J_n'(w) from the Miller table and labels the ridge
+        # clusters of a multi-inclusion scene by its own flood fill, so no
         # scipy module is loaded by the time the command line returns; nor is
         # numpy.ma, which np.quantile and np.unique import on first use
         path = tmp_path / "exp.ini"
-        write_config(small_config(functional=functional), path)
+        write_config(config, path)
         code = (
             "import sys; from thinimage.cli import main; "
             f"code = main(['run', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
@@ -745,9 +757,8 @@ class TestMain:
         assert result.stdout.splitlines()[-1] == "0 [] False"
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is imported on first use: scipy.special by the Neumann
-        # function's Y_n, scipy.ndimage by multi-inclusion ridge clustering;
-        # a fresh interpreter importing the command line loads none
+        # the package needs numpy alone: a fresh interpreter importing the
+        # command line loads no scipy module
         code = "import sys, thinimage.cli; print('scipy' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True,
@@ -755,6 +766,22 @@ class TestMain:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_no_module_imports_scipy(self):
+        # scipy is a test dependency only; no module of the package names it
+        # in an import, lazy or not
+        package = Path(thinimage.__file__).resolve().parent
+        imports = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                imports += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+        assert imports == []
 
     def test_validate_subcommand(self, capsys):
         assert main(["validate"]) == 0

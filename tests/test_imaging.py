@@ -12,7 +12,6 @@ from thinimage.forward import (
     BoundaryDataset,
     IncidentSet,
     frequency_band,
-    neumann_function,
     standard_directions,
     synthesize,
 )
@@ -30,14 +29,14 @@ from thinimage.imaging import (
     etd_single,
     model_maps,
     normalized_combination,
-    radial_band_maps,
-    single_frequency_kernel_maps,
     td_component_maps,
 )
 from thinimage.maps import (
     make_lattice,
     top_quantile_distance,
 )
+
+from kernel_reference import neumann_function, radial_band_maps, single_frequency_kernel_maps
 
 OMEGA = 4.0 * math.pi
 

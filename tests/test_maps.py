@@ -15,6 +15,8 @@ from thinimage.maps import (
     top_quantile_distance,
 )
 
+from kernel_reference import plane_waves
+
 
 class TestLattice:
     def test_default_geometry(self, tmp_path):
@@ -61,12 +63,13 @@ class TestLattice:
 
     @pytest.mark.parametrize("n", [65, 128])
     def test_plane_waves_match_direct_exponential(self, n):
-        # the per-axis product against one exponential per (node, direction);
-        # phases reach 10 pi, so a few ulp of the phase is ~5e-15
+        # Lattice.wave_factors' per-axis tables, multiplied out, against one
+        # exponential per (node, direction); phases reach 10 pi, so a few ulp
+        # of the phase is ~5e-15
         lat = make_lattice(n)
         directions = standard_directions(16)
         omega = 10.0 * np.pi
-        waves = lat.plane_waves(omega, directions)
+        waves = plane_waves(lat, omega, directions)
         direct = np.exp(1j * omega * (lat.points @ directions.T))
         assert waves.shape == (lat.points.shape[0], 16)
         assert np.max(np.abs(waves - direct)) < 1e-14

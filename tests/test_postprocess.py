@@ -1,14 +1,18 @@
 """Tests for ridge extraction, Chebyshev fitting, and discrepancy norms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from thinimage import cli
 from thinimage.errors import ConfigError, FitError, RidgeError
 from thinimage.forward import (
     BoundaryDataset,
     IncidentSet,
+    add_awgn,
     frequency_band,
     standard_directions,
     synthesize,
@@ -24,7 +28,9 @@ from thinimage.imaging import band_kernel_maps, etd_multi
 from thinimage.maps import ImageMap, make_lattice
 from thinimage.postprocess import (
     ChebyshevCurve,
+    _label_clusters,
     _linear_quantile,
+    _selected_mask,
     chebyshev_fit,
     clustered_ridges,
     discrete_norms,
@@ -183,7 +189,34 @@ class TestRidge:
                 extract_ridge(imap, quantile=bad)
 
 
+def _assert_ndimage_labels(mask):
+    labels, count = _label_clusters(mask)
+    ref, ref_count = ndimage.label(mask, structure=np.ones((3, 3)))
+    assert count == ref_count
+    assert np.array_equal(labels, ref)
+
+
 class TestClusters:
+    def test_labels_are_ndimage_labels_on_random_masks(self):
+        # the flood fill numbers the 8-connected clusters as ndimage.label
+        # does, which the stable size sort of clustered_ridges relies on
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            shape = tuple(int(n) for n in rng.integers(1, 61, 2))
+            _assert_ndimage_labels(rng.random(shape) < rng.uniform(0.02, 0.6))
+
+    @pytest.mark.parametrize("preset", ["multi_same_L16_K16", "multi_diff_L4_K04"])
+    def test_labels_are_ndimage_labels_on_preset_maps(self, preset):
+        # the seed-7 etd_multi map of run's pipeline, at the run's quantile and wider
+        config = replace(cli.preset_configs()[preset], seed=7)
+        (inclusions, incident, grid, lattice), faults, _ = cli._config_stage(config)
+        assert not faults
+        noise_seed = cli.derive_seed(config.seed, "noise")
+        data = add_awgn(synthesize(inclusions, incident, grid), config.snr_db, noise_seed)
+        imap = etd_multi(data, lattice)
+        for quantile in (0.01, 0.03, 0.05, 0.2):
+            _assert_ndimage_labels(_selected_mask(imap, quantile))
+
     @staticmethod
     def _two_blob_map():
         lattice = make_lattice(32)

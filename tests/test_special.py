@@ -1,3 +1,10 @@
+"""Bessel tables and the running J0 integral against scipy.
+
+``j0_band_integral`` is a test reference (``kernel_reference.py``); its
+checks guard the program's odd orders of ``forward.bessel_j_table``, the one
+J_n builder in the package, which the reference sums.
+"""
+
 import math
 
 import numpy as np
@@ -6,12 +13,13 @@ from scipy import integrate
 from scipy import special as sp
 
 from thinimage.forward import bessel_j_table
-from thinimage.imaging import _CHUNK, j0_band_integral
+
+from kernel_reference import _CHUNK, j0_band_integral
 
 
 class TestBesselJ:
-    # j0_band_integral sums odd orders of forward.bessel_j_table, the one J_n
-    # in the package; check its low orders far past their turning points.
+    # forward.bessel_j_table is the one J_n in the package; check its low
+    # orders far past their turning points.
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
     def test_against_library_over_range(self, n):
         rng = np.random.default_rng(42)
